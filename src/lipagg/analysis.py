@@ -27,7 +27,7 @@ from .core import (
     check_task,
 )
 from .errors import DimensionMismatchError, ZeroEpsilonError
-from .mechanisms import MechanismFamily, opt_mimo_ldp, opt_mimo_lip
+from .mechanisms import MechanismFamily, check_family_task, optimal_channel
 
 
 def mse_binary(q: Channel, p1: float) -> float:
@@ -173,77 +173,55 @@ class TradeoffCurve:
         ) + "\n"
 
 
-def _require_binary_01(population: Population) -> None:
-    vals = population.domain.values
-    if population.domain.size != 2 or vals[0] != 0.0 or vals[1] != 1.0:
-        raise ValueError("binary mechanism families need the {0, 1} domain")
-
-
-def per_user_task_mse(family: MechanismFamily, prior: Prior, eps: float,
-                      task: AggregationTask, domain: Domain,
-                      coefficient: float = 1.0) -> float:
-    """Closed-form per-user MSE contribution of one user under a family.
-
-    The task fixes the local function whose conditional expectation each
-    user contributes: the survey indicator, the value itself for weighted
-    sums, the value scaled by 1/N for the averaging task (applied by the
-    caller via ``coefficient``), or the full indicator vector for
-    histograms.
-    """
-    eps = check_epsilon(eps)
-    d = domain.size
-    if family is MechanismFamily.OPT_BINARY_LIP:
-        base = mse_binary_lip_opt(float(prior.p[1]), eps)
-        return coefficient ** 2 * base
-    if family is MechanismFamily.OPT_BINARY_LDP:
-        base = mse_binary_ldp_opt(float(prior.p[1]), eps)
-        return coefficient ** 2 * base
-    if family is MechanismFamily.SYMMETRIC_RR:
-        if eps == 0.0:
-            raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
-        flip = 1.0 / (math.exp(eps) + 1.0)
-        return coefficient ** 2 * flip * (1.0 - flip) / (1.0 - 2.0 * flip) ** 2
-    if family is MechanismFamily.OUE:
-        if not isinstance(task, Histogram):
-            raise ValueError("unary encoding only applies to histogram tasks")
-        if eps == 0.0:
-            raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
-        e = math.exp(eps)
-        return d * 4.0 * e / (e - 1.0) ** 2
-    if family is MechanismFamily.OPT_MIMO_LIP:
-        ch = opt_mimo_lip(prior, eps, domain)
-    elif family is MechanismFamily.OPT_MIMO_LDP:
-        ch = opt_mimo_ldp(d, eps, domain)
-    else:
-        raise ValueError(f"unknown family {family}")
-    if isinstance(task, Histogram):
-        return mse_histogram(ch, prior)
+def local_values(task: AggregationTask, domain: Domain) -> np.ndarray:
+    """g(a_m) for the local function a scalar task averages over users: the
+    target indicator for a survey, the value itself otherwise."""
     if isinstance(task, Survey):
-        return mse_survey(ch, prior, domain.index_of(task.target))
-    return coefficient ** 2 * mse_mimo(ch, prior, domain)
-
-
-def _task_coefficients(task: AggregationTask, n: int) -> np.ndarray:
-    if isinstance(task, Summation):
-        return np.full(n, 1.0 / n)
-    if isinstance(task, WeightedSum):
-        return np.asarray(task.coefficients, dtype=float)
-    return np.ones(n)
+        return (domain.values == task.target).astype(float)
+    return domain.values
 
 
 def closed_form_total_mse(family: MechanismFamily, population: Population,
                           task: AggregationTask, eps: float) -> float:
-    """Aggregate MSE: sum of per-user contributions (independent users)."""
+    """Aggregate MSE: the sum of independent per-user contributions,
+    vectorized over the (N, d) priors.
+
+    Under a keep-or-resample channel (keep a, redraw w) the posterior mean
+    of a local function g after output k is kept_k g_k + redrawn_k mu_g
+    (``KeepResample.posterior``) and its MSE is
+    sum_k p_k (w + a redrawn_k) (g_k - mu_g)^2, a sum of nonnegative terms
+    that keeps full precision at large budgets.  The prior-unaware
+    estimators (symmetric-rr, unary encoding) have a constant per-user MSE.
+    """
+    check_family_task(family, task, population.domain)
     check_task(task, population)
-    if family in (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
-                  MechanismFamily.SYMMETRIC_RR):
-        _require_binary_01(population)
-    coeffs = _task_coefficients(task, population.n_users)
-    total = 0.0
-    for i in range(population.n_users):
-        total += per_user_task_mse(family, population.prior(i), eps, task,
-                                   population.domain, coefficient=float(coeffs[i]))
-    return total
+    eps = check_epsilon(eps)
+    n = population.n_users
+    if family in (MechanismFamily.SYMMETRIC_RR, MechanismFamily.OUE):
+        if eps == 0.0:
+            raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
+        # flip f = 1/(e^eps + 1): f(1-f)/(1-2f)^2 = e^-eps/(1-e^-eps)^2 per
+        # user; unary encoding pays 4x that on each of its d bits
+        per_user = math.exp(-eps) / math.expm1(-eps) ** 2
+        if family is MechanismFamily.OUE:
+            per_user *= 4.0 * population.domain.size
+        return n * per_user
+
+    p = population.priors
+    ch = optimal_channel(family, eps, p)
+    _, redrawn = ch.posterior(p)
+    weight = p * (ch.redraw + ch.keep * redrawn)
+    if isinstance(task, Histogram):
+        # sum_j (1{k = j} - p_j)^2 = 1 - 2 p_k + |p|^2
+        spread = 1.0 - 2.0 * p + np.sum(p * p, axis=1, keepdims=True)
+        return float(np.sum(weight * spread))
+    g = local_values(task, population.domain)
+    per_user = np.sum(weight * (g - (p @ g)[:, None]) ** 2, axis=1)
+    if isinstance(task, Summation):
+        return float(per_user.sum()) / n ** 2
+    if isinstance(task, WeightedSum):
+        return float(np.dot(task.coefficients ** 2, per_user))
+    return float(per_user.sum())
 
 
 def tradeoff_curve(family: MechanismFamily, population: Population,

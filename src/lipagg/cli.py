@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .harness import (
 )
 from .mechanisms import (
     MechanismFamily,
+    check_family_task,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
@@ -60,9 +62,12 @@ def parse_eps_grid(spec) -> list[float]:
         if len(parts) != 3:
             raise ValidationError(f"bad eps grid {text!r}, want start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValidationError("eps grid step must be positive")
-        return [float(e) for e in np.arange(start, stop + step / 2.0, step)]
+        if not (math.isfinite(start + stop) and 0 < step < math.inf):
+            raise ValidationError("eps grid needs finite bounds and a positive step")
+        # decimal steps, so "0.1:1:0.1" gives 0.3 rather than 0.30000000000000004
+        lo, hi, inc = (Decimal(p.strip()) for p in parts)
+        count = max(0, math.ceil((hi - lo) / inc + Decimal("0.5")))
+        return [float(lo + i * inc) for i in range(count)]
     return [float(p) for p in text.split(",") if p.strip()]
 
 
@@ -185,9 +190,11 @@ def _cmd_curve(args) -> int:
     population = _population_from_args(args)
     task = _task_from_args(args.task, args.target, population.n_users)
     grid = parse_eps_grid(args.eps_grid)
+    families = [MechanismFamily.from_tag(tag.strip()) for tag in args.families.split(",")]
+    for fam in families:
+        check_family_task(fam, task, population.domain)
     merged = TradeoffCurve()
-    for tag in args.families.split(","):
-        fam = MechanismFamily.from_tag(tag.strip())
+    for fam in families:
         merged.extend(tradeoff_curve(fam, population, task, grid))
     _write(merged.to_json() if args.format == "json" else merged.to_csv(), args.out)
     return 0

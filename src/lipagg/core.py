@@ -244,8 +244,8 @@ def check_task(task: AggregationTask, population: Population) -> None:
 
 
 def check_epsilon(eps: float) -> float:
-    """Privacy budgets are nonnegative reals on the natural-log scale."""
+    """Privacy budgets are finite nonnegative reals on the natural-log scale."""
     eps = float(eps)
-    if not eps >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    if not (eps >= 0.0 and np.isfinite(eps)):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     return eps

@@ -16,6 +16,7 @@ formulas elsewhere in the package assume the raw estimators.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .core import (
     AggregationTask,
@@ -65,16 +66,6 @@ def posterior(q: Channel, p: Prior, y: float) -> PerUserPosterior:
     post = p.p * q.matrix[:, k] / lam[k]
     point = float(np.dot(q.input_domain.values, post))
     return PerUserPosterior(posterior=post, point_estimate=point)
-
-
-def _posterior_matrix(q: Channel, p: Prior) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior matrix post[m, k] = Pr(X=a_m | Y=a_k) with 0 on unreachable
-    columns, plus the output marginal."""
-    lam = output_distribution(q, p)
-    post = np.zeros_like(q.matrix)
-    reach = lam > 0.0
-    post[:, reach] = p.p[:, None] * q.matrix[:, reach] / lam[reach]
-    return post, lam
 
 
 def estimate(task: AggregationTask, population: Population,
@@ -133,7 +124,7 @@ def context_free_estimate(observations, eps: float) -> float:
     obs = np.asarray(observations, dtype=float)
     if not np.all((obs == 0.0) | (obs == 1.0)):
         raise ValueError("observations must be binary")
-    flip = 1.0 / (np.exp(eps) + 1.0)
+    flip = expit(-eps)
     n = obs.shape[0]
     return float((obs.sum() - n * flip) / (1.0 - 2.0 * flip))
 
@@ -148,6 +139,6 @@ def oue_histogram_estimate(reports, d: int, n: int, eps: float) -> np.ndarray:
     r = np.asarray(reports)
     if r.ndim != 2 or r.shape != (n, d):
         raise DimensionMismatchError(f"reports must have shape ({n}, {d})")
-    flip = 1.0 / (np.exp(eps) + 1.0)
+    flip = expit(-eps)
     counts = r.sum(axis=0).astype(float)
     return (counts - n * flip) / (0.5 - flip)

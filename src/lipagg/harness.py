@@ -23,10 +23,10 @@ from .analysis import (
     CurveRow,
     TradeoffCurve,
     closed_form_total_mse,
+    local_values,
 )
 from .core import (
     AggregationTask,
-    Channel,
     Domain,
     Histogram,
     Population,
@@ -46,29 +46,17 @@ from .errors import (
 from .estimators import context_free_estimate, oue_histogram_estimate
 from .mechanisms import (
     MechanismFamily,
-    opt_binary_ldp,
-    opt_binary_lip,
-    opt_mimo_ldp,
-    opt_mimo_lip,
+    check_family_task,
+    optimal_channel,
     oue_channel,
     oue_perturb,
+    sample_rows,
 )
-
-_BINARY_FAMILIES = (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
-                    MechanismFamily.SYMMETRIC_RR)
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_rows(rowmat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sample one index per probability row, u in (0, 1]."""
-    cum = np.cumsum(rowmat, axis=1)
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    u = 1.0 - rng.random(rowmat.shape[0])
-    return np.sum(cum < u[:, None], axis=1)
 
 
 def generate_population(n: int, prior_mode: str, seed: int = 0, *,
@@ -128,78 +116,50 @@ class ExperimentConfig:
         check_task(self.task, self.population)
 
 
-def _true_statistic(task: AggregationTask, x_idx: np.ndarray,
-                    domain: Domain, coeffs=None):
-    vals = domain.values[x_idx]
+def _aggregate(task: AggregationTask, per_user: np.ndarray, coeffs=None) -> float:
+    """A scalar task's statistic from per-user local values, true ones or
+    posterior means."""
     if isinstance(task, Survey):
-        return float(np.sum(vals == task.target))
+        return float(per_user.sum())
     if isinstance(task, Summation):
-        return float(vals.mean())
+        return float(per_user.mean())
     if isinstance(task, WeightedSum):
-        return float(np.dot(coeffs[0], vals) + coeffs[1])
-    if isinstance(task, Histogram):
-        return np.bincount(x_idx, minlength=domain.size).astype(float)
+        return float(np.dot(coeffs[0], per_user) + coeffs[1])
     raise TypeError(f"unknown task {task!r}")
 
 
+def _true_statistic(task: AggregationTask, x_idx: np.ndarray,
+                    domain: Domain, coeffs=None):
+    if isinstance(task, Histogram):
+        return np.bincount(x_idx, minlength=domain.size).astype(float)
+    return _aggregate(task, local_values(task, domain)[x_idx], coeffs)
+
+
 class _FamilyRunner:
-    """Per-(family, eps) derived channels plus vectorized estimation tables."""
+    """Per-(family, eps) keep-or-resample sampler plus (N, d) posterior
+    tables indexed by (user, observed output)."""
 
     def __init__(self, family: MechanismFamily, eps: float,
                  population: Population, task: AggregationTask):
+        check_family_task(family, task, population.domain)
         self.family = family
         self.eps = eps
         self.task = task
-        domain = population.domain
-        n, d = population.n_users, domain.size
         priors = population.priors
-
-        if family in _BINARY_FAMILIES and (
-                d != 2 or domain.values[0] != 0.0 or domain.values[1] != 1.0):
-            raise ValueError("binary mechanism families need the {0, 1} domain")
-        if family is MechanismFamily.SYMMETRIC_RR and not isinstance(task, Survey):
-            raise ValueError("the prior-unaware baseline only answers surveys")
-        if family is MechanismFamily.OUE and not isinstance(task, Histogram):
-            raise ValueError("unary encoding only applies to histogram tasks")
-
-        self.oue = None
-        self.rowset = None  # (n, d, d_out) stacked per-user channel rows
+        d = population.domain.size
         if family is MechanismFamily.OUE:
             self.oue = oue_channel(d, eps)
-        else:
-            if family is MechanismFamily.OPT_BINARY_LIP:
-                chans = [opt_binary_lip(float(priors[i, 1]), eps) for i in range(n)]
-            elif family is MechanismFamily.OPT_MIMO_LIP:
-                chans = [opt_mimo_lip(population.prior(i), eps, domain)
-                         for i in range(n)]
-            elif family in (MechanismFamily.OPT_BINARY_LDP,
-                            MechanismFamily.SYMMETRIC_RR):
-                chans = [opt_binary_ldp(eps)] * n
-            elif family is MechanismFamily.OPT_MIMO_LDP:
-                chans = [opt_mimo_ldp(d, eps, domain)] * n
-            else:
-                raise ValueError(f"unknown family {family}")
-            self.rowset = np.stack([c.matrix for c in chans])
-            self._build_tables(population, chans)
-
-    def _build_tables(self, population: Population, chans: list[Channel]):
-        """Posterior lookup tables indexed by (user, observed output)."""
-        task = self.task
-        domain = population.domain
-        n, d = population.n_users, domain.size
-        lam = np.einsum("nd,ndk->nk", population.priors, self.rowset)
-        reach = lam > 0.0
-        safe_lam = np.where(reach, lam, 1.0)
-        post = population.priors[:, :, None] * self.rowset / safe_lam[:, None, :]
-        post[~np.broadcast_to(reach[:, None, :], post.shape)] = 0.0
-        if isinstance(task, Survey):
-            v = domain.index_of(task.target)
-            self.table = post[:, v, :]  # (n, d_out)
-        elif isinstance(task, (Summation, WeightedSum)):
-            self.table = np.einsum("m,nmk->nk", domain.values, post)
-        elif isinstance(task, Histogram):
-            self.table = post  # (n, d, d_out)
-        self.reachable = reach
+            return
+        ch = optimal_channel(family, eps, priors)
+        # CDF of the output given true value x: steps[x] + tail, the kept
+        # mass keep [k >= x] over the redraw mass redraw cumsum(r)_k
+        self.steps = np.triu(np.full((d, d), ch.keep))
+        self.tail = ch.redraw * np.cumsum(ch.resample, axis=-1)
+        self.priors = priors
+        self.kept, self.redrawn = ch.posterior(priors)
+        if not isinstance(task, Histogram):
+            g = local_values(task, population.domain)
+            self.table = self.kept * g + self.redrawn * (priors @ g)[:, None]
 
     def estimate(self, x_idx: np.ndarray, rng: np.random.Generator,
                  task_coeffs=None):
@@ -208,24 +168,18 @@ class _FamilyRunner:
         if self.family is MechanismFamily.OUE:
             reports = oue_perturb(self.oue, x_idx, rng)
             return oue_histogram_estimate(reports, self.oue.d, n, self.eps)
-        rows = self.rowset[np.arange(n), x_idx]
-        y_idx = sample_rows(rows, rng)
+        y_idx = sample_rows(self.steps[x_idx] + self.tail, rng)
         if self.family is MechanismFamily.SYMMETRIC_RR:
             est = context_free_estimate(y_idx.astype(float), self.eps)
             if self.task.target == 0.0:
                 est = n - est
             return est
-        task = self.task
-        if isinstance(task, Survey):
-            return float(self.table[np.arange(n), y_idx].sum())
-        if isinstance(task, Summation):
-            return float(self.table[np.arange(n), y_idx].mean())
-        if isinstance(task, WeightedSum):
-            means = self.table[np.arange(n), y_idx]
-            return float(np.dot(task_coeffs[0], means) + task_coeffs[1])
-        if isinstance(task, Histogram):
-            return self.table[np.arange(n), :, y_idx].sum(axis=0)
-        raise TypeError(f"unknown task {task!r}")
+        users = np.arange(n)
+        if isinstance(self.task, Histogram):
+            return (self.redrawn[users, y_idx] @ self.priors
+                    + np.bincount(y_idx, weights=self.kept[users, y_idx],
+                                  minlength=self.priors.shape[1]))
+        return _aggregate(self.task, self.table[users, y_idx], task_coeffs)
 
 
 def _closed_form_row(family: MechanismFamily, population: Population,
@@ -255,10 +209,8 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     if isinstance(task, WeightedSum):
         coeffs = (task.coefficients, float(task.offsets.sum()))
 
-    runners = {}
-    for fi, fam in enumerate(families):
-        for ei, eps in enumerate(eps_grid):
-            runners[(fi, ei)] = _FamilyRunner(fam, eps, pop, task)
+    runners = {(fi, ei): _FamilyRunner(fam, eps, pop, task)
+               for fi, fam in enumerate(families) for ei, eps in enumerate(eps_grid)}
 
     sq_err = np.zeros((len(families), len(eps_grid)))
     fixed_idx = None
@@ -267,9 +219,10 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if np.any(fixed_idx < 0):
             raise ValueError("fixed values must lie in the population domain")
 
+    truth_cdf = np.cumsum(pop.priors, axis=1)
     for t in range(config.trials):
         if fixed_idx is None:
-            x_idx = sample_rows(pop.priors, _rng(config.seed, 1, t))
+            x_idx = sample_rows(truth_cdf, _rng(config.seed, 1, t))
         else:
             x_idx = fixed_idx
         stat = _true_statistic(task, x_idx, domain, coeffs)

@@ -15,14 +15,23 @@ Derivations; all budgets are on the natural-log scale:
 
 Rows are renormalized after construction to absorb float rounding so every
 derived channel passes ``validate_channel`` exactly.
+
+All four optima keep the true value with probability a and otherwise
+publish a draw from a fixed r: a = 1 - e^-eps and r = the prior
+(context-aware), a = (e^eps - 1)/(e^eps + d - 1) and r uniform
+(context-free).  The harness and the closed-form errors use that form
+(:func:`optimal_channel`); the dense constructors stay the reference.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .core import Channel, Domain, Prior, check_epsilon, validate_channel
+from .core import (Channel, Domain, Histogram, Prior, Survey, check_epsilon,
+                   validate_channel)
 from .errors import ValueNotInDomainError, ZeroEpsilonError
 
 
@@ -47,6 +56,67 @@ class MechanismFamily(enum.Enum):
             if fam.value == tag:
                 return fam
         raise ValueError(f"unknown mechanism family {tag!r}")
+
+
+# Family x task compatibility: the prior-unaware estimators answer one task
+# each (the count estimator surveys, unary decoding histograms); every other
+# family answers all four.  The binary families need the {0, 1} domain.
+ONLY_TASK = {MechanismFamily.SYMMETRIC_RR: Survey, MechanismFamily.OUE: Histogram}
+_BINARY_FAMILIES = (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
+                    MechanismFamily.SYMMETRIC_RR)
+
+
+def check_family_task(family: MechanismFamily, task, domain: Domain) -> None:
+    """Raise ``ValueError`` unless ``family`` answers ``task`` on ``domain``."""
+    only = ONLY_TASK.get(family)
+    if only is not None and not isinstance(task, only):
+        raise ValueError(f"{family.value} does not answer "
+                         f"{type(task).__name__.lower()} tasks")
+    if family in _BINARY_FAMILIES and not np.array_equal(domain.values, [0.0, 1.0]):
+        raise ValueError("binary mechanism families need the {0, 1} domain")
+
+
+@dataclass(frozen=True, eq=False)
+class KeepResample:
+    """Keep-or-resample channel q[m][k] = keep [m = k] + redraw resample[k].
+
+    ``resample`` is one distribution shared by every user, shape (d,), or
+    one per user, shape (N, d).  ``redraw`` = 1 - keep is stored on its own:
+    at large budgets it carries the whole error, and 1 - keep would lose it
+    to rounding.
+    """
+
+    keep: float
+    redraw: float
+    resample: np.ndarray
+
+    def posterior(self, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior weights (kept, redrawn), each (N, d), for users with the
+        given priors: Pr(X = a_m | Y = a_k) = kept[k] [m = k] + redrawn[k] p[m],
+        with kept = keep p / lambda, redrawn = redraw r / lambda and lambda
+        the output marginal.  Both are 0 at outputs that cannot occur."""
+        kept, redrawn = self.keep * priors, self.redraw * self.resample
+        lam = kept + redrawn
+        return tuple(np.divide(w, lam, out=np.zeros(lam.shape), where=lam > 0.0)
+                     for w in (kept, redrawn))
+
+
+def optimal_channel(family: MechanismFamily, eps: float,
+                    priors: np.ndarray) -> KeepResample:
+    """The closed-form optimum of ``family`` at budget ``eps`` for users
+    with the given (N, d) priors, computed from e^-eps so no finite budget
+    overflows.  symmetric-rr shares the binary context-free channel; unary
+    encoding is not keep-or-resample and raises ``ValueError``."""
+    if family is MechanismFamily.OUE:
+        raise ValueError("unary encoding is not a keep-or-resample channel")
+    eps = check_epsilon(eps)
+    u = math.exp(-eps)
+    if family in (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_MIMO_LIP):
+        return KeepResample(keep=-math.expm1(-eps), redraw=u, resample=priors)
+    d = priors.shape[-1]
+    scale = 1.0 + (d - 1) * u
+    return KeepResample(keep=-math.expm1(-eps) / scale, redraw=d * u / scale,
+                        resample=np.full(d, 1.0 / d))
 
 
 @dataclass(frozen=True)
@@ -170,7 +240,7 @@ def oue_channel(d: int, eps: float) -> OUEChannel:
         raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
     if d < 2:
         raise ValueError("domain size must be at least 2")
-    return OUEChannel(d=d, keep_prob=0.5, flip_up_prob=1.0 / (np.exp(eps) + 1.0))
+    return OUEChannel(d=d, keep_prob=0.5, flip_up_prob=expit(-eps))
 
 
 def _coerce_rng(rng) -> np.random.Generator:
@@ -179,18 +249,16 @@ def _coerce_rng(rng) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(rng))
 
 
-def _sample_rows(matrix: np.ndarray, rows: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sample one output index per row index in ``rows``.
+def sample_rows(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sample one index per row of ``cdf``, an (n, d) array of
+    row-wise cumulative probabilities; one uniform draw per row, in order.
 
-    Uses u in (0, 1] against row-order cumulative sums; a u exactly on a
-    CDF boundary resolves to the lower index, so zero-probability outputs
-    are never produced.
+    Uses u in (0, 1]; a u exactly on a CDF boundary resolves to the lower
+    index, so zero-probability outputs are never produced.  The last column
+    counts as 1, so a row total rounded below 1 still yields an index.
     """
-    cum = np.cumsum(matrix, axis=1)
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    u = 1.0 - rng.random(rows.shape[0])
-    return np.sum(cum[rows] < u[:, None], axis=1)
+    u = 1.0 - rng.random(cdf.shape[0])
+    return np.sum(cdf[:, :-1] < u[:, None], axis=1)
 
 
 def perturb(q: Channel, x: float, rng) -> float:
@@ -199,14 +267,15 @@ def perturb(q: Channel, x: float, rng) -> float:
     idx = q.input_domain.index_of(x)
     if idx < 0:
         raise ValueNotInDomainError(f"value {x} not in the input domain")
-    k = _sample_rows(q.matrix, np.array([idx]), _coerce_rng(rng))[0]
+    k = sample_rows(np.cumsum(q.matrix[[idx]], axis=1), _coerce_rng(rng))[0]
     return float(q.output_domain.values[k])
 
 
 def perturb_indices(q: Channel, x_idx: np.ndarray, rng) -> np.ndarray:
     """Vector form of :func:`perturb` over input indices, returning output
     indices; one uniform draw per entry, in order."""
-    return _sample_rows(q.matrix, np.asarray(x_idx, dtype=int), _coerce_rng(rng))
+    cdf = np.cumsum(q.matrix, axis=1)
+    return sample_rows(cdf[np.asarray(x_idx, dtype=int)], _coerce_rng(rng))
 
 
 def oue_perturb(oue: OUEChannel, x_idx: np.ndarray, rng) -> np.ndarray:

@@ -2,27 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipagg import (
     Channel,
     Domain,
+    ExperimentConfig,
+    Histogram,
     Population,
     Prior,
     Summation,
     Survey,
+    WeightedSum,
     mae,
     mse_binary,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
     mse_histogram,
     mse_mimo,
+    mse_survey,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
+    run_experiment,
     tradeoff_curve,
 )
-from lipagg.analysis import per_user_task_mse
+from lipagg.analysis import closed_form_total_mse
 from lipagg.errors import ZeroEpsilonError
 from lipagg.mechanisms import MechanismFamily
 
@@ -178,14 +184,90 @@ def test_curve_csv_schema_and_sorting():
 
 def test_summation_task_scales_per_user_contribution():
     pop = _pop(10, 0.3)
-    per_survey = per_user_task_mse(MechanismFamily.OPT_BINARY_LIP, Prior.binary(0.3),
-                                   1.0, Survey(1.0), Domain.binary())
-    per_sum = per_user_task_mse(MechanismFamily.OPT_BINARY_LIP, Prior.binary(0.3),
-                                1.0, Summation(), Domain.binary(), coefficient=0.1)
+    per_survey = closed_form_total_mse(MechanismFamily.OPT_BINARY_LIP, pop, Survey(1.0), 1.0)
+    per_sum = closed_form_total_mse(MechanismFamily.OPT_BINARY_LIP, pop, Summation(), 1.0)
     assert per_sum == pytest.approx(per_survey / 100.0, rel=1e-12)
 
 
 def test_prior_unaware_family_rejects_zero_budget():
     with pytest.raises(ZeroEpsilonError):
-        per_user_task_mse(MechanismFamily.SYMMETRIC_RR, Prior.binary(0.3), 0.0,
-                          Survey(1.0), Domain.binary())
+        closed_form_total_mse(MechanismFamily.SYMMETRIC_RR, _pop(10, 0.3), Survey(1.0), 0.0)
+
+
+def test_curve_rejects_family_task_mismatch():
+    # the closed form rejects what the Monte-Carlo harness rejects
+    binary = _pop(10, 0.3)
+    wide = Population(Domain.of_size(3), np.tile([0.2, 0.3, 0.5], (10, 1)))
+    for family, pop, task in (
+            (MechanismFamily.SYMMETRIC_RR, binary, Summation()),
+            (MechanismFamily.SYMMETRIC_RR, binary, Histogram()),
+            (MechanismFamily.OUE, binary, Survey(1.0)),
+            (MechanismFamily.OPT_BINARY_LIP, wide, Survey(1.0))):
+        with pytest.raises(ValueError):
+            tradeoff_curve(family, pop, task, [1.0])
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(task=task, families=(family,), eps_grid=(1.0,),
+                                            trials=1, seed=0, population=pop))
+
+
+_OPT_FAMILIES = (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
+                 MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP)
+
+
+def _dense_channel(family, prior, eps, domain):
+    if family is MechanismFamily.OPT_BINARY_LIP:
+        return opt_binary_lip(float(prior.p[1]), eps)
+    if family is MechanismFamily.OPT_BINARY_LDP:
+        return opt_binary_ldp(eps)
+    if family is MechanismFamily.OPT_MIMO_LIP:
+        return opt_mimo_lip(prior, eps, domain)
+    return opt_mimo_ldp(domain.size, eps, domain)
+
+
+@st.composite
+def _closed_form_case(draw):
+    family = draw(st.sampled_from(_OPT_FAMILIES))
+    binary = family in (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP)
+    d = 2 if binary else draw(st.integers(2, 5))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d).filter(lambda w: sum(w) > 0.0),
+                         min_size=n, max_size=n))
+    priors = np.array(rows)
+    priors /= priors.sum(axis=1, keepdims=True)
+    pop = Population(Domain.of_size(d), priors)
+    kind = draw(st.sampled_from(("survey", "summation", "weighted-sum", "histogram")))
+    if kind == "survey":
+        task = Survey(float(draw(st.integers(0, d - 1))))
+    elif kind == "summation":
+        task = Summation()
+    elif kind == "weighted-sum":
+        coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        task = WeightedSum(coeffs, np.zeros(n))
+    else:
+        task = Histogram()
+    return family, pop, task, draw(st.floats(0.0, 10.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_closed_form_case())
+def test_closed_form_total_matches_dense_reference(case):
+    # the sum over users of the dense per-user MSE on the public opt_*
+    # channel; each dense term is a difference of O(1) quantities, so it
+    # carries an absolute rounding error near 1e-15, covered by abs=1e-12
+    family, pop, task, eps = case
+    dom, n = pop.domain, pop.n_users
+    want = 0.0
+    for i in range(n):
+        prior = pop.prior(i)
+        ch = _dense_channel(family, prior, eps, dom)
+        if isinstance(task, Survey):
+            want += mse_survey(ch, prior, dom.index_of(task.target))
+        elif isinstance(task, Histogram):
+            want += mse_histogram(ch, prior)
+        elif isinstance(task, Summation):
+            want += mse_mimo(ch, prior, dom) / n ** 2
+        else:
+            want += task.coefficients[i] ** 2 * mse_mimo(ch, prior, dom)
+    got = closed_form_total_mse(family, pop, task, eps)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

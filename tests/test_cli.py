@@ -182,3 +182,19 @@ def test_eps_grid_parsing():
     assert cli.parse_eps_grid("0.5:5:0.5") == pytest.approx(list(np.arange(0.5, 5.01, 0.5)))
     assert cli.parse_eps_grid("1,2,3") == [1.0, 2.0, 3.0]
     assert cli.parse_eps_grid([1, 2]) == [1.0, 2.0]
+    assert cli.parse_eps_grid("0.1:1.0:0.1") == [
+        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+def test_infinite_budget_exit_2():
+    assert run_cli("mechanism", "derive", "--family", "opt-binary-ldp", "--eps", "inf") == 2
+    assert run_cli("analyze", "curve", "--families", "opt-binary-lip", "--p1", "0.3",
+                   "--eps-grid", "1,inf") == 2
+    assert run_cli("analyze", "curve", "--families", "opt-binary-lip", "--p1", "0.3",
+                   "--eps-grid", "0:inf:1") == 2
+
+
+def test_curve_family_task_mismatch_exit_2(capsys):
+    assert run_cli("analyze", "curve", "--families", "symmetric-rr", "--task", "summation",
+                   "--p1", "0.3", "--eps-grid", "1") == 2
+    assert "symmetric-rr" in capsys.readouterr().err

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from lipagg import Channel, Domain, Population, Prior, output_distribution, validate_channel
-from lipagg.core import Survey, WeightedSum, check_task
+from lipagg.core import Survey, WeightedSum, check_epsilon, check_task
 from lipagg.errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -110,3 +112,11 @@ def test_task_checks():
     with pytest.raises(DimensionMismatchError):
         check_task(WeightedSum([1.0, 2.0], [0.0, 0.0]), pop)
     check_task(WeightedSum([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]), pop)
+
+
+def test_check_epsilon_accepts_finite_nonnegative_only():
+    assert check_epsilon(0) == 0.0
+    assert check_epsilon(800) == 800.0
+    for bad in (math.inf, -math.inf, math.nan, -0.5):
+        with pytest.raises(ValueError):
+            check_epsilon(bad)

@@ -19,7 +19,7 @@ from lipagg import (
     posterior,
 )
 from lipagg.errors import UnreachableOutputError, ZeroEpsilonError
-from lipagg.harness import sample_rows
+from lipagg.mechanisms import sample_rows
 
 from conftest import enum_joint, enum_value_mse, random_channel, random_prior
 
@@ -133,7 +133,7 @@ def test_cross_user_residuals_uncorrelated(rng):
     gen = np.random.Generator(np.random.Philox(17))
     for i, (p, ch) in enumerate(zip(p1s, chans)):
         x = (gen.random(trials) < p).astype(int)
-        y = sample_rows(ch.matrix[x], gen)
+        y = sample_rows(np.cumsum(ch.matrix, axis=1)[x], gen)
         post1 = np.where(y == 1, ch.matrix[1, 1] * p, ch.matrix[1, 0] * p)
         lam = np.where(y == 1, p, 1 - p)  # marginal equals prior here
         res[:, i] = x - post1 / lam

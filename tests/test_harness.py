@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,10 @@ from lipagg import (
     opt_mimo_lip,
     run_experiment,
     save_population,
+    tradeoff_curve,
 )
 from lipagg.errors import EmptyInputError, MissingColumnError, ParseError
+from lipagg.mechanisms import MechanismFamily
 
 
 def test_generate_population_global():
@@ -113,6 +116,31 @@ def test_mimo_histogram_runs_and_matches_closed_form():
     # the unary-encoding formula under-counts by the data-dependent term
     assert emp["oue"] == pytest.approx(cf["oue"], rel=0.3)
     assert emp["opt-mimo-lip"] < emp["oue"]
+    # the binary optimum's closed form counts both buckets of the histogram
+    binary = generate_population(200, "global", seed=4, p1=0.3)
+    cfg = ExperimentConfig(task=Histogram(), families=("opt-binary-lip",),
+                           eps_grid=(2.0,), trials=400, seed=21, population=binary)
+    rows = run_experiment(cfg).rows
+    emp = [r.metric for r in rows if r.trials > 0][0]
+    cf = [r.metric for r in rows if r.trials == 0][0]
+    assert emp == pytest.approx(cf, rel=0.2)
+
+
+def test_huge_budget_runs_without_overflow_warnings():
+    binary = generate_population(20, "local-uniform", seed=3)
+    wide = generate_population(20, "local-uniform", seed=3, domain=Domain.of_size(3))
+    cases = ((binary, Survey(1.0), ("opt-binary-lip", "opt-binary-ldp", "symmetric-rr")),
+             (wide, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pop, task, families in cases:
+            cfg = ExperimentConfig(task=task, families=families, eps_grid=(800.0,),
+                                   trials=3, seed=5, population=pop)
+            rows = run_experiment(cfg).rows
+            assert len(rows) == 6 and all(math.isfinite(r.metric) for r in rows)
+            for fam in families:
+                curve = tradeoff_curve(MechanismFamily.from_tag(fam), pop, task, [800.0])
+                assert math.isfinite(curve.rows[0].metric)
 
 
 def test_crossover_at_small_population_closed_form():
