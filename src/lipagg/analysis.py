@@ -17,36 +17,33 @@ from .core import (
     AggregationTask,
     Channel,
     Domain,
-    Histogram,
     Population,
     Prior,
-    Summation,
-    Survey,
-    WeightedSum,
     check_epsilon,
-    check_task,
+    task_form,
 )
 from .errors import DimensionMismatchError, ZeroEpsilonError
 from .mechanisms import MechanismFamily, check_family_task, optimal_channel
 
 
-def mse_binary(q: Channel, p1: float) -> float:
-    """Per-user MSE of the posterior-mean estimator for a binary channel.
+def _posterior_mean_mse(q: Channel, p: np.ndarray, g) -> float:
+    """E|g(X) - E[g(X)|Y]|^2 for the local function g, shape (d,) or (d, m),
+    as E|g(X)|^2 - E|E[g(X)|Y]|^2 (the law of total variance summed over
+    the columns of g); outputs of zero mass contribute nothing."""
+    g = np.reshape(g, (q.d_in, -1))
+    lam = p @ q.matrix
+    t = (p[:, None] * g).T @ q.matrix  # t[j, k] = sum_m p_m g_mj q_mk
+    mask = lam > 0.0
+    return float(np.sum(p[:, None] * g * g) - np.sum(t[:, mask] ** 2 / lam[mask]))
 
-    Evaluates p1(1-p1) - [p1 (lambda_0 - q1)]^2 / (lambda_0 lambda_1) with
-    q0 = q[0][1], q1 = q[1][0]; when an output never fires the estimator is
-    constant and the MSE is the prior variance.
-    """
+
+def mse_binary(q: Channel, p1: float) -> float:
+    """Per-user MSE of the posterior-mean estimator for a binary channel;
+    when an output never fires the estimator is constant and the MSE is
+    the prior variance p1 (1-p1)."""
     if q.d_in != 2 or q.d_out != 2:
         raise DimensionMismatchError("binary channel required")
-    q0 = float(q.matrix[0, 1])
-    q1 = float(q.matrix[1, 0])
-    var = p1 * (1.0 - p1)
-    lam0 = (1.0 - p1) * (1.0 - q0) + p1 * q1
-    lam1 = (1.0 - p1) * q0 + p1 * (1.0 - q1)
-    if lam0 <= 0.0 or lam1 <= 0.0:
-        return var
-    return var - (p1 * (lam0 - q1)) ** 2 / (lam0 * lam1)
+    return _posterior_mean_mse(q, np.array([1.0 - p1, p1]), [0.0, 1.0])
 
 
 def mse_binary_lip_opt(p1: float, eps: float) -> float:
@@ -58,62 +55,45 @@ def mse_binary_lip_opt(p1: float, eps: float) -> float:
 
 
 def mse_binary_ldp_opt(p1: float, eps: float) -> float:
-    """Per-user MSE achieved by the binary context-free optimum.
+    """Per-user MSE achieved by the binary context-free optimum,
+    p1 (1-p1) u / ((p1 + (1-p1) u)(1 - p1 + p1 u)) with u = e^-eps, so no
+    finite budget overflows.
 
     Always at least :func:`mse_binary_lip_opt` at the same (p1, eps), with
     equality only at eps = 0.
     """
-    eps = check_epsilon(eps)
-    e = math.exp(eps)
+    u = math.exp(-check_epsilon(eps))
     var = p1 * (1.0 - p1)
-    denom = (1.0 - p1 + p1 * e) * (e - p1 * e + p1)
-    return var - (var * (1.0 - e)) ** 2 / denom
+    if var == 0.0:
+        return 0.0
+    return var * u / ((p1 + (1.0 - p1) * u) * (1.0 - p1 + p1 * u))
 
 
-def _estimator_variance(q: Channel, p: Prior, values: np.ndarray) -> float:
-    """Var[E[f(X)|Y]] for f(a_m) = values[m]; zero-mass columns contribute 0."""
-    lam = p.p @ q.matrix
-    t = (p.p * values) @ q.matrix
-    mask = lam > 0.0
-    mu = float(np.dot(p.p, values))
-    return float(np.sum(t[mask] ** 2 / lam[mask])) - mu * mu
+def _check_square(q: Channel, p: Prior) -> None:
+    if q.d_in != q.d_out:
+        raise DimensionMismatchError("square channel required")
+    if p.size != q.d_in:
+        raise DimensionMismatchError("prior size must match channel size")
 
 
 def mse_mimo(q: Channel, p: Prior, domain: Domain | None = None) -> float:
     """Per-user MSE of the posterior-mean value estimator on a square channel."""
-    if q.d_in != q.d_out:
-        raise DimensionMismatchError("square channel required")
-    if p.size != q.d_in:
-        raise DimensionMismatchError("prior size must match channel size")
+    _check_square(q, p)
     domain = domain or q.input_domain
     if domain.size != q.d_in:
         raise DimensionMismatchError("domain size must match channel size")
-    a = domain.values
-    var = float(np.dot(p.p, a * a) - np.dot(p.p, a) ** 2)
-    return var - _estimator_variance(q, p, a)
+    return _posterior_mean_mse(q, p.p, domain.values)
 
 
 def mse_survey(q: Channel, p: Prior, target_index: int) -> float:
     """Per-user MSE of estimating the indicator of one domain value."""
-    ind = np.zeros(p.size)
-    ind[target_index] = 1.0
-    pv = float(p.p[target_index])
-    return pv * (1.0 - pv) - _estimator_variance(q, p, ind)
+    return _posterior_mean_mse(q, p.p, np.arange(p.size) == target_index)
 
 
 def mse_histogram(q: Channel, p: Prior) -> float:
     """Per-user histogram MSE: sum over categories of the indicator MSEs."""
-    if q.d_in != q.d_out:
-        raise DimensionMismatchError("square channel required")
-    if p.size != q.d_in:
-        raise DimensionMismatchError("prior size must match channel size")
-    lam = p.p @ q.matrix
-    mask = lam > 0.0
-    # Var(E[1{X=a_k} | Y]) = sum_j (p_k q_kj)^2 / lambda_j - p_k^2, per k
-    contrib = (p.p[:, None] * q.matrix) ** 2
-    est_var = contrib[:, mask] / lam[mask]
-    total_var = float(np.sum(p.p * (1.0 - p.p)))
-    return total_var - float(np.sum(est_var)) + float(np.sum(p.p ** 2))
+    _check_square(q, p)
+    return _posterior_mean_mse(q, p.p, np.eye(p.size))
 
 
 def mae(q: Channel, p: Prior, domain: Domain | None = None) -> float:
@@ -173,30 +153,23 @@ class TradeoffCurve:
         ) + "\n"
 
 
-def local_values(task: AggregationTask, domain: Domain) -> np.ndarray:
-    """g(a_m) for the local function a scalar task averages over users: the
-    target indicator for a survey, the value itself otherwise."""
-    if isinstance(task, Survey):
-        return (domain.values == task.target).astype(float)
-    return domain.values
-
-
 def closed_form_total_mse(family: MechanismFamily, population: Population,
                           task: AggregationTask, eps: float) -> float:
-    """Aggregate MSE: the sum of independent per-user contributions,
-    vectorized over the (N, d) priors.
+    """Aggregate MSE sum_i weights[i]^2 MSE_i of the task's linear form
+    (``core.task_form``), vectorized over the (N, d) priors.
 
     Under a keep-or-resample channel (keep a, redraw w) the posterior mean
-    of a local function g after output k is kept_k g_k + redrawn_k mu_g
-    (``KeepResample.posterior``) and its MSE is
-    sum_k p_k (w + a redrawn_k) (g_k - mu_g)^2, a sum of nonnegative terms
-    that keeps full precision at large budgets.  The prior-unaware
-    estimators (symmetric-rr, unary encoding) have a constant per-user MSE.
+    of the local function g after output k is kept_k g_k + redrawn_k mu
+    (``KeepResample.posterior``, mu = p @ g) and its MSE is
+    sum_k p_k (w + a redrawn_k) |g_k - mu|^2, a sum of nonnegative terms
+    that keeps full precision at large budgets; the squared norm is
+    accumulated over the columns of g, so memory stays O(N d).  The
+    prior-unaware estimators (symmetric-rr, unary encoding) have a
+    constant per-user MSE.
     """
     check_family_task(family, task, population.domain)
-    check_task(task, population)
+    form = task_form(task, population)
     eps = check_epsilon(eps)
-    n = population.n_users
     if family in (MechanismFamily.SYMMETRIC_RR, MechanismFamily.OUE):
         if eps == 0.0:
             raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
@@ -205,23 +178,15 @@ def closed_form_total_mse(family: MechanismFamily, population: Population,
         per_user = math.exp(-eps) / math.expm1(-eps) ** 2
         if family is MechanismFamily.OUE:
             per_user *= 4.0 * population.domain.size
-        return n * per_user
-
-    p = population.priors
-    ch = optimal_channel(family, eps, p)
-    _, redrawn = ch.posterior(p)
-    weight = p * (ch.redraw + ch.keep * redrawn)
-    if isinstance(task, Histogram):
-        # sum_j (1{k = j} - p_j)^2 = 1 - 2 p_k + |p|^2
-        spread = 1.0 - 2.0 * p + np.sum(p * p, axis=1, keepdims=True)
-        return float(np.sum(weight * spread))
-    g = local_values(task, population.domain)
-    per_user = np.sum(weight * (g - (p @ g)[:, None]) ** 2, axis=1)
-    if isinstance(task, Summation):
-        return float(per_user.sum()) / n ** 2
-    if isinstance(task, WeightedSum):
-        return float(np.dot(task.coefficients ** 2, per_user))
-    return float(per_user.sum())
+    else:
+        p = population.priors
+        ch = optimal_channel(family, eps, p)
+        _, redrawn = ch.posterior(p)
+        g = form.g.reshape(population.domain.size, -1)
+        mu = p @ g
+        spread = sum((g[:, j] - mu[:, j, None]) ** 2 for j in range(g.shape[1]))
+        per_user = np.sum(p * (ch.redraw + ch.keep * redrawn) * spread, axis=1)
+    return float(np.sum(form.weights ** 2 * per_user))
 
 
 def tradeoff_curve(family: MechanismFamily, population: Population,

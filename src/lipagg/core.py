@@ -232,15 +232,48 @@ class Histogram:
 AggregationTask = Survey | Summation | WeightedSum | Histogram
 
 
-def check_task(task: AggregationTask, population: Population) -> None:
-    """Validate a task against a population (target in domain, lengths match)."""
+@dataclass(frozen=True, eq=False)
+class TaskForm:
+    """A task as the linear form offset + sum_i weights[i] g(X_i).
+
+    ``g`` is the local function over the domain: shape (d,) for the scalar
+    tasks, the (d, d) identity (one-hot rows) for a histogram, so the form
+    yields a float or a length-d vector without a flag.  The posterior-mean
+    estimate applies the same form to E[g(X_i) | Y_i], and its MSE is
+    sum_i weights[i]^2 MSE_i(g).
+    """
+
+    g: np.ndarray
+    weights: np.ndarray
+    offset: float
+
+    def total(self, local: np.ndarray):
+        """offset + sum_i weights[i] local[i] for per-user values of shape
+        (N,) or (N, d), such as g[x] or the posterior means of g."""
+        return self.offset + self.weights @ local
+
+
+def task_form(task: AggregationTask, population: Population) -> TaskForm:
+    """The linear form of ``task`` over ``population``: g is the target
+    indicator, the value, the value or the one-hot vector, and the weights
+    are 1, 1/N, a_i and 1.  Raises ``ValueError`` for a survey target
+    outside the domain and ``DimensionMismatchError`` for weighted-sum
+    coefficients that are not one per user."""
+    values, n = population.domain.values, population.n_users
     if isinstance(task, Survey):
-        if task.target not in population.domain.values:
+        if task.target not in values:
             raise ValueError(f"survey target {task.target} not in domain")
-    elif isinstance(task, WeightedSum):
-        if task.coefficients.shape[0] != population.n_users:
+        return TaskForm((values == task.target).astype(float), np.ones(n), 0.0)
+    if isinstance(task, Summation):
+        return TaskForm(values, np.full(n, 1.0 / n), 0.0)
+    if isinstance(task, WeightedSum):
+        if task.coefficients.shape[0] != n:
             raise DimensionMismatchError(
                 "weighted-sum coefficient/offset lists must have one entry per user")
+        return TaskForm(values, task.coefficients, float(task.offsets.sum()))
+    if isinstance(task, Histogram):
+        return TaskForm(np.eye(values.shape[0]), np.ones(n), 0.0)
+    raise TypeError(f"unknown task {task!r}")
 
 
 def check_epsilon(eps: float) -> float:

@@ -1,13 +1,9 @@
 """Posterior-mean estimation per user and aggregate estimators for the four
 tasks, plus the two prior-unaware baselines.
 
-The aggregate posterior-mean estimator decomposes across independent users,
-so every task reduces to per-user conditional expectations:
-
-* survey of value v       -> sum_i Pr(X_i = v | Y_i)
-* summation (average)     -> (1/N) sum_i E[X_i | Y_i]
-* weighted sum            -> sum_i (a_i E[X_i | Y_i] + b_i)
-* histogram, bucket k     -> sum_i Pr(X_i = a_k | Y_i)
+The aggregate posterior-mean estimator decomposes across independent users:
+every task is a linear form offset + sum_i w_i g(X_i) (``core.task_form``),
+so its estimate is offset + sum_i w_i E[g(X_i) | Y_i].
 
 Estimates are deliberately not clipped to feasible ranges; the error
 formulas elsewhere in the package assume the raw estimators.
@@ -21,14 +17,10 @@ from scipy.special import expit
 from .core import (
     AggregationTask,
     Channel,
-    Histogram,
     Population,
     Prior,
-    Summation,
-    Survey,
-    WeightedSum,
-    check_task,
     output_distribution,
+    task_form,
 )
 from .errors import (
     DimensionMismatchError,
@@ -78,7 +70,7 @@ def estimate(task: AggregationTask, population: Population,
     ``UnreachableOutputError``: it signals a channel/observation mismatch
     upstream rather than data to be ignored.
     """
-    check_task(task, population)
+    form = task_form(task, population)
     n = population.n_users
     if isinstance(channels, Channel):
         channels = [channels] * n
@@ -97,19 +89,7 @@ def estimate(task: AggregationTask, population: Population,
                 f"channel for user {i} does not match the population domain")
         posts[i] = posterior(ch, population.prior(i), observations[i]).posterior
 
-    if isinstance(task, Survey):
-        v = domain.index_of(task.target)
-        return AggregateEstimate(float(posts[:, v].sum()))
-    if isinstance(task, Summation):
-        means = posts @ domain.values
-        return AggregateEstimate(float(means.mean()))
-    if isinstance(task, WeightedSum):
-        means = posts @ domain.values
-        return AggregateEstimate(
-            float(np.dot(task.coefficients, means) + task.offsets.sum()))
-    if isinstance(task, Histogram):
-        return AggregateEstimate(posts.sum(axis=0))
-    raise TypeError(f"unknown task {task!r}")
+    return AggregateEstimate(form.total(posts @ form.g))
 
 
 def context_free_estimate(observations, eps: float) -> float:

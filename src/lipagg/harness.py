@@ -19,28 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    CurveRow,
-    TradeoffCurve,
-    closed_form_total_mse,
-    local_values,
-)
+from .analysis import CurveRow, TradeoffCurve, closed_form_total_mse
 from .core import (
     AggregationTask,
     Domain,
-    Histogram,
     Population,
     Prior,
-    Summation,
-    Survey,
-    WeightedSum,
+    TaskForm,
     check_epsilon,
-    check_task,
+    task_form,
 )
 from .errors import (
     EmptyInputError,
     MissingColumnError,
     ParseError,
+    UnreachableOutputError,
     ZeroEpsilonError,
 )
 from .estimators import context_free_estimate, oue_histogram_estimate
@@ -113,40 +106,23 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         for e in self.eps_grid:
             check_epsilon(e)
-        check_task(self.task, self.population)
-
-
-def _aggregate(task: AggregationTask, per_user: np.ndarray, coeffs=None) -> float:
-    """A scalar task's statistic from per-user local values, true ones or
-    posterior means."""
-    if isinstance(task, Survey):
-        return float(per_user.sum())
-    if isinstance(task, Summation):
-        return float(per_user.mean())
-    if isinstance(task, WeightedSum):
-        return float(np.dot(coeffs[0], per_user) + coeffs[1])
-    raise TypeError(f"unknown task {task!r}")
-
-
-def _true_statistic(task: AggregationTask, x_idx: np.ndarray,
-                    domain: Domain, coeffs=None):
-    if isinstance(task, Histogram):
-        return np.bincount(x_idx, minlength=domain.size).astype(float)
-    return _aggregate(task, local_values(task, domain)[x_idx], coeffs)
+        task_form(self.task, self.population)
 
 
 class _FamilyRunner:
-    """Per-(family, eps) keep-or-resample sampler plus (N, d) posterior
-    tables indexed by (user, observed output)."""
+    """Per-(family, eps) keep-or-resample sampler plus the task's weighted
+    posterior tables, (N, d) and indexed by (user, observed output): the
+    estimate after outputs y is offset + sum_i w_i (kept[i, y_i] g(y_i)
+    + redrawn[i, y_i] mu_i) with mu_i = priors[i] @ g."""
 
-    def __init__(self, family: MechanismFamily, eps: float,
-                 population: Population, task: AggregationTask):
+    def __init__(self, family: MechanismFamily, eps: float, population: Population,
+                 task: AggregationTask, form: TaskForm, fixed_idx):
         check_family_task(family, task, population.domain)
         self.family = family
         self.eps = eps
-        self.task = task
+        self.form = form
         priors = population.priors
-        d = population.domain.size
+        n, d = priors.shape
         if family is MechanismFamily.OUE:
             self.oue = oue_channel(d, eps)
             return
@@ -155,31 +131,35 @@ class _FamilyRunner:
         # mass keep [k >= x] over the redraw mass redraw cumsum(r)_k
         self.steps = np.triu(np.full((d, d), ch.keep))
         self.tail = ch.redraw * np.cumsum(ch.resample, axis=-1)
-        self.priors = priors
-        self.kept, self.redrawn = ch.posterior(priors)
-        if not isinstance(task, Histogram):
-            g = local_values(task, population.domain)
-            self.table = self.kept * g + self.redrawn * (priors @ g)[:, None]
+        kept, redrawn = ch.posterior(priors)
+        self.rows = np.arange(n) * d  # flat offset of each user's table row
+        if fixed_idx is not None and ch.keep > 0.0:
+            # a kept value whose output marginal is 0 has no posterior
+            lost = np.nonzero((kept + redrawn).take(self.rows + fixed_idx) == 0.0)[0]
+            if lost.size:
+                i = int(lost[0])
+                raise UnreachableOutputError(
+                    f"user {population.user_ids[i]}: value "
+                    f"{population.domain.values[fixed_idx[i]]} has zero probability "
+                    f"under its prior but is published with probability {ch.keep}")
+        self.kept = form.weights[:, None] * kept
+        self.redrawn = form.weights[:, None] * redrawn
+        self.mu = priors @ form.g
 
-    def estimate(self, x_idx: np.ndarray, rng: np.random.Generator,
-                 task_coeffs=None):
+    def estimate(self, x_idx: np.ndarray, rng: np.random.Generator):
         """Perturb the given true values and return the aggregate estimate."""
         n = x_idx.shape[0]
         if self.family is MechanismFamily.OUE:
             reports = oue_perturb(self.oue, x_idx, rng)
             return oue_histogram_estimate(reports, self.oue.d, n, self.eps)
         y_idx = sample_rows(self.steps[x_idx] + self.tail, rng)
+        g = self.form.g
         if self.family is MechanismFamily.SYMMETRIC_RR:
-            est = context_free_estimate(y_idx.astype(float), self.eps)
-            if self.task.target == 0.0:
-                est = n - est
-            return est
-        users = np.arange(n)
-        if isinstance(self.task, Histogram):
-            return (self.redrawn[users, y_idx] @ self.priors
-                    + np.bincount(y_idx, weights=self.kept[users, y_idx],
-                                  minlength=self.priors.shape[1]))
-        return _aggregate(self.task, self.table[users, y_idx], task_coeffs)
+            count = context_free_estimate(y_idx.astype(float), self.eps)
+            return n * g[0] + (g[1] - g[0]) * count
+        at = self.rows + y_idx
+        return (self.form.offset + self.kept.take(at) @ g.take(y_idx, axis=0)
+                + self.redrawn.take(at) @ self.mu)
 
 
 def _closed_form_row(family: MechanismFamily, population: Population,
@@ -205,19 +185,18 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     families = [MechanismFamily.from_tag(f) if isinstance(f, str) else f
                 for f in config.families]
     eps_grid = [float(e) for e in config.eps_grid]
-    coeffs = None
-    if isinstance(task, WeightedSum):
-        coeffs = (task.coefficients, float(task.offsets.sum()))
-
-    runners = {(fi, ei): _FamilyRunner(fam, eps, pop, task)
-               for fi, fam in enumerate(families) for ei, eps in enumerate(eps_grid)}
-
-    sq_err = np.zeros((len(families), len(eps_grid)))
+    form = task_form(task, pop)
     fixed_idx = None
     if config.fixed_values is not None:
         fixed_idx = np.array([domain.index_of(v) for v in config.fixed_values])
         if np.any(fixed_idx < 0):
             raise ValueError("fixed values must lie in the population domain")
+
+    runners = {(fi, ei): _FamilyRunner(fam, eps, pop, task, form, fixed_idx)
+               for fi, fam in enumerate(families) for ei, eps in enumerate(eps_grid)}
+
+    # squared error per component of the statistic, of shape g.shape[1:]
+    sq_err = np.zeros((len(families), len(eps_grid)) + form.g.shape[1:])
 
     truth_cdf = np.cumsum(pop.priors, axis=1)
     for t in range(config.trials):
@@ -225,20 +204,16 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
             x_idx = sample_rows(truth_cdf, _rng(config.seed, 1, t))
         else:
             x_idx = fixed_idx
-        stat = _true_statistic(task, x_idx, domain, coeffs)
+        stat = form.total(form.g.take(x_idx, axis=0))
         for fi in range(len(families)):
             for ei in range(len(eps_grid)):
-                est = runners[(fi, ei)].estimate(
-                    x_idx, _rng(config.seed, 2, fi, ei, t), coeffs)
-                if isinstance(task, Histogram):
-                    sq_err[fi, ei] += float(np.sum((est - stat) ** 2))
-                else:
-                    sq_err[fi, ei] += (est - stat) ** 2
+                err = runners[(fi, ei)].estimate(x_idx, _rng(config.seed, 2, fi, ei, t)) - stat
+                sq_err[fi, ei] += err * err
 
     rows = []
     for fi, fam in enumerate(families):
         for ei, eps in enumerate(eps_grid):
-            emp = sq_err[fi, ei] / config.trials
+            emp = float(np.sum(sq_err[fi, ei])) / config.trials
             rows.append(CurveRow(epsilon=eps, family=fam.value,
                                  metric=math.sqrt(emp / n),
                                  trials=config.trials))

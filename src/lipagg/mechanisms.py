@@ -13,7 +13,8 @@ Derivations; all budgets are on the natural-log scale:
 * unary-encoding bit perturbation with keep probability 1/2 and flip-up
   probability 1/(e^eps + 1).
 
-Rows are renormalized after construction to absorb float rounding so every
+Every entry is evaluated from e^-eps, so no finite budget overflows.  Rows
+are renormalized after construction to absorb float rounding so every
 derived channel passes ``validate_channel`` exactly.
 
 All four optima keep the true value with probability a and otherwise
@@ -147,17 +148,18 @@ def budget_feasible_prior_floor(eps: float) -> float:
     prior and the measured context-aware level is
     :func:`closed_form_lip_level` instead of eps.
     """
-    return 1.0 / (np.exp(check_epsilon(eps)) + 1.0)
+    return float(expit(-check_epsilon(eps)))
 
 
 def closed_form_lip_level(p_min: float, eps: float) -> float:
     """Measured context-aware level of the closed-form channel whose
-    smallest prior entry is ``p_min``: max(eps, ln((e^eps-1+p_min)/(e^eps p_min)))."""
+    smallest prior entry is ``p_min``: max(eps, ln((e^eps-1+p_min)/(e^eps p_min))),
+    evaluated as max(eps, ln((1-u)/p_min + u)) with u = e^-eps."""
     eps = check_epsilon(eps)
     if p_min <= 0.0:
         return eps
-    e = np.exp(eps)
-    return max(eps, float(np.log((e - 1.0 + p_min) / (e * p_min))))
+    u = math.exp(-eps)
+    return max(eps, math.log((1.0 - u) / p_min + u))
 
 
 def opt_binary_lip(p1: float, eps: float) -> Channel:
@@ -174,14 +176,13 @@ def opt_binary_lip(p1: float, eps: float) -> Channel:
     eps = check_epsilon(eps)
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    e = np.exp(eps)
-    return _binary_channel(p1 / e, (1.0 - p1) / e)
+    u = math.exp(-eps)
+    return _binary_channel(p1 * u, (1.0 - p1) * u)
 
 
 def opt_binary_ldp(eps: float) -> Channel:
     """Symmetric binary channel with flip probability 1/(e^eps + 1)."""
-    eps = check_epsilon(eps)
-    flip = 1.0 / (np.exp(eps) + 1.0)
+    flip = float(expit(-check_epsilon(eps)))
     return _binary_channel(flip, flip)
 
 
@@ -209,11 +210,11 @@ def opt_mimo_lip(p: Prior, eps: float, domain: Domain | None = None) -> Channel:
     domain = domain or Domain.of_size(d)
     if domain.size != d:
         raise ValueError("domain size must match prior size")
-    e = np.exp(eps)
+    u = math.exp(-eps)
     # off-diagonal columns inherit the prior, so zero-prior columns get no mass
-    m = np.tile(p.p / e, (d, 1))
+    m = np.tile(p.p * u, (d, 1))
     for i in range(d):
-        m[i, i] = 1.0 - (1.0 - p.p[i]) / e
+        m[i, i] = 1.0 - (1.0 - p.p[i]) * u
     ch = Channel(_renormalize(m), domain, domain)
     validate_channel(ch)
     return ch
@@ -225,9 +226,10 @@ def opt_mimo_ldp(d: int, eps: float, domain: Domain | None = None) -> Channel:
     if d < 2:
         raise ValueError("domain size must be at least 2")
     domain = domain or Domain.of_size(d)
-    e = np.exp(eps)
-    m = np.full((d, d), 1.0 / (e + d - 1.0))
-    np.fill_diagonal(m, e / (e + d - 1.0))
+    # e^eps/(e^eps + d - 1) and 1/(e^eps + d - 1), scaled by u = e^-eps
+    u = math.exp(-eps)
+    m = np.full((d, d), u / (1.0 + (d - 1) * u))
+    np.fill_diagonal(m, 1.0 / (1.0 + (d - 1) * u))
     ch = Channel(_renormalize(m), domain, domain)
     validate_channel(ch)
     return ch

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,30 @@ def test_infeasible_maps_to_exit_3(tmp_path, monkeypatch):
         raise UnreachableOutputError("observation impossible under the channel")
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert run_cli("simulate", "--config", str(cfg_path)) == 3
+
+
+def test_fixed_value_outside_prior_support_exit_3(tmp_path):
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps({"domain": [0.0, 1.0], "labels": [], "users": [
+        {"id": f"u{i}", "value": 1.0, "prior": [1.0, 0.0]} for i in range(10)]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"kind": "survey"}, "families": ["opt-mimo-lip"], "eps_grid": [2.0],
+        "trials": 5, "seed": 1, "population": {"file": str(pop)}}))
+    assert run_cli("simulate", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "out.csv")) == 3
+
+
+def test_huge_budget_derive_writes_nothing_to_stderr(capsys):
+    # pytest would divert a warning from stderr, so record it instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("mechanism", "derive", "--family", "opt-binary-ldp",
+                       "--eps", "800") == 0
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert np.array_equal(np.loadtxt(captured.out.splitlines(), delimiter=","), np.eye(2))
 
 
 def test_eps_grid_parsing():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipagg import Channel, Domain, Population, Prior, output_distribution, validate_channel
-from lipagg.core import Survey, WeightedSum, check_epsilon, check_task
+from lipagg.core import Histogram, Summation, Survey, WeightedSum, check_epsilon, task_form
 from lipagg.errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -108,10 +109,50 @@ def test_population_invariants():
 def test_task_checks():
     pop = Population(Domain.binary(), np.array([[0.5, 0.5]] * 3))
     with pytest.raises(ValueError):
-        check_task(Survey(target=2.0), pop)
+        task_form(Survey(target=2.0), pop)
     with pytest.raises(DimensionMismatchError):
-        check_task(WeightedSum([1.0, 2.0], [0.0, 0.0]), pop)
-    check_task(WeightedSum([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]), pop)
+        task_form(WeightedSum([1.0, 2.0], [0.0, 0.0]), pop)
+    task_form(WeightedSum([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]), pop)
+
+
+@st.composite
+def _task_and_values(draw):
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d, unique=True))
+    x = np.array(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    pop = Population(Domain(values), np.full((n, d), 1.0 / d))
+    kind = draw(st.sampled_from(("survey", "summation", "weighted-sum", "histogram")))
+    if kind == "survey":
+        task = Survey(values[draw(st.integers(0, d - 1))])
+    elif kind == "summation":
+        task = Summation()
+    elif kind == "weighted-sum":
+        coeff = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        task = WeightedSum(draw(coeff), draw(coeff))
+    else:
+        task = Histogram()
+    return pop, task, x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_task_and_values())
+def test_task_form_statistic_is_definitional(case):
+    # offset + sum_i w_i g(x_i) against each task's definition, by loops
+    pop, task, x = case
+    form = task_form(task, pop)
+    got = form.total(form.g[x])
+    xs = [pop.domain.values[k] for k in x]
+    if isinstance(task, Survey):
+        want = sum(1.0 for v in xs if v == task.target)
+    elif isinstance(task, Summation):
+        want = sum(xs) / len(xs)
+    elif isinstance(task, WeightedSum):
+        want = sum(a * v + b for a, v, b in zip(task.coefficients, xs, task.offsets))
+    else:
+        want = [sum(1.0 for k in x if k == j) for j in range(pop.domain.size)]
+    assert np.shape(got) == np.shape(want)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_check_epsilon_accepts_finite_nonnegative_only():

@@ -96,30 +96,52 @@ def _aggregate(task, pop, chans, ys):
     return estimate(task, pop, chans, [float(y) for y in ys]).value
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 2)])
-def test_estimator_unbiased_and_decomposes(rng, n, d):
-    # full-joint enumeration: E[estimate] = E[f] and total MSE = sum of
-    # per-user MSEs of the local indicator functions
+def _task_case(kind, dom, n):
+    """(task, statistic of the true values, per-user local function(s) and
+    weights) for the definitional check below."""
+    values = list(dom.values)
+    if kind == "survey":
+        ind = [1.0 if v == 0.0 else 0.0 for v in values]
+        return Survey(target=0.0), lambda xs: sum(ind[x] for x in xs), [ind], [1.0] * n
+    if kind == "summation":
+        return Summation(), lambda xs: sum(values[x] for x in xs) / n, [values], [1.0 / n] * n
+    if kind == "weighted-sum":
+        a = [1.5, -0.5, 2.0, 0.25][:n]
+        b = [0.3, -1.0, 0.0, 2.0][:n]
+        stat = lambda xs: sum(a[i] * values[x] + b[i] for i, x in enumerate(xs))
+        return WeightedSum(a, b), stat, [values], a
+    onehots = [[1.0 if m == k else 0.0 for m in range(len(values))] for k in range(len(values))]
+    stat = lambda xs: np.array([sum(1.0 for x in xs if x == k) for k in range(len(values))])
+    return Histogram(), stat, onehots, [1.0] * n
+
+
+@pytest.mark.parametrize("n,d,kind", [
+    pytest.param(n, d, kind, id=f"{n}-{d}" if kind == "survey" else f"{n}-{d}-{kind}")
+    for kind in ("survey", "summation", "weighted-sum", "histogram")
+    for n, d in ((2, 3), (3, 2), (4, 2))])
+def test_estimator_unbiased_and_decomposes(rng, n, d, kind):
+    # full-joint enumeration: E[estimate] = E[statistic] and total MSE =
+    # sum_i c_i^2 times the per-user MSE of the local function(s)
     dom = Domain.of_size(d)
     pvecs = [random_prior(rng, d).p for _ in range(n)]
     mats = [random_channel(rng, d).matrix for _ in range(n)]
     pop = Population(dom, np.array(pvecs))
     chans = [Channel(m, dom, dom) for m in mats]
-    task = Survey(target=0.0)
+    task, statistic, local_fns, coeffs = _task_case(kind, dom, n)
 
     mean_est = 0.0
     mean_f = 0.0
     total_mse = 0.0
     for xs, ys, pr in enum_joint(pvecs, mats):
-        s = sum(1.0 for x in xs if dom.values[x] == 0.0)
+        s = statistic(xs)
         est = _aggregate(task, pop, chans, [dom.values[y] for y in ys])
         mean_est += pr * est
         mean_f += pr * s
-        total_mse += pr * (est - s) ** 2
+        total_mse += pr * float(np.sum((est - s) ** 2))
     assert mean_est == pytest.approx(mean_f, abs=1e-10)
 
     per_user = sum(
-        enum_value_mse(mats[i], pvecs[i], [1.0 if v == 0.0 else 0.0 for v in dom.values])
+        coeffs[i] ** 2 * sum(enum_value_mse(mats[i], pvecs[i], f) for f in local_fns)
         for i in range(n))
     assert total_mse == pytest.approx(per_user, abs=1e-10)
 

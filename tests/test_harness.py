@@ -10,6 +10,7 @@ from lipagg import (
     ExperimentConfig,
     Histogram,
     IngestSpec,
+    Population,
     Prior,
     Summation,
     Survey,
@@ -26,7 +27,12 @@ from lipagg import (
     save_population,
     tradeoff_curve,
 )
-from lipagg.errors import EmptyInputError, MissingColumnError, ParseError
+from lipagg.errors import (
+    EmptyInputError,
+    MissingColumnError,
+    ParseError,
+    UnreachableOutputError,
+)
 from lipagg.mechanisms import MechanismFamily
 
 
@@ -294,3 +300,17 @@ def test_fixed_values_experiment(tmp_path):
     rows = run_experiment(cfg).rows
     assert all(r.trials > 0 for r in rows)  # no closed-form rows in fixed mode
     assert rows[0].metric < math.sqrt(0.3 * 0.7)
+
+
+def test_fixed_value_outside_prior_support_is_unreachable():
+    # the kept output 1 has zero marginal under prior [1, 0]: no posterior
+    # exists for it, as estimators.estimate reports for the same observation
+    pop = Population(Domain.binary(), np.tile([1.0, 0.0], (10, 1)))
+    cfg = ExperimentConfig(task=Survey(1.0), families=("opt-mimo-lip",), eps_grid=(2.0,),
+                           trials=5, seed=0, population=pop, fixed_values=np.ones(10))
+    with pytest.raises(UnreachableOutputError):
+        run_experiment(cfg)
+    # the context-free channel emits every output, so the same data runs
+    ldp = ExperimentConfig(task=Survey(1.0), families=("opt-mimo-ldp",), eps_grid=(2.0,),
+                           trials=5, seed=0, population=pop, fixed_values=np.ones(10))
+    assert math.isfinite(run_experiment(ldp).rows[0].metric)

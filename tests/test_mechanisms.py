@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from lipagg import (
     Channel,
     Domain,
     Prior,
+    budget_feasible_prior_floor,
+    closed_form_lip_level,
     mae,
     mse_binary,
     mse_binary_ldp_opt,
@@ -147,6 +150,22 @@ def test_symmetric_twin_same_mse_larger_mae():
     assert mse_binary(twin, p1) == pytest.approx(mse_binary(primary, p1), abs=1e-12)
     prior = Prior.binary(p1)
     assert mae(primary, prior) < mae(twin, prior) - 1e-6
+
+
+def test_huge_budget_reaches_limits_without_overflow():
+    # eps -> inf: every optimum keeps the true value, the floor vanishes,
+    # the level is the budget itself and the context-free MSE is 0
+    p = Prior([0.2, 0.0, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(opt_binary_lip(0.3, 800.0).matrix, np.eye(2))
+        assert np.array_equal(opt_binary_ldp(800.0).matrix, np.eye(2))
+        assert np.array_equal(opt_mimo_lip(p, 800.0).matrix, np.eye(3))
+        assert np.array_equal(opt_mimo_ldp(4, 800.0).matrix, np.eye(4))
+        assert budget_feasible_prior_floor(800.0) == 0.0
+        assert closed_form_lip_level(1e-300, 800.0) == 800.0
+        assert mse_binary_ldp_opt(0.3, 800.0) == 0.0
+        assert mse_binary_ldp_opt(0.0, 800.0) == 0.0
 
 
 def test_oue_parameters():
