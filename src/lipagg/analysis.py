@@ -1,7 +1,7 @@
 """Closed-form error formulas and utility-privacy tradeoff curves.
 
 Every per-user error here is the mean squared error of the posterior-mean
-estimator, written as Var[f(X)] - Var[E[f(X)|Y]] (law of total variance).
+estimator, E|f(X) - E[f(X)|Y]|^2, written as a sum of nonnegative terms.
 Curves report the normalized metric sqrt(total_mse / N); callers can tell
 closed-form rows (trials = 0) from Monte-Carlo rows (trials = R).
 """
@@ -20,6 +20,7 @@ from .core import (
     Population,
     Prior,
     check_epsilon,
+    posterior_ratio,
     task_form,
 )
 from .errors import DimensionMismatchError, ZeroEpsilonError
@@ -27,14 +28,13 @@ from .mechanisms import MechanismFamily, check_family_task, optimal_channel
 
 
 def _posterior_mean_mse(q: Channel, p: np.ndarray, g) -> float:
-    """E|g(X) - E[g(X)|Y]|^2 for the local function g, shape (d,) or (d, m),
-    as E|g(X)|^2 - E|E[g(X)|Y]|^2 (the law of total variance summed over
-    the columns of g); outputs of zero mass contribute nothing."""
+    """E|g(X) - E[g(X)|Y]|^2 for the local function g, shape (d,) or (d, m):
+    the squared gap to the posterior mean summed over the joint p[m] q[m][k],
+    a sum of nonnegative terms; outputs of zero mass contribute nothing."""
     g = np.reshape(g, (q.d_in, -1))
-    lam = p @ q.matrix
-    t = (p[:, None] * g).T @ q.matrix  # t[j, k] = sum_m p_m g_mj q_mk
-    mask = lam > 0.0
-    return float(np.sum(p[:, None] * g * g) - np.sum(t[:, mask] ** 2 / lam[mask]))
+    means = posterior_ratio(q.matrix, p)[2].T @ g  # means[k] = E[g(X) | Y = a_k]
+    gap2 = np.sum((g[:, None, :] - means[None, :, :]) ** 2, axis=-1)
+    return float(np.sum(p[:, None] * q.matrix * gap2))
 
 
 def mse_binary(q: Channel, p1: float) -> float:

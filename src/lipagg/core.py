@@ -120,30 +120,44 @@ class Channel:
 
 
 def validate_channel(q: Channel) -> None:
-    """Check the channel invariants, reporting the first violated entry/row.
+    """Check the channel invariants, reporting the first violated row.
 
-    Raises ``NegativeEntryError`` for an entry outside [0, 1] and
-    ``RowSumMismatchError`` for a row whose sum deviates from 1 by more
-    than 1e-12.
+    Raises ``NegativeEntryError`` for an entry outside [0, 1] (before its
+    row's sum) and ``RowSumMismatchError`` for a row whose sum deviates
+    from 1 by more than 1e-12.
     """
     m = q.matrix
-    for i in range(m.shape[0]):
-        row = m[i]
-        bad = np.nonzero((row < 0.0) | (row > 1.0))[0]
-        if bad.size:
-            j = int(bad[0])
-            raise NegativeEntryError(i, j, float(row[j]))
-        s = float(row.sum())
-        if abs(s - 1.0) > PROB_TOL:
-            raise RowSumMismatchError(i, s)
+    out_of_range = (m < 0.0) | (m > 1.0)
+    sums = m.sum(axis=1)
+    bad = np.nonzero(out_of_range.any(axis=1) | (np.abs(sums - 1.0) > PROB_TOL))[0]
+    if bad.size:
+        i = int(bad[0])
+        if out_of_range[i].any():
+            j = int(np.argmax(out_of_range[i]))
+            raise NegativeEntryError(i, j, float(m[i, j]))
+        raise RowSumMismatchError(i, float(sums[i]))
+
+
+def posterior_ratio(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Bayes step for channels q (..., d, f) and priors p (..., d): the
+    output marginal lam = p @ q, the posterior-to-prior ratio q[m][k] / lam[k]
+    and the posterior p[m] q[m][k] / lam[k], both 0 where lam is 0.  The
+    posterior is divided out of the joint, not taken as p * ratio: for a
+    prior entry below 1/DBL_MAX the ratio overflows to inf.  Raises
+    ``DimensionMismatchError`` when p and q disagree on d."""
+    if p.shape[-1] != q.shape[-2]:
+        raise DimensionMismatchError(
+            f"prior size {p.shape[-1]} != channel input size {q.shape[-2]}")
+    lam = (p[..., None, :] @ q)[..., 0, :]
+    col = lam[..., None, :]
+    with np.errstate(over="ignore"):
+        return lam, *[np.divide(t, col, out=np.zeros(np.broadcast(t, col).shape),
+                                where=col > 0.0) for t in (q, p[..., None] * q)]
 
 
 def output_distribution(q: Channel, p: Prior) -> np.ndarray:
     """Marginal output distribution: lambda[k] = sum_m p[m] * q[m][k]."""
-    if p.size != q.d_in:
-        raise DimensionMismatchError(
-            f"prior size {p.size} != channel input size {q.d_in}")
-    return p.p @ q.matrix
+    return posterior_ratio(q.matrix, p.p)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from .core import (
     Channel,
     Population,
     Prior,
-    output_distribution,
+    posterior_ratio,
     task_form,
 )
 from .errors import (
@@ -51,13 +51,12 @@ def posterior(q: Channel, p: Prior, y: float) -> PerUserPosterior:
     k = q.output_domain.index_of(y)
     if k < 0:
         raise UnreachableOutputError(f"output {y} not in the output domain")
-    lam = output_distribution(q, p)
-    if lam[k] <= 0.0:
+    lam, _, post = posterior_ratio(q.matrix[:, [k]], p.p)
+    if lam[0] <= 0.0:
         raise UnreachableOutputError(
             f"output {y} has zero probability under this channel and prior")
-    post = p.p * q.matrix[:, k] / lam[k]
-    point = float(np.dot(q.input_domain.values, post))
-    return PerUserPosterior(posterior=post, point_estimate=point)
+    post = post[:, 0]
+    return PerUserPosterior(post, float(np.dot(q.input_domain.values, post)))
 
 
 def estimate(task: AggregationTask, population: Population,
@@ -67,29 +66,40 @@ def estimate(task: AggregationTask, population: Population,
     ``channels`` is either one channel per user or a single channel shared
     by all users.  Observations are domain values.  An observation with
     zero probability under its user's channel and prior raises
-    ``UnreachableOutputError``: it signals a channel/observation mismatch
-    upstream rather than data to be ignored.
+    ``UnreachableOutputError`` naming the user: it signals a
+    channel/observation mismatch upstream rather than data to be ignored.
     """
     form = task_form(task, population)
-    n = population.n_users
-    if isinstance(channels, Channel):
-        channels = [channels] * n
-    if len(channels) != n:
+    n, d = population.n_users, population.domain.size
+    if not isinstance(channels, Channel) and len(channels) != n:
         raise DimensionMismatchError("one channel per user required")
     observations = np.asarray(observations, dtype=float)
     if observations.shape != (n,):
         raise DimensionMismatchError("one observation per user required")
 
-    domain = population.domain
-    posts = np.empty((n, domain.size))
-    for i in range(n):
-        ch = channels[i]
-        if ch.d_in != domain.size:
-            raise DimensionMismatchError(
-                f"channel for user {i} does not match the population domain")
-        posts[i] = posterior(ch, population.prior(i), observations[i]).posterior
-
-    return AggregateEstimate(form.total(posts @ form.g))
+    # each user's observed channel column, up to the first channel that
+    # does not fit the domain
+    if isinstance(channels, Channel):
+        hits = observations[:, None] == channels.output_domain.values
+        found, cols = hits.any(axis=1), channels.matrix.T[hits.argmax(axis=1)]
+        checked = n if channels.d_in == d else 0
+    else:
+        checked = next((i for i, ch in enumerate(channels) if ch.d_in != d), n)
+        ks = [ch.output_domain.index_of(y) for ch, y in zip(channels[:checked], observations)]
+        found = np.array(ks, dtype=int) >= 0
+        cols = [ch.matrix[:, k] for ch, k in zip(channels, ks)]
+    cols = np.reshape(np.asarray(cols)[:checked], (checked, d, 1))
+    lam, _, posts = posterior_ratio(cols, population.priors[:checked])
+    lost = np.nonzero(~found[:checked] | (lam[:, 0] <= 0.0))[0]
+    if lost.size:
+        i = int(lost[0])
+        raise UnreachableOutputError(
+            f"user {population.user_ids[i]}: output {observations[i]} has zero "
+            "probability under its channel and prior")
+    if checked < n:
+        raise DimensionMismatchError(
+            f"channel for user {checked} does not match the population domain")
+    return AggregateEstimate(form.total(posts[:, :, 0] @ form.g))
 
 
 def context_free_estimate(observations, eps: float) -> float:

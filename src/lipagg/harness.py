@@ -30,6 +30,7 @@ from .core import (
     task_form,
 )
 from .errors import (
+    DimensionMismatchError,
     EmptyInputError,
     MissingColumnError,
     ParseError,
@@ -107,6 +108,10 @@ class ExperimentConfig:
         for e in self.eps_grid:
             check_epsilon(e)
         task_form(self.task, self.population)
+        n = self.population.n_users
+        if self.fixed_values is not None and np.shape(self.fixed_values) != (n,):
+            raise DimensionMismatchError(
+                f"{np.size(self.fixed_values)} fixed values for {n} users")
 
 
 class _FamilyRunner:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, Prior, output_distribution
-from .errors import DimensionMismatchError, InternalInconsistencyError
+from .core import Channel, Prior, posterior_ratio
+from .errors import InternalInconsistencyError
 
 _AUDIT_SLACK = 1e-9
 
@@ -36,17 +36,10 @@ class PrivacyAudit:
 def measure_ldp(q: Channel) -> float:
     """Largest log-likelihood ratio between any two rows; +inf when some
     output is possible under one input but impossible under another."""
-    m = q.matrix
-    worst = 0.0
-    for k in range(q.d_out):
-        col = m[:, k]
-        pos = col[col > 0.0]
-        if pos.size == 0:
-            continue
-        if pos.size < col.size:
-            return math.inf
-        worst = max(worst, math.log(float(pos.max()) / float(pos.min())))
-    return worst
+    m = q.matrix[:, np.any(q.matrix > 0.0, axis=0)]  # outputs some input emits
+    if not np.all(m > 0.0):
+        return math.inf
+    return float(np.log(m.max(axis=0) / m.min(axis=0)).max(initial=0.0))
 
 
 def measure_lip(q: Channel, p: Prior) -> float:
@@ -55,36 +48,19 @@ def measure_lip(q: Channel, p: Prior) -> float:
     Returns +inf when q[x][y] = 0 for a reachable pair (observing y rules
     x out entirely).
     """
-    if p.size != q.d_in:
-        raise DimensionMismatchError(
-            f"prior size {p.size} != channel input size {q.d_in}")
-    lam = output_distribution(q, p)
-    worst = 0.0
-    for x in range(q.d_in):
-        if p.p[x] <= 0.0:
-            continue
-        for y in range(q.d_out):
-            if lam[y] <= 0.0:
-                continue
-            qxy = float(q.matrix[x, y])
-            if qxy <= 0.0:
-                return math.inf
-            worst = max(worst, abs(math.log(qxy / float(lam[y]))))
-    return worst
+    lam, ratio, _ = posterior_ratio(q.matrix, p.p)
+    reached = ratio[np.ix_(p.p > 0.0, lam > 0.0)]
+    if np.any(reached <= 0.0):
+        return math.inf
+    return float(np.abs(np.log(reached)).max(initial=0.0))
 
 
 def measure_mip(q: Channel, p: Prior) -> float:
     """Mutual information I(X; Y) in nats; zero-probability terms contribute 0."""
-    if p.size != q.d_in:
-        raise DimensionMismatchError(
-            f"prior size {p.size} != channel input size {q.d_in}")
-    lam = output_distribution(q, p)
+    _, ratio, _ = posterior_ratio(q.matrix, p.p)
     joint = p.p[:, None] * q.matrix
     mask = joint > 0.0
-    ratio = np.ones_like(joint)
-    ratio[mask] = q.matrix[mask] / np.broadcast_to(lam, joint.shape)[mask]
-    info = float(np.sum(joint[mask] * np.log(ratio[mask])))
-    return max(0.0, info)
+    return max(0.0, float(np.sum(joint[mask] * np.log(ratio[mask]))))
 
 
 def audit(q: Channel, p: Prior) -> PrivacyAudit:

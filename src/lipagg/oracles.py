@@ -34,17 +34,17 @@ def _binary_objective(p1, q0, q1):
 
 
 def _binary_feasible(p1, q0, q1, eps):
-    """Mask of (q0, q1) where all four prior-to-posterior ratios lie in
-    [e^-eps, e^eps]."""
+    """Mask of (q0, q1) where all four prior-to-posterior ratios lam/q lie
+    in [e^-eps, e^eps], each bound widened by the slack.  The bounds are
+    tested against u = e^-eps in product form, so no budget overflows: an
+    output with q = 0 breaks the upper bound unless u rounds to 0."""
     lam0 = (1.0 - p1) * (1.0 - q0) + p1 * q1
     lam1 = (1.0 - p1) * q0 + p1 * (1.0 - q1)
-    lo = np.exp(-eps) - _FEAS_SLACK
-    hi = np.exp(eps) + _FEAS_SLACK
+    u = np.exp(-eps)
     ok = np.ones_like(q0, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for num, den in ((lam0, q1), (lam1, 1.0 - q1), (lam0, 1.0 - q0), (lam1, q0)):
-            ratio = np.where(den > 0.0, num / den, np.inf)
-            ok &= (ratio >= lo) & (ratio <= hi)
+    for lam, q in ((lam0, q1), (lam1, 1.0 - q1), (lam0, 1.0 - q0), (lam1, q0)):
+        ok &= lam >= (u - _FEAS_SLACK) * q
+        ok &= ((q > 0.0) & (u * lam <= (1.0 + _FEAS_SLACK * u) * q)) | (u == 0.0)
     return ok
 
 
@@ -106,27 +106,18 @@ def _value_mse(Q, p, values):
 
 def _histogram_mse(Q, p, _values):
     """Enumerated sum over categories of E[(1{X=a_k} - Pr(X=a_k|Y))^2]."""
-    lam = p @ Q
-    d = p.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post = np.where(lam[None, :] > 0.0, p[:, None] * Q / lam[None, :], 0.0)
-    total = 0.0
-    eye = np.eye(d)
-    for k in range(d):
-        gap2 = (eye[k][:, None] - post[k][None, :]) ** 2
-        total += float(np.sum(p[:, None] * Q * gap2))
-    return total
+    return sum(_value_mse(Q, p, indicator) for indicator in np.eye(p.shape[0]))
 
 
-def _feasibility_gap(Q, p, eps):
-    """Largest constraint violation (probability units); <= 0 is feasible."""
-    lam = p @ Q
-    e = np.exp(eps)
-    upper = Q - e * lam[None, :]
-    lower = lam[None, :] / e - Q
-    return max(float(upper.max()), float(lower.max()),
-               float(np.abs(Q.sum(axis=1) - 1.0).max()),
-               float((-Q).max()))
+def _feasible(Q, p, u):
+    """Whether Q is row-stochastic and u lam <= Q <= lam / u (u = e^-eps),
+    each within 1e-7 probability units; the upper bound is tested as
+    u (Q - tol) <= lam so that no budget overflows."""
+    lam, tol = p @ Q, 1e-7
+    return bool(np.all(u * (Q - tol) <= lam[None, :])
+                and np.all(u * lam[None, :] - Q <= tol)
+                and np.all(np.abs(Q.sum(axis=1) - 1.0) <= tol)
+                and np.all(Q >= -tol))
 
 
 def _starts(d_in, d_out, p, rng, n_random):
@@ -163,7 +154,7 @@ def constrained_channel_search(p: Prior, eps: float, d_out: int, objective,
     pv = p.p
     d_in = pv.shape[0]
     values = np.arange(d_in, dtype=float)
-    e = np.exp(eps)
+    u = np.exp(-eps)
     rng = np.random.Generator(np.random.Philox(seed))
 
     def flat_obj(x):
@@ -172,8 +163,8 @@ def constrained_channel_search(p: Prior, eps: float, d_out: int, objective,
     def ineq(x):
         Q = x.reshape(d_in, d_out)
         lam = pv @ Q
-        upper = (e * lam[None, :] - Q).ravel()
-        lower = (Q - lam[None, :] / e).ravel()
+        upper = (lam[None, :] - u * Q).ravel()
+        lower = (Q - u * lam[None, :]).ravel()
         return np.concatenate([upper, lower])
 
     def rowsum(x):
@@ -196,7 +187,7 @@ def constrained_channel_search(p: Prior, eps: float, d_out: int, objective,
         if np.any(sums <= 0.0):
             continue
         Q = Q / sums
-        if _feasibility_gap(Q, pv, eps) > 1e-7:
+        if not _feasible(Q, pv, u):
             continue
         candidates.append((objective(Q, pv, values), Q))
 

@@ -6,6 +6,7 @@ implementations they are used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,65 @@ def enum_histogram_mse(matrix, pvec):
         indicator = [1.0 if m == k else 0.0 for m in range(d)]
         total += enum_value_mse(matrix, pvec, indicator)
     return total
+
+
+def enum_output_marginal(matrix, pvec):
+    """lambda[y] = sum_x p[x] q[x][y], by explicit loops."""
+    d_in, d_out = matrix.shape
+    return [sum(pvec[x] * matrix[x][y] for x in range(d_in)) for y in range(d_out)]
+
+
+def enum_ldp_level(matrix):
+    """Max over outputs y and input pairs (x, x') of ln(q[x][y] / q[x'][y]);
+    +inf when y is possible under x and impossible under x'."""
+    d_in, d_out = matrix.shape
+    worst = 0.0
+    for y in range(d_out):
+        for x in range(d_in):
+            for x2 in range(d_in):
+                if matrix[x][y] > 0.0:
+                    if matrix[x2][y] <= 0.0:
+                        return math.inf
+                    worst = max(worst, math.log(matrix[x][y] / matrix[x2][y]))
+    return worst
+
+
+def enum_lip_level(matrix, pvec):
+    """Max over pairs with p[x] > 0 and lambda[y] > 0 of
+    |ln(Pr(X=x|Y=y) / Pr(X=x))| = |ln(q[x][y] / lambda[y])|; +inf when
+    such a pair has q[x][y] = 0."""
+    d_in, d_out = matrix.shape
+    lam = enum_output_marginal(matrix, pvec)
+    worst = 0.0
+    for x in range(d_in):
+        for y in range(d_out):
+            if pvec[x] > 0.0 and lam[y] > 0.0:
+                if matrix[x][y] <= 0.0:
+                    return math.inf
+                worst = max(worst, abs(math.log(matrix[x][y] / lam[y])))
+    return worst
+
+
+def enum_mutual_information(matrix, pvec):
+    """I(X;Y) = sum over p[x] q[x][y] > 0 of p[x] q[x][y] ln(q[x][y] / lambda[y])."""
+    d_in, d_out = matrix.shape
+    lam = enum_output_marginal(matrix, pvec)
+    total = 0.0
+    for x in range(d_in):
+        for y in range(d_out):
+            joint = pvec[x] * matrix[x][y]
+            if joint > 0.0:
+                total += joint * math.log(matrix[x][y] / lam[y])
+    return max(0.0, total)
+
+
+def enum_posterior(matrix, pvec, y):
+    """Pr(X=x|Y=y) = p[x] q[x][y] / lambda[y] for every x, or None when
+    lambda[y] = 0."""
+    lam = enum_output_marginal(matrix, pvec)[y]
+    if lam <= 0.0:
+        return None
+    return [pvec[x] * matrix[x][y] / lam for x in range(matrix.shape[0])]
 
 
 def enum_joint(pvecs, matrices):

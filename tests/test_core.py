@@ -33,6 +33,14 @@ def test_validate_negative_entry_reports_row():
     assert err.value.row == 0
 
 
+def test_validate_reports_the_first_bad_row():
+    # a bad sum in row 1 comes before an entry outside [0, 1] in row 2
+    ch = Channel(np.array([[0.5, 0.5], [0.3, 0.6], [1.5, -0.5]]))
+    with pytest.raises(RowSumMismatchError) as err:
+        validate_channel(ch)
+    assert (err.value.row, err.value.row_sum) == (1, pytest.approx(0.9))
+
+
 def test_output_distribution_identity():
     lam = output_distribution(Channel(np.eye(2)), Prior([0.3, 0.7]))
     assert np.allclose(lam, [0.3, 0.7], atol=1e-15)

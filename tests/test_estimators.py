@@ -54,6 +54,12 @@ def test_posterior_unreachable_output():
         posterior(ch, Prior.binary(0.5), 1.0)
 
 
+def test_estimate_names_the_user_of_an_unreachable_output():
+    pop = Population(Domain.binary(), [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(UnreachableOutputError, match=r"user u1: output 1\.0 "):
+        estimate(Survey(1.0), pop, Channel(np.eye(2)), [1.0, 1.0, 0.0])
+
+
 def _population(p1s):
     return Population(Domain.binary(), np.array([[1 - p, p] for p in p1s]))
 

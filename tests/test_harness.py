@@ -28,6 +28,7 @@ from lipagg import (
     tradeoff_curve,
 )
 from lipagg.errors import (
+    DimensionMismatchError,
     EmptyInputError,
     MissingColumnError,
     ParseError,
@@ -300,6 +301,14 @@ def test_fixed_values_experiment(tmp_path):
     rows = run_experiment(cfg).rows
     assert all(r.trials > 0 for r in rows)  # no closed-form rows in fixed mode
     assert rows[0].metric < math.sqrt(0.3 * 0.7)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_fixed_values_need_one_entry_per_user(count):
+    pop = Population(Domain.binary(), np.tile([0.5, 0.5], (10, 1)))
+    with pytest.raises(DimensionMismatchError, match=f"{count} fixed values for 10 users"):
+        ExperimentConfig(task=Survey(1.0), families=("opt-mimo-lip",), eps_grid=(2.0,),
+                         trials=5, seed=0, population=pop, fixed_values=np.ones(count))
 
 
 def test_fixed_value_outside_prior_support_is_unreachable():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipagg import (
     Channel,
@@ -14,9 +15,18 @@ from lipagg import (
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_lip,
+    posterior,
 )
+from lipagg.errors import UnreachableOutputError
 
-from conftest import random_channel, random_prior
+from conftest import (
+    enum_ldp_level,
+    enum_lip_level,
+    enum_mutual_information,
+    enum_posterior,
+    random_channel,
+    random_prior,
+)
 
 CONSTANT = Channel(np.array([[0.3, 0.7], [0.3, 0.7]]))
 
@@ -118,3 +128,56 @@ def test_mixing_toward_constant_drives_measures_to_zero(rng):
         assert all(a <= b + 1e-12 for a, b in zip(now, prev))
         prev = now
     assert max(prev) < 0.02
+
+
+@st.composite
+def _channel_and_prior(draw):
+    # square and non-square channels with zero entries (reachable ones give
+    # inf), zero prior entries and outputs that no possible input emits.
+    # Every row keeps at least two entries drawn from [0.1, 1], so no two
+    # rows coincide and a level is 0 only when a single input is possible;
+    # a channel whose possible rows are all equal would have levels that
+    # are 0 up to the rounding of sum(p) != 1, beyond any relative check
+    d, f = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = np.arange(f)
+    if f > 2 and draw(st.booleans()):
+        cols = np.delete(cols, draw(st.integers(0, f - 1)))
+    m = np.zeros((d, f))
+    for row in m:
+        keep = rng.permutation(cols)[:rng.integers(2, cols.size + 1)]
+        row[keep] = rng.uniform(0.1, 1.0, size=keep.size)
+    p = rng.uniform(0.1, 1.0, size=d)
+    if draw(st.booleans()):
+        p[rng.random(d) < 0.5] = 0.0
+        p[rng.integers(d)] = 1.0
+    return m / m.sum(axis=1, keepdims=True), p / p.sum()
+
+
+def _same(got, want, abs_tol=0.0):
+    # relative 1e-12; inf and 0.0 must match exactly
+    if math.isinf(want) or want == 0.0 or got == 0.0:
+        assert got == want
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=abs_tol), (got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_channel_and_prior())
+def test_measures_and_posterior_match_definitional_loops(case):
+    m, pv = case
+    ch, p = Channel(m), Prior(pv)
+    _same(measure_ldp(ch), enum_ldp_level(m))
+    _same(measure_lip(ch, p), enum_lip_level(m, pv))
+    # I(X;Y) is a sum of signed terms: one ulp of a marginal moves it by
+    # ~1e-16 whatever its size (at most 2.4e-16 over 5000 of these inputs),
+    # so nearly independent rows (I ~ 1e-8) get an absolute floor
+    _same(measure_mip(ch, p), enum_mutual_information(m, pv), abs_tol=1e-15)
+    for y in range(ch.d_out):
+        want = enum_posterior(m, pv, y)
+        if want is None:
+            with pytest.raises(UnreachableOutputError):
+                posterior(ch, p, float(y))
+            continue
+        got = posterior(ch, p, float(y)).posterior
+        for a, b in zip(got, want):
+            _same(float(a), b)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,3 +59,15 @@ def test_output_range_matched_size_is_best():
     assert m2 == pytest.approx(mse_binary_lip_opt(0.3, 1.0), abs=1e-3)
     m3 = output_range_oracle(2, 3, p, 1.0, values=[0.0, 1.0])
     assert m2 <= m3 + 1e-3
+
+
+def test_huge_budget_oracles_raise_no_warning():
+    # the ratio bounds are evaluated from e^-eps, which underflows to 0
+    # instead of e^eps overflowing
+    p = Prior([0.2, 0.3, 0.5])
+    var = float(p.p @ np.arange(3.0) ** 2 - (p.p @ np.arange(3.0)) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert binary_mse_oracle(0.3, 800.0) == (0.0, (0.0, 0.0))
+        got = mimo_mse_oracle(p, 800.0, n_random_starts=1)
+    assert math.isfinite(got) and 0.0 <= got <= var
