@@ -307,9 +307,14 @@ def _cmd_cip(args) -> int:
         "band_upper": band.upper,
         "mse_lower_bound": bound,
         "achieved_mse": result.mse,
-        "sqrt_avg_mse": math.sqrt(max(result.mse, 0.0) / inst.n_users),
+        "sqrt_avg_mse": math.sqrt(result.mse / inst.n_users),
     }
     if args.format == "json":
+        # what the search did; a positive bound_gap says the certified
+        # bound is not tight there (it is often vacuous, 0.0)
+        blob.update(starts=result.starts, starts_blended=result.starts_blended,
+                    max_sweeps_used=max(result.sweeps),
+                    bound_gap=result.mse - bound)
         _write(json.dumps(blob, indent=2, sort_keys=True) + "\n", args.out)
     else:
         _write("".join(f"{k},{v!r}\n" for k, v in blob.items()), args.out)

@@ -154,12 +154,17 @@ def budget_feasible_prior_floor(eps: float) -> float:
 def closed_form_lip_level(p_min: float, eps: float) -> float:
     """Measured context-aware level of the closed-form channel whose
     smallest prior entry is ``p_min``: max(eps, ln((e^eps-1+p_min)/(e^eps p_min))),
-    evaluated as max(eps, ln((1-u)/p_min + u)) with u = e^-eps."""
+    evaluated as max(eps, ln((1-u)/p_min + u)) with u = e^-eps, or as
+    ln(1 - u + u p_min) - ln(p_min) where (1-u)/p_min overflows (p_min
+    below about 1/DBL_MAX)."""
     eps = check_epsilon(eps)
     if p_min <= 0.0:
         return eps
     u = math.exp(-eps)
-    return max(eps, math.log((1.0 - u) / p_min + u))
+    ratio = (1.0 - u) / p_min + u
+    if math.isinf(ratio):
+        return max(eps, math.log(1.0 - u + u * p_min) - math.log(p_min))
+    return max(eps, math.log(ratio))
 
 
 def opt_binary_lip(p1: float, eps: float) -> Channel:

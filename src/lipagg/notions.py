@@ -42,25 +42,36 @@ def measure_ldp(q: Channel) -> float:
     return float(np.log(m.max(axis=0) / m.min(axis=0)).max(initial=0.0))
 
 
+def _log_ratio(q: Channel, p: Prior):
+    """The output marginal lam and ln(q[x][y] / lam[y]) (0 where lam is 0,
+    -inf where q is 0).  Where the ratio overflows, which needs lam below
+    q / DBL_MAX and so a prior entry below 1/DBL_MAX, it is ln q - ln lam."""
+    lam, ratio, _ = posterior_ratio(q.matrix, p.p)
+    with np.errstate(divide="ignore"):
+        logs = np.log(ratio)
+    over = logs == math.inf
+    if over.any():
+        logs[over] = (np.log(q.matrix[over])
+                      - np.log(np.broadcast_to(lam, logs.shape)[over]))
+    return lam, logs
+
+
 def measure_lip(q: Channel, p: Prior) -> float:
     """Largest absolute log prior-to-posterior ratio over reachable (x, y).
 
     Returns +inf when q[x][y] = 0 for a reachable pair (observing y rules
     x out entirely).
     """
-    lam, ratio, _ = posterior_ratio(q.matrix, p.p)
-    reached = ratio[np.ix_(p.p > 0.0, lam > 0.0)]
-    if np.any(reached <= 0.0):
-        return math.inf
-    return float(np.abs(np.log(reached)).max(initial=0.0))
+    lam, logs = _log_ratio(q, p)
+    return float(np.abs(logs[np.ix_(p.p > 0.0, lam > 0.0)]).max(initial=0.0))
 
 
 def measure_mip(q: Channel, p: Prior) -> float:
     """Mutual information I(X; Y) in nats; zero-probability terms contribute 0."""
-    _, ratio, _ = posterior_ratio(q.matrix, p.p)
+    _, logs = _log_ratio(q, p)
     joint = p.p[:, None] * q.matrix
     mask = joint > 0.0
-    return max(0.0, float(np.sum(joint[mask] * np.log(ratio[mask]))))
+    return max(0.0, float(np.sum(joint[mask] * logs[mask])))
 
 
 def audit(q: Channel, p: Prior) -> PrivacyAudit:

@@ -130,6 +130,69 @@ def enum_joint(pvecs, matrices):
                 yield xs, ys, pr
 
 
+def _column_stats(Q, prior, svals):
+    w = prior @ Q
+    t = (prior * svals) @ Q
+    return w, t
+
+
+def _objective(w, t):
+    mask = w > 0.0
+    return float(np.sum(t[mask] ** 2 / w[mask]))
+
+
+def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
+    """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint,
+    one start at a time: the definitional reference for ``cip._ascend``,
+    which runs every start in lockstep and must match it bit for bit."""
+    Q = Q.copy()
+    m = Q.shape[1]
+    w, t = _column_stats(Q, prior, svals)
+    improve_tol = 1e-12 * max(1.0, _objective(w, t))
+
+    def term(wv, tv):
+        return np.where(wv > 0.0, np.divide(tv * tv, np.where(wv > 0.0, wv, 1.0)), 0.0)
+
+    for _ in range(max_sweeps):
+        moved = False
+        for s in range(Q.shape[0]):
+            if prior[s] <= 0.0:
+                continue
+            for frac in fractions:
+                delta = frac * Q[s]  # mass leaving each source column
+                if not np.any(delta > 0.0):
+                    continue
+                dm = prior[s] * delta
+                w_minus = w - dm
+                t_minus = t - dm * svals[s]
+                w_plus = w[None, :] + dm[:, None]
+                t_plus = t[None, :] + (dm * svals[s])[:, None]
+                gain = (term(w_minus, t_minus)[:, None]
+                        + term(w_plus, t_plus)
+                        - term(w, t)[:, None] - term(w, t)[None, :])
+                np.fill_diagonal(gain, -np.inf)
+                gain[dm <= 0.0, :] = -np.inf
+
+                src_ok = (w_minus <= 0.0) | (
+                    (t_minus >= (lower - tol) * w_minus)
+                    & (t_minus <= (upper + tol) * w_minus))
+                dst_ok = ((t_plus >= (lower - tol) * w_plus)
+                          & (t_plus <= (upper + tol) * w_plus))
+                gain[~src_ok, :] = -np.inf
+                gain[~dst_ok] = -np.inf
+
+                j, k = np.unravel_index(np.argmax(gain), gain.shape)
+                if gain[j, k] > improve_tol:
+                    moved_mass = delta[j]
+                    Q[s, j] -= moved_mass
+                    Q[s, k] += moved_mass
+                    w, t = _column_stats(Q, prior, svals)
+                    moved = True
+        if not moved:
+            break
+    return Q, _objective(w, t)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240601))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipagg import (
     CipInstance,
@@ -14,7 +15,11 @@ from lipagg import (
     mse_binary_lip_opt,
     posterior_means_in_band,
 )
+from lipagg import cip
+from lipagg.cip import _BAND_TOL, _feasible_starts
 from lipagg.core import Channel
+
+from conftest import serial_ascent
 
 
 def test_band_examples():
@@ -96,3 +101,73 @@ def test_search_validates_arguments():
         cip_search(inst, output_size=1)
     with pytest.raises(ValueError):
         CipInstance(500, 0.4, 1.0)
+
+
+@pytest.mark.parametrize("fractions", [(1.5,), (0.0,), (-0.5,), ()])
+def test_search_rejects_fractions_outside_unit_interval(fractions):
+    # a fraction above 1 moves more mass than a column holds (negative
+    # entries, an mse below the bound); no fractions would skip the ascent
+    with pytest.raises(ValueError):
+        cip_search(CipInstance(10, 0.3, 1.0), output_size=4, fractions=fractions)
+
+
+def test_search_mse_is_never_negative():
+    # p1 = 1: S = N surely and the prior variance is 0, while rounding puts
+    # the variance of the estimate 1.4e-14 above it
+    res = cip_search(CipInstance(10, 1.0, 1.0), output_size=11, seed=3)
+    assert res.mse == 0.0
+
+
+def test_search_reports_starts_and_sweeps():
+    inst = CipInstance(20, 0.3, 1.0)
+    res = cip_search(inst, output_size=21, seed=0)
+    assert res.starts == 7  # constant, threshold, context-aware seed, 4 random
+    assert len(res.sweeps) == 7 and all(1 <= v <= 40 for v in res.sweeps)
+    assert cip_search(inst, output_size=21, max_sweeps=1).sweeps == (1,) * 7
+    # at eps = 0 the band is the single point N*p1: only the constant start
+    # is feasible as drawn, the threshold and 4 random starts need a blend
+    flat = cip_search(CipInstance(20, 0.3, 0.0), output_size=4, seed=0)
+    assert (flat.starts, flat.starts_blended) == (6, 5)
+
+
+@pytest.mark.parametrize("per_group", [1, 2])
+def test_search_result_does_not_depend_on_start_grouping(monkeypatch, per_group):
+    # large output alphabets ascend a few starts at a time
+    inst = CipInstance(12, 0.3, 1.0)
+    whole = cip_search(inst, output_size=13, seed=5)
+    monkeypatch.setattr(cip, "_LOCKSTEP_CELLS", per_group * 13 ** 2)
+    split = cip_search(inst, output_size=13, seed=5)
+    assert split.mse == whole.mse and split.sweeps == whole.sweeps
+    assert np.array_equal(split.mechanism, whole.mechanism)
+
+
+@st.composite
+def _search_case(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(2, n + 1))
+    eps = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0, 10.0]))
+    p1 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return n, p1, eps, m, draw(st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_search_case())
+def test_lockstep_search_matches_serial_reference(case):
+    n, p1, eps, m, seed = case
+    inst = CipInstance(n, p1, eps)
+    band = cip_band(inst)
+    svals = np.arange(n + 1, dtype=float)
+    starts, blended = _feasible_starts(inst, m, 4, seed)
+    best_q, best_v = None, -np.inf
+    for q in starts:
+        cand, v = serial_ascent(q, inst.s_prior, svals, band.lower, band.upper,
+                                _BAND_TOL * max(1.0, n), (1.0, 0.5, 0.25), 40)
+        if v > best_v:
+            best_q, best_v = cand, v
+    var_est = max(0.0, best_v - inst.mean ** 2)
+
+    res = cip_search(inst, output_size=m, seed=seed)
+    assert np.array_equal(res.mechanism, best_q)
+    assert res.estimator_variance == var_est
+    assert res.mse == max(0.0, inst.variance - var_est)
+    assert (res.starts, res.starts_blended) == (len(starts), blended)

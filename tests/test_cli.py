@@ -156,6 +156,30 @@ def test_cip_cli(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["band_lower"] == pytest.approx(20 * 0.3 * math.exp(-1.0), rel=1e-9)
     assert blob["mse_lower_bound"] <= blob["achieved_mse"] + 1e-9
+    assert blob["starts"] == 7 and 0 <= blob["starts_blended"] <= 7
+    assert 1 <= blob["max_sweeps_used"] <= 40
+    assert blob["bound_gap"] == blob["achieved_mse"] - blob["mse_lower_bound"]
+
+
+def test_cip_cli_csv_bytes(capsys):
+    # the CSV contract: five rows, no search diagnostics
+    assert run_cli("cip", "--n", "20", "--p1", "0.3", "--eps", "1") == 0
+    assert capsys.readouterr().out == (
+        "band_lower,2.207276647028654\n"
+        "band_upper,14.849687823599808\n"
+        "mse_lower_bound,0.0\n"
+        "achieved_mse,0.027656264121549867\n"
+        "sqrt_avg_mse,0.0371861964454217\n")
+
+
+def test_cip_cli_reports_a_vacuous_bound(capsys):
+    # at N=50, p1=0.3, eps=1 the certified bound is 0: the gap is the whole
+    # achieved error, and the output says so
+    assert run_cli("cip", "--n", "50", "--p1", "0.3", "--eps", "1",
+                   "--format", "json") == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["mse_lower_bound"] == 0.0
+    assert blob["bound_gap"] > 0.0
 
 
 def test_missing_config_exit_2(tmp_path):

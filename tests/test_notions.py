@@ -9,6 +9,7 @@ from lipagg import (
     Prior,
     audit,
     budget_feasible_prior_floor,
+    closed_form_lip_level,
     measure_ldp,
     measure_lip,
     measure_mip,
@@ -181,3 +182,14 @@ def test_measures_and_posterior_match_definitional_loops(case):
         got = posterior(ch, p, float(y)).posterior
         for a, b in zip(got, want):
             _same(float(a), b)
+
+
+def test_levels_stay_finite_for_subnormal_prior_entries():
+    # q/lambda overflows once lambda < q/DBL_MAX; the level is still the
+    # closed form ln((1-u)/p_min + u), about 710.25
+    p_min = 2.2e-309
+    ch, p = opt_binary_lip(p_min, 1.0), Prior([1.0, p_min])
+    level = closed_form_lip_level(p_min, 1.0)
+    assert 710.0 < level < 710.5
+    assert math.isclose(measure_lip(ch, p), level, rel_tol=1e-12)
+    assert math.isfinite(measure_mip(ch, p))
