@@ -73,7 +73,6 @@ from .mechanisms import (
 from .notions import PrivacyAudit, audit, measure_ldp, measure_lip, measure_mip
 from .oracles import (
     binary_mse_oracle,
-    constrained_channel_search,
     histogram_mse_oracle,
     mimo_mse_oracle,
     output_range_oracle,

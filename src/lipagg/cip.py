@@ -125,10 +125,14 @@ def _band_ok(w, t, lower, upper, tol):
 
 
 def posterior_means_in_band(Q, instance: CipInstance, tol: float = _BAND_TOL) -> bool:
-    """Whether every reachable output's posterior mean lies in the band."""
+    """Whether Q is a mechanism (entries >= -tol, rows summing to 1 within
+    tol) whose every reachable output has its posterior mean in the band."""
+    Q = np.asarray(Q, dtype=float)
+    if not (np.all(Q >= -tol) and np.all(np.abs(Q.sum(axis=1) - 1.0) <= tol)):
+        return False
     band = cip_band(instance)
     svals = np.arange(instance.n_users + 1, dtype=float)
-    w, t = _column_stats(np.asarray(Q, dtype=float), instance.s_prior, svals)
+    w, t = _column_stats(Q, instance.s_prior, svals)
     return _band_ok(w, t, band.lower, band.upper, tol * max(1.0, instance.n_users))
 
 

@@ -25,6 +25,18 @@ def _as_readonly(a) -> np.ndarray:
     return out
 
 
+def _check_prior_rows(pm: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of the prior rows lies in
+    [0, 1] and every row sums to 1 within 1e-12.  Both tests are written
+    as "not within", so a NaN entry fails them."""
+    if not np.all((pm >= 0.0) & (pm <= 1.0)):
+        raise ValueError("prior entries must lie in [0, 1]")
+    sums = np.atleast_1d(pm.sum(axis=-1))
+    bad = ~(np.abs(sums - 1.0) <= PROB_TOL)
+    if bad.any():
+        raise ValueError(f"prior sums to {sums[bad][0]}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class Domain:
     """Finite ordered domain of real values (category labels or numeric data)."""
@@ -67,10 +79,7 @@ class Prior:
         object.__setattr__(self, "p", _as_readonly(p))
         if self.p.ndim != 1:
             raise ValueError("prior must be a vector")
-        if np.any(self.p < 0.0) or np.any(self.p > 1.0):
-            raise ValueError("prior entries must lie in [0, 1]")
-        if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"prior sums to {self.p.sum()}, expected 1")
+        _check_prior_rows(self.p)
 
     @property
     def size(self) -> int:
@@ -179,10 +188,7 @@ class Population:
         if pm.shape[1] != domain.size:
             raise DimensionMismatchError(
                 f"prior width {pm.shape[1]} != domain size {domain.size}")
-        if np.any(pm < 0.0) or np.any(pm > 1.0):
-            raise ValueError("prior entries must lie in [0, 1]")
-        if np.any(np.abs(pm.sum(axis=1) - 1.0) > PROB_TOL):
-            raise ValueError("every user prior must sum to 1")
+        _check_prior_rows(pm)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "priors", pm)
         if user_ids is None:

@@ -218,8 +218,7 @@ def opt_mimo_lip(p: Prior, eps: float, domain: Domain | None = None) -> Channel:
     u = math.exp(-eps)
     # off-diagonal columns inherit the prior, so zero-prior columns get no mass
     m = np.tile(p.p * u, (d, 1))
-    for i in range(d):
-        m[i, i] = 1.0 - (1.0 - p.p[i]) * u
+    np.fill_diagonal(m, 1.0 - (1.0 - p.p) * u)
     ch = Channel(_renormalize(m), domain, domain)
     validate_channel(ch)
     return ch

@@ -89,6 +89,21 @@ def enum_lip_level(matrix, pvec):
     return worst
 
 
+def binary_grid_scores(p1, eps, n):
+    """MSE of every binary channel (q0, q1) = (Pr(Y=1|X=0), Pr(Y=0|X=1)) on
+    the (n+1) x (n+1) grid over [0, 1]^2 whose enumerated context-aware
+    level is at most eps; a plain grid with no refinement."""
+    pvec = [1.0 - p1, p1]
+    scores = []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            q0, q1 = i / n, j / n
+            matrix = np.array([[1.0 - q0, q0], [q1, 1.0 - q1]])
+            if enum_lip_level(matrix, pvec) <= eps:
+                scores.append(enum_value_mse(matrix, pvec, [0.0, 1.0]))
+    return scores
+
+
 def enum_mutual_information(matrix, pvec):
     """I(X;Y) = sum over p[x] q[x][y] > 0 of p[x] q[x][y] ln(q[x][y] / lambda[y])."""
     d_in, d_out = matrix.shape

@@ -62,6 +62,15 @@ def test_seed_mechanism_band_feasible():
             assert posterior_means_in_band(lip_seed_mechanism(inst), inst)
 
 
+def test_band_check_rejects_matrices_that_are_not_mechanisms():
+    # rows (1.5, -0.5) put every posterior mean in the band
+    inst = CipInstance(10, 0.3, 1.0)
+    rows = np.tile([1.5, -0.5], (11, 1))
+    assert not posterior_means_in_band(rows, inst)
+    assert not posterior_means_in_band(0.9 * lip_seed_mechanism(inst), inst)
+    assert posterior_means_in_band(np.tile([0.5, 0.5], (11, 1)), inst)
+
+
 def test_strictly_private_channels_stay_in_band():
     # channels verified to meet the budget keep posterior means in the band
     inst = CipInstance(40, 0.3, 1.0)

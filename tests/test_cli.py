@@ -243,6 +243,16 @@ def test_infinite_budget_exit_2():
                    "--eps-grid", "0:inf:1") == 2
 
 
+def test_nan_prior_exit_2(capsys):
+    assert run_cli("mechanism", "derive", "--family", "opt-mimo-lip", "--eps", "1",
+                   "--prior", "nan,0.5,0.5") == 2
+    assert run_cli("audit", "--family", "opt-binary-ldp", "--eps", "1",
+                   "--prior", "nan,1") == 2
+    assert run_cli("analyze", "curve", "--families", "opt-mimo-lip", "--task", "summation",
+                   "--eps-grid", "1", "--prior", "nan,0.5,0.5", "--d", "3", "--n", "5") == 2
+    assert "prior entries must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_curve_family_task_mismatch_exit_2(capsys):
     assert run_cli("analyze", "curve", "--families", "symmetric-rr", "--task", "summation",
                    "--p1", "0.3", "--eps-grid", "1") == 2

@@ -114,6 +114,18 @@ def test_population_invariants():
     assert np.allclose(pop.prior(1).p, [0.1, 0.9])
 
 
+def test_nan_priors_are_rejected():
+    # NaN < 0, NaN > 1 and |NaN - 1| > tol are all False
+    with pytest.raises(ValueError):
+        Prior([math.nan, 0.5])
+    with pytest.raises(ValueError):
+        Prior([math.nan, 0.5, 0.5])
+    with pytest.raises(ValueError):
+        Population(Domain.binary(), np.array([[0.5, 0.5], [math.nan, 1.0]]))
+    with pytest.raises(ValueError, match="sums to 0.9"):
+        Population(Domain.binary(), np.array([[0.5, 0.5], [0.4, 0.5]]))
+
+
 def test_task_checks():
     pop = Population(Domain.binary(), np.array([[0.5, 0.5]] * 3))
     with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ def test_mimo_constrained_optimum_beats_closed_form_outside_regime():
         (Prior([1 / 3, 1 / 3, 1 / 3]), 0.5, 0.01),
     ]
     for p, eps, gap in cases:
-        oracle = mimo_mse_oracle(p, eps, n_random_starts=10, seed=3)
+        oracle = mimo_mse_oracle(p, eps)
         closed = mse_mimo(opt_mimo_lip(p, eps), p)
         assert oracle > closed + gap
 
