@@ -42,6 +42,7 @@ from .estimators import (
     PerUserPosterior,
     context_free_estimate,
     estimate,
+    oue_count_estimate,
     oue_histogram_estimate,
     posterior,
 )
@@ -65,6 +66,7 @@ from .mechanisms import (
     opt_mimo_ldp,
     opt_mimo_lip,
     oue_channel,
+    oue_counts,
     oue_perturb,
     perturb,
     perturb_indices,

@@ -110,10 +110,15 @@ def mae(q: Channel, p: Prior, domain: Domain | None = None) -> float:
 
 @dataclass(frozen=True)
 class CurveRow:
+    """One curve point.  ``mse_stderr`` is the standard error of metric^2
+    on a Monte-Carlo row (NaN for a single trial) and 0.0 on a closed-form
+    row; JSON carries it, the CSV does not."""
+
     epsilon: float
     family: str
     metric: float
     trials: int
+    mse_stderr: float = 0.0
 
 
 @dataclass
@@ -145,7 +150,8 @@ class TradeoffCurve:
                 "metadata": self.metadata,
                 "rows": [
                     {"epsilon": r.epsilon, "family": r.family,
-                     "metric": r.metric, "trials": r.trials}
+                     "metric": r.metric, "trials": r.trials,
+                     "mse_stderr": r.mse_stderr if math.isfinite(r.mse_stderr) else None}
                     for r in self.rows
                 ],
             },
@@ -165,7 +171,8 @@ def closed_form_total_mse(family: MechanismFamily, population: Population,
     that keeps full precision at large budgets; the squared norm is
     accumulated over the columns of g, so memory stays O(N d).  The
     prior-unaware estimators (symmetric-rr, unary encoding) have a
-    constant per-user MSE.
+    constant per-user MSE.  Unary encoding keeps the user's own bit with
+    probability 1/2, so that bit has variance 1/4 rather than f(1-f).
     """
     check_family_task(family, task, population.domain)
     form = task_form(task, population)
@@ -174,10 +181,11 @@ def closed_form_total_mse(family: MechanismFamily, population: Population,
         if eps == 0.0:
             raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
         # flip f = 1/(e^eps + 1): f(1-f)/(1-2f)^2 = e^-eps/(1-e^-eps)^2 per
-        # user; unary encoding pays 4x that on each of its d bits
+        # user; unary encoding pays 4x that on each of its d - 1 cold bits
+        # and (1/4)/(1/2-f)^2 = 4x that + 1 on its hot bit
         per_user = math.exp(-eps) / math.expm1(-eps) ** 2
         if family is MechanismFamily.OUE:
-            per_user *= 4.0 * population.domain.size
+            per_user = 4.0 * population.domain.size * per_user + 1.0
     else:
         p = population.priors
         ch = optimal_channel(family, eps, p)

@@ -240,12 +240,12 @@ def _cmd_simulate(args) -> int:
     else:
         domain = None
         if "d" in pop_blob:
-            domain = Domain.of_size(int(pop_blob["d"]))
+            domain = Domain.of_size(pop_blob["d"])
         if "values" in pop_blob:
             domain = Domain(pop_blob["values"])
         population = generate_population(
-            int(pop_blob["n"]), pop_blob.get("prior_mode", "global"),
-            int(cfg.get("seed", 0)),
+            pop_blob["n"], pop_blob.get("prior_mode", "global"),
+            cfg.get("seed", 0),
             p1=pop_blob.get("p1"), p_vector=pop_blob.get("p_vector"),
             domain=domain)
 
@@ -254,8 +254,8 @@ def _cmd_simulate(args) -> int:
         task=task,
         families=tuple(cfg.get("families", ["opt-binary-lip"])),
         eps_grid=tuple(parse_eps_grid(cfg.get("eps_grid", "1:5:1"))),
-        trials=int(cfg.get("trials", 1000)),
-        seed=int(cfg.get("seed", 0)),
+        trials=cfg.get("trials", 1000),
+        seed=cfg.get("seed", 0),
         population=population,
         fixed_values=fixed_values,
     )

@@ -6,6 +6,7 @@ concurrent workers.  Probabilities are double precision; stochasticity
 checks use an absolute tolerance of 1e-12.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,7 @@ class Domain:
     @staticmethod
     def of_size(d: int) -> "Domain":
         """Domain labelled 0..d-1."""
+        check_whole("domain size", d, 2)
         return Domain(np.arange(d, dtype=float))
 
 
@@ -302,3 +304,12 @@ def check_epsilon(eps: float) -> float:
     if not (eps >= 0.0 and np.isfinite(eps)):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     return eps
+
+
+def check_whole(name: str, value, low: int) -> None:
+    """Counts, sizes and seeds are integers (not bools) of at least ``low``;
+    raise ``ValueError`` naming ``name`` otherwise, rather than truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")

@@ -102,12 +102,13 @@ def estimate(task: AggregationTask, population: Population,
     return AggregateEstimate(form.total(posts[:, :, 0] @ form.g))
 
 
-def context_free_estimate(observations, eps: float) -> float:
+def context_free_estimate(observations, eps: float) -> float | np.ndarray:
     """Prior-unaware count estimator for symmetric randomized response.
 
     With flip probability p = 1/(e^eps + 1), returns
-    (sum Y_i - N p) / (1 - 2p); unbiased for sum X_i and deliberately not
-    clipped to [0, N].
+    (sum Y_i - N p) / (1 - 2p) over the last axis; unbiased for sum X_i
+    and deliberately not clipped to [0, N].  One row of observations gives
+    a float, a stack of rows (one per trial) an array.
     """
     if eps <= 0.0:
         raise ZeroEpsilonError("denominator 1 - 2p vanishes at eps = 0")
@@ -115,20 +116,26 @@ def context_free_estimate(observations, eps: float) -> float:
     if not np.all((obs == 0.0) | (obs == 1.0)):
         raise ValueError("observations must be binary")
     flip = expit(-eps)
-    n = obs.shape[0]
-    return float((obs.sum() - n * flip) / (1.0 - 2.0 * flip))
+    n = obs.shape[-1]
+    est = (obs.sum(axis=-1) - n * flip) / (1.0 - 2.0 * flip)
+    return float(est) if obs.ndim == 1 else est
 
 
-def oue_histogram_estimate(reports, d: int, n: int, eps: float) -> np.ndarray:
-    """Unbiased per-bucket counts from unary-encoded perturbed reports.
+def oue_count_estimate(counts, n: int, eps: float) -> np.ndarray:
+    """Unbiased per-bucket counts from the per-bucket totals of n
+    unary-encoded perturbed reports, shape (..., d):
 
     bucket k -> (#reports with bit k set - n/(e^eps+1)) / (1/2 - 1/(e^eps+1))
     """
     if eps <= 0.0:
         raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
+    flip = expit(-eps)
+    return (np.asarray(counts, dtype=float) - n * flip) / (0.5 - flip)
+
+
+def oue_histogram_estimate(reports, d: int, n: int, eps: float) -> np.ndarray:
+    """:func:`oue_count_estimate` of the (n, d) perturbed reports' column sums."""
     r = np.asarray(reports)
     if r.ndim != 2 or r.shape != (n, d):
         raise DimensionMismatchError(f"reports must have shape ({n}, {d})")
-    flip = expit(-eps)
-    counts = r.sum(axis=0).astype(float)
-    return (counts - n * flip) / (0.5 - flip)
+    return oue_count_estimate(r.sum(axis=0), n, eps)

@@ -1,11 +1,15 @@
 """Monte-Carlo experiment engine, synthetic populations, and CSV ingestion.
 
 Seeding: every random draw comes from a Philox stream keyed by the master
-seed plus a purpose/trial counter (``np.random.SeedSequence`` spawn keys),
-so trials are independent, reproducible, and safe to parallelize without
-changing results.  Within a trial the true values are drawn once and shared
-by every family under comparison (common random numbers), then each family
-perturbs them on its own stream.
+seed plus a purpose counter (``np.random.SeedSequence`` spawn keys).  A run
+opens one stream for the true values and one per (family, eps) runner, and
+reads each in trial-major order: user after user within a trial, trial
+after trial.  Trials are processed in chunks of about ``_BLOCK`` user-values;
+Philox output does not depend on how a stream is split into consecutive
+reads, so the chunk size changes no draw and no result.  Within a trial the
+true values are drawn once and shared by every family under comparison
+(common random numbers), then each family perturbs them on its own stream.
+``STREAM_LAYOUT`` numbers this layout and is recorded in the curve metadata.
 
 Empirical error is measured against the sampled statistic of each trial,
 not its expectation.  Populations ingested from files keep their real
@@ -27,6 +31,7 @@ from .core import (
     Prior,
     TaskForm,
     check_epsilon,
+    check_whole,
     task_form,
 )
 from .errors import (
@@ -35,17 +40,19 @@ from .errors import (
     MissingColumnError,
     ParseError,
     UnreachableOutputError,
-    ZeroEpsilonError,
 )
-from .estimators import context_free_estimate, oue_histogram_estimate
+from .estimators import context_free_estimate, oue_count_estimate
 from .mechanisms import (
     MechanismFamily,
     check_family_task,
     optimal_channel,
     oue_channel,
-    oue_perturb,
+    oue_counts,
     sample_rows,
 )
+
+STREAM_LAYOUT = 2
+_BLOCK = 1 << 16  # user-values drawn per chunk of trials
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -62,8 +69,8 @@ def generate_population(n: int, prior_mode: str, seed: int = 0, *,
     "local-uniform" (each user draws its own prior: p1 uniform on [0, 1]
     for binary domains, a flat-Dirichlet simplex point otherwise).
     """
-    if n < 1:
-        raise ValueError("population needs at least one user")
+    check_whole("population size", n, 1)
+    check_whole("seed", seed, 0)
     if prior_mode == "global":
         if p1 is not None:
             domain = domain or Domain.binary()
@@ -92,7 +99,11 @@ def generate_population(n: int, prior_mode: str, seed: int = 0, *,
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment: population x task x families x budget grid x trials."""
+    """One experiment: population x task x families x budget grid x trials.
+
+    Families and budgets must be nonempty and distinct; trials and seed
+    must be integers (bools are rejected), so a config never runs a
+    truncated or empty experiment without saying so."""
 
     task: AggregationTask
     families: tuple
@@ -103,10 +114,16 @@ class ExperimentConfig:
     fixed_values: np.ndarray | None = None  # real data: values held fixed
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        for e in self.eps_grid:
-            check_epsilon(e)
+        check_whole("trials", self.trials, 1)
+        check_whole("seed", self.seed, 0)
+        families = [MechanismFamily.from_tag(f) if isinstance(f, str) else f
+                    for f in self.families]
+        eps_grid = [check_epsilon(e) for e in self.eps_grid]
+        for name, items in (("families", families), ("eps_grid", eps_grid)):
+            if not items:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(items)) != len(items):
+                raise ValueError(f"{name} has a repeated entry: {list(getattr(self, name))}")
         task_form(self.task, self.population)
         n = self.population.n_users
         if self.fixed_values is not None and np.shape(self.fixed_values) != (n,):
@@ -115,19 +132,22 @@ class ExperimentConfig:
 
 
 class _FamilyRunner:
-    """Per-(family, eps) keep-or-resample sampler plus the task's weighted
-    posterior tables, (N, d) and indexed by (user, observed output): the
-    estimate after outputs y is offset + sum_i w_i (kept[i, y_i] g(y_i)
-    + redrawn[i, y_i] mu_i) with mu_i = priors[i] @ g."""
+    """Per-(family, eps) sampler and estimator for a chunk of trials.
+
+    A keep-or-resample family keeps the task's weighted posterior tables,
+    (N, d) and indexed by (user, observed output): the estimate after
+    outputs y is offset + sum_i w_i (kept[i, y_i] g(y_i) + redrawn[i, y_i] mu_i)
+    with mu_i = priors[i] @ g.  Unary encoding draws only the per-bucket
+    counts of set bits (:func:`mechanisms.oue_counts`)."""
 
     def __init__(self, family: MechanismFamily, eps: float, population: Population,
                  task: AggregationTask, form: TaskForm, fixed_idx):
         check_family_task(family, task, population.domain)
         self.family = family
         self.eps = eps
-        self.form = form
         priors = population.priors
         n, d = priors.shape
+        self.g = form.g.reshape(d, -1)  # one column per statistic component
         if family is MechanismFamily.OUE:
             self.oue = oue_channel(d, eps)
             return
@@ -147,46 +167,45 @@ class _FamilyRunner:
                     f"user {population.user_ids[i]}: value "
                     f"{population.domain.values[fixed_idx[i]]} has zero probability "
                     f"under its prior but is published with probability {ch.keep}")
+        self.offset = form.offset
         self.kept = form.weights[:, None] * kept
         self.redrawn = form.weights[:, None] * redrawn
-        self.mu = priors @ form.g
+        self.mu = priors @ self.g
 
-    def estimate(self, x_idx: np.ndarray, rng: np.random.Generator):
-        """Perturb the given true values and return the aggregate estimate."""
-        n = x_idx.shape[0]
+    def estimate(self, x_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Perturb a (trials, N) chunk of true values, reading ``rng`` in
+        trial-major order, and return the (trials, components) estimates."""
+        m, n = x_idx.shape
+        d = self.g.shape[0]
         if self.family is MechanismFamily.OUE:
-            reports = oue_perturb(self.oue, x_idx, rng)
-            return oue_histogram_estimate(reports, self.oue.d, n, self.eps)
-        y_idx = sample_rows(self.steps[x_idx] + self.tail, rng)
-        g = self.form.g
+            hot = np.bincount((x_idx + d * np.arange(m)[:, None]).ravel(),
+                              minlength=m * d).reshape(m, d)
+            return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
+        y_idx = sample_rows((self.steps.take(x_idx, axis=0) + self.tail).reshape(m * n, d),
+                            rng).reshape(m, n)
         if self.family is MechanismFamily.SYMMETRIC_RR:
-            count = context_free_estimate(y_idx.astype(float), self.eps)
-            return n * g[0] + (g[1] - g[0]) * count
+            count = context_free_estimate(y_idx, self.eps)
+            return n * self.g[0] + (self.g[1] - self.g[0]) * count[:, None]
         at = self.rows + y_idx
-        return (self.form.offset + self.kept.take(at) @ g.take(y_idx, axis=0)
+        return (self.offset
+                + (self.kept.take(at)[:, None, :] @ self.g.take(y_idx, axis=0))[:, 0]
                 + self.redrawn.take(at) @ self.mu)
-
-
-def _closed_form_row(family: MechanismFamily, population: Population,
-                     task: AggregationTask, eps: float) -> CurveRow | None:
-    try:
-        total = closed_form_total_mse(family, population, task, eps)
-    except ZeroEpsilonError:
-        return None
-    return CurveRow(epsilon=eps, family=family.value,
-                    metric=math.sqrt(total / population.n_users), trials=0)
 
 
 def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     """Monte-Carlo tradeoff curve; deterministic given the master seed.
 
     Emits one empirical row per (family, eps) and, for synthetic
-    populations, the matching closed-form rows (trials = 0).
+    populations, the matching closed-form rows (trials = 0).  An empirical
+    row's metric is sqrt(mean(T) / N) over the per-trial squared errors T,
+    and its ``mse_stderr`` is sd(T) / (N sqrt(trials)), the standard error
+    of metric^2.
     """
     pop = config.population
     task = config.task
     domain = pop.domain
-    n = pop.n_users
+    n, d = pop.n_users, domain.size
+    trials = config.trials
     families = [MechanismFamily.from_tag(f) if isinstance(f, str) else f
                 for f in config.families]
     eps_grid = [float(e) for e in config.eps_grid]
@@ -197,42 +216,46 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if np.any(fixed_idx < 0):
             raise ValueError("fixed values must lie in the population domain")
 
-    runners = {(fi, ei): _FamilyRunner(fam, eps, pop, task, form, fixed_idx)
-               for fi, fam in enumerate(families) for ei, eps in enumerate(eps_grid)}
-
-    # squared error per component of the statistic, of shape g.shape[1:]
-    sq_err = np.zeros((len(families), len(eps_grid)) + form.g.shape[1:])
-
+    runners = [(_FamilyRunner(fam, eps, pop, task, form, fixed_idx),
+                _rng(config.seed, 2, fi, ei))
+               for fi, fam in enumerate(families) for ei, eps in enumerate(eps_grid)]
+    truth_rng = _rng(config.seed, 1)
     truth_cdf = np.cumsum(pop.priors, axis=1)
-    for t in range(config.trials):
+    g = form.g.reshape(d, -1)
+
+    # squared error of every trial, summed over the statistic's components
+    sq_err = np.zeros((len(runners), trials))
+    chunk = max(1, _BLOCK // (n * d))
+    for t0 in range(0, trials, chunk):
+        m = min(chunk, trials - t0)
         if fixed_idx is None:
-            x_idx = sample_rows(truth_cdf, _rng(config.seed, 1, t))
+            x_idx = sample_rows(np.broadcast_to(truth_cdf, (m, n, d)).reshape(m * n, d),
+                                truth_rng).reshape(m, n)
         else:
-            x_idx = fixed_idx
-        stat = form.total(form.g.take(x_idx, axis=0))
-        for fi in range(len(families)):
-            for ei in range(len(eps_grid)):
-                err = runners[(fi, ei)].estimate(x_idx, _rng(config.seed, 2, fi, ei, t)) - stat
-                sq_err[fi, ei] += err * err
+            x_idx = np.broadcast_to(fixed_idx, (m, n))
+        stat = form.total(g.take(x_idx, axis=0))
+        for r, (runner, rng) in enumerate(runners):
+            err = runner.estimate(x_idx, rng) - stat
+            sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)
 
     rows = []
-    for fi, fam in enumerate(families):
-        for ei, eps in enumerate(eps_grid):
-            emp = float(np.sum(sq_err[fi, ei])) / config.trials
-            rows.append(CurveRow(epsilon=eps, family=fam.value,
-                                 metric=math.sqrt(emp / n),
-                                 trials=config.trials))
-            if fixed_idx is None:
-                cf = _closed_form_row(fam, pop, task, eps)
-                if cf is not None:
-                    rows.append(cf)
+    for (runner, _), errs in zip(runners, sq_err):
+        spread = float(np.std(errs, ddof=1)) if trials > 1 else math.nan
+        rows.append(CurveRow(epsilon=runner.eps, family=runner.family.value,
+                             metric=math.sqrt(float(np.mean(errs)) / n), trials=trials,
+                             mse_stderr=spread / (n * math.sqrt(trials))))
+        if fixed_idx is None:
+            total = closed_form_total_mse(runner.family, pop, task, runner.eps)
+            rows.append(CurveRow(epsilon=runner.eps, family=runner.family.value,
+                                 metric=math.sqrt(total / n), trials=0))
 
     curve = TradeoffCurve(rows=rows, metadata={
         "population": f"N={n},d={domain.size}"
                       + (",fixed" if fixed_idx is not None else ""),
         "task": type(task).__name__.lower(),
-        "trials": config.trials,
+        "trials": trials,
         "seed": config.seed,
+        "stream_layout": STREAM_LAYOUT,
     })
     return curve.sort()
 

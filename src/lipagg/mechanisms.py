@@ -298,3 +298,16 @@ def oue_perturb(oue: OUEChannel, x_idx: np.ndarray, rng) -> np.ndarray:
     hot[np.arange(n), x_idx] = True
     bits[hot] = u[hot] < oue.keep_prob
     return bits.astype(np.int8)
+
+
+def oue_counts(oue: OUEChannel, hot: np.ndarray, rng) -> np.ndarray:
+    """Per-bucket counts of set bits in the unary-encoded reports of users
+    whose true bucket counts are ``hot``, shape (..., d), without drawing
+    the bits: bucket k counts Binomial(n_k, keep) + Binomial(N - n_k, flip)
+    with N = the row total.  Both terms come from one ``binomial`` call on a
+    stacked (..., 2, d) array, so the draws follow the leading axes in
+    order and a stream split into consecutive calls gives the same counts."""
+    hot = np.asarray(hot, dtype=np.int64)
+    trials = np.stack([hot, hot.sum(axis=-1, keepdims=True) - hot], axis=-2)
+    probs = np.array([[oue.keep_prob], [oue.flip_up_prob]])
+    return _coerce_rng(rng).binomial(trials, probs).sum(axis=-2)

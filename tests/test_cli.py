@@ -257,3 +257,58 @@ def test_curve_family_task_mismatch_exit_2(capsys):
     assert run_cli("analyze", "curve", "--families", "symmetric-rr", "--task", "summation",
                    "--p1", "0.3", "--eps-grid", "1") == 2
     assert "symmetric-rr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"families": []},
+    {"eps_grid": []},
+    {"families": ["opt-binary-lip", "opt-binary-lip"]},
+    {"eps_grid": [1.0, 1.0]},
+    {"trials": True},
+    {"trials": 2.7},
+    {"seed": 2.5},
+    {"population": {"n": 5.5, "prior_mode": "local-uniform"}},
+    {"population": {"n": 5, "prior_mode": "local-uniform", "d": 3.7}},
+], ids=["empty-families", "empty-eps-grid", "repeated-family", "repeated-eps",
+        "bool-trials", "fractional-trials", "fractional-seed", "fractional-n",
+        "fractional-d"])
+def test_simulate_rejects_configs_that_would_run_empty_or_truncated(tmp_path, capsys, change):
+    cfg = {"task": {"kind": "survey"}, "families": ["opt-binary-lip"], "eps_grid": [1.0],
+           "trials": 5, "seed": 1,
+           "population": {"n": 5, "prior_mode": "local-uniform"}}
+    cfg.update(change)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_json_rows_carry_standard_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "task": {"kind": "survey"}, "families": ["opt-binary-lip"], "eps_grid": [1.0],
+        "trials": 20, "seed": 1, "format": "json",
+        "population": {"n": 5, "prior_mode": "global", "p1": 0.3}}))
+    assert run_cli("simulate", "--config", str(cfg_path)) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["metadata"]["stream_layout"] == 2
+    assert {r["trials"]: r["mse_stderr"] > 0.0 for r in blob["rows"]} == {0: False, 20: True}
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lipagg
+
+    env = dict(os.environ)
+    src = str(Path(lipagg.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "lipagg", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "simulate" in done.stdout

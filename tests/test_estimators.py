@@ -15,6 +15,7 @@ from lipagg import (
     context_free_estimate,
     estimate,
     opt_binary_lip,
+    oue_count_estimate,
     oue_histogram_estimate,
     posterior,
 )
@@ -230,3 +231,17 @@ def test_oue_estimate_unbiased():
     est = acc / trials
     sigma = math.sqrt(s_true.max() / trials) * 1.2
     assert np.max(np.abs(est - s_true)) <= 4 * sigma
+
+
+def test_stacked_trials_estimate_row_by_row():
+    rng = np.random.Generator(np.random.Philox(6))
+    obs = (rng.random((5, 40)) < 0.3).astype(float)
+    stacked = context_free_estimate(obs, 1.2)
+    assert stacked.shape == (5,)
+    assert np.array_equal(stacked, [context_free_estimate(row, 1.2) for row in obs])
+    assert isinstance(context_free_estimate(obs[0], 1.2), float)
+    reports = (rng.random((40, 4)) < 0.4).astype(np.int8)
+    assert np.array_equal(oue_histogram_estimate(reports, 4, 40, 1.2),
+                          oue_count_estimate(reports.sum(axis=0), 40, 1.2))
+    with pytest.raises(ZeroEpsilonError):
+        oue_count_estimate(np.zeros(4), 40, 0.0)

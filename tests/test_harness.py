@@ -15,14 +15,19 @@ from lipagg import (
     Summation,
     Survey,
     WeightedSum,
+    context_free_estimate,
+    estimate,
     generate_population,
     ingest,
     load_population,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
     mse_mimo,
+    opt_binary_ldp,
+    opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
+    oue_count_estimate,
     run_experiment,
     save_population,
     tradeoff_curve,
@@ -34,7 +39,7 @@ from lipagg.errors import (
     ParseError,
     UnreachableOutputError,
 )
-from lipagg.mechanisms import MechanismFamily
+from lipagg.mechanisms import MechanismFamily, check_family_task
 
 
 def test_generate_population_global():
@@ -120,7 +125,7 @@ def test_mimo_histogram_runs_and_matches_closed_form():
     emp = {r.family: r.metric for r in rows if r.trials > 0}
     cf = {r.family: r.metric for r in rows if r.trials == 0}
     assert emp["opt-mimo-lip"] == pytest.approx(cf["opt-mimo-lip"], rel=0.2)
-    # the unary-encoding formula under-counts by the data-dependent term
+    # the unary-encoding closed form counts the hot bit's own variance
     assert emp["oue"] == pytest.approx(cf["oue"], rel=0.3)
     assert emp["opt-mimo-lip"] < emp["oue"]
     # the binary optimum's closed form counts both buckets of the histogram
@@ -323,3 +328,184 @@ def test_fixed_value_outside_prior_support_is_unreachable():
     ldp = ExperimentConfig(task=Survey(1.0), families=("opt-mimo-ldp",), eps_grid=(2.0,),
                            trials=5, seed=0, population=pop, fixed_values=np.ones(10))
     assert math.isfinite(run_experiment(ldp).rows[0].metric)
+
+
+# ---------------------------------------------------------------------------
+# config validation, standard errors, chunked streams
+# ---------------------------------------------------------------------------
+
+_BAD_CONFIGS = {
+    "empty families": dict(families=()),
+    "empty eps grid": dict(eps_grid=()),
+    "repeated family": dict(families=("opt-binary-lip", "opt-binary-lip")),
+    "repeated family by tag and member": dict(
+        families=("opt-binary-lip", MechanismFamily.OPT_BINARY_LIP)),
+    "repeated eps": dict(eps_grid=(1.0, 0.5, 1.0)),
+    "bool trials": dict(trials=True),
+    "fractional trials": dict(trials=2.7),
+    "float trials": dict(trials=3.0),
+    "fractional seed": dict(seed=1.5),
+    "negative seed": dict(seed=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_config_rejects_empty_repeated_or_non_integer_entries(case):
+    pop = generate_population(5, "global", seed=1, p1=0.3)
+    kwargs = dict(task=Survey(1.0), families=("opt-binary-lip",), eps_grid=(0.5, 1.0),
+                  trials=3, seed=0, population=pop)
+    kwargs.update(_BAD_CONFIGS[case])
+    with pytest.raises(ValueError):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    pop = generate_population(5, "global", seed=1, p1=0.3)
+    cfg = ExperimentConfig(task=Survey(1.0), families=("opt-binary-lip",),
+                           eps_grid=(1.0,), trials=np.int64(4), seed=np.int32(2),
+                           population=pop)
+    assert [r.trials for r in run_experiment(cfg).rows] == [0, 4]
+
+
+def _compatible_runs():
+    """(population, task, families) for every task and every family that
+    answers it, on the binary and a 3-ary domain."""
+    binary = generate_population(12, "local-uniform", seed=31)
+    ternary = generate_population(12, "local-uniform", seed=31, domain=Domain.of_size(3))
+    weights = np.linspace(0.5, 2.0, 12)
+    tasks = (Survey(1.0), Summation(), WeightedSum(weights, np.full(12, 0.25)), Histogram())
+    for pop in (binary, ternary):
+        for task in tasks:
+            ok = []
+            for fam in MechanismFamily:
+                try:
+                    check_family_task(fam, task, pop.domain)
+                except ValueError:
+                    continue
+                ok.append(fam.value)
+            yield pop, task, tuple(ok)
+
+
+def test_monte_carlo_rows_agree_with_closed_form_within_five_standard_errors():
+    """Every synthetic Monte-Carlo row, over the four tasks and each family
+    that answers them (frozen seed 17): |metric_mc^2 - metric_cf^2| <=
+    5 mse_stderr.  mse_stderr is sd(T)/(N sqrt(R)) over the per-trial
+    squared errors T, the standard error of metric_mc^2, whose mean is the
+    closed form; 5 standard errors leave about 6e-7 two-sided per row."""
+    checked = 0
+    for pop, task, families in _compatible_runs():
+        cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
+                               trials=3000, seed=17, population=pop)
+        rows = run_experiment(cfg).rows
+        cf = {(r.family, r.epsilon): r.metric ** 2 for r in rows if r.trials == 0}
+        for r in rows:
+            if r.trials == 0:
+                assert r.mse_stderr == 0.0
+                continue
+            assert r.mse_stderr > 0.0
+            gap = abs(r.metric ** 2 - cf[(r.family, r.epsilon)])
+            assert gap <= 5.0 * r.mse_stderr, (type(task).__name__, pop.domain.size,
+                                               r, cf[(r.family, r.epsilon)])
+            checked += 1
+    # binary: 5 + 4 + 4 + 5 families, 3-ary: 2 + 2 + 2 + 3, at two budgets
+    assert checked == 2 * 27
+
+
+def _recorded_run(monkeypatch, cfg, block):
+    """Run ``cfg`` with ``harness._BLOCK = block``, recording every sampled
+    index and unary-encoding count array by the generator it was drawn from."""
+    from lipagg import harness
+
+    draws = {}
+
+    def record(fn):
+        def wrapper(arg, *rest):
+            out = fn(arg, *rest)
+            draws.setdefault(id(rest[-1]), []).append(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    monkeypatch.setattr(harness, "sample_rows", record(harness.sample_rows))
+    monkeypatch.setattr(harness, "oue_counts", record(harness.oue_counts))
+    try:
+        curve = run_experiment(cfg)
+    finally:
+        monkeypatch.undo()
+    # streams in the order they were first read; draws joined across chunks
+    return curve, [np.concatenate(chunks) for chunks in draws.values()]
+
+
+@pytest.mark.parametrize("block_trials", [1, 7])
+def test_draws_and_rows_do_not_depend_on_the_chunk_size(monkeypatch, block_trials):
+    binary = generate_population(30, "local-uniform", seed=4)
+    ternary = generate_population(30, "local-uniform", seed=4, domain=Domain.of_size(3))
+    cases = ((binary, Survey(1.0), ("opt-binary-lip", "opt-mimo-ldp", "symmetric-rr")),
+             (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
+    for pop, task, families in cases:
+        cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
+                               trials=40, seed=12, population=pop)
+        d = pop.domain.size
+        base, base_draws = _recorded_run(monkeypatch, cfg, 1 << 16)
+        assert all(len(x) == 40 * 30 or x.shape == (40, d) for x in base_draws)
+        got, got_draws = _recorded_run(monkeypatch, cfg, block_trials * 30 * d)
+        assert len(got_draws) == len(base_draws) == 1 + 2 * len(families)
+        for a, b in zip(base_draws, got_draws):
+            assert np.array_equal(a, b)
+        assert len(got.rows) == len(base.rows)
+        for a, b in zip(base.rows, got.rows):
+            assert (a.family, a.epsilon, a.trials) == (b.family, b.epsilon, b.trials)
+            assert b.metric == pytest.approx(a.metric, rel=1e-12, abs=0.0)
+            assert b.mse_stderr == pytest.approx(a.mse_stderr, rel=1e-12, abs=0.0)
+
+
+def _dense_channels(family, pop, eps):
+    dom = pop.domain
+    if family == "opt-binary-lip":
+        return [opt_binary_lip(float(p[1]), eps) for p in pop.priors]
+    if family == "opt-binary-ldp":
+        return opt_binary_ldp(eps)
+    if family == "opt-mimo-lip":
+        return [opt_mimo_lip(pop.prior(i), eps, dom) for i in range(pop.n_users)]
+    return opt_mimo_ldp(dom.size, eps, dom)
+
+
+def test_chunked_rows_match_a_per_trial_reference_loop(monkeypatch):
+    """Replays the recorded draws trial by trial through the reference
+    estimators (``estimators.estimate`` on the dense channels,
+    ``context_free_estimate`` and ``oue_count_estimate`` on one trial) and
+    rebuilds every Monte-Carlo row; the chunked run agrees to 1e-9
+    relative (the dense channels are renormalized, so the posteriors
+    differ from the keep-or-resample ones in the last bits)."""
+    binary = generate_population(9, "local-uniform", seed=8)
+    ternary = generate_population(9, "local-uniform", seed=8, domain=Domain.of_size(3))
+    cases = ((binary, WeightedSum(np.linspace(1.0, 3.0, 9), np.ones(9)),
+              ("opt-binary-lip", "opt-binary-ldp")),
+             (binary, Survey(1.0), ("opt-mimo-lip", "symmetric-rr")),
+             (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
+    trials, grid = 25, (0.5, 2.0)
+    for pop, task, families in cases:
+        n, d = pop.priors.shape
+        cfg = ExperimentConfig(task=task, families=families, eps_grid=grid,
+                               trials=trials, seed=3, population=pop)
+        curve, draws = _recorded_run(monkeypatch, cfg, 4 * n * d)
+        truth = draws[0].reshape(trials, n)
+        values = pop.domain.values
+        rows = {(r.family, r.epsilon): r.metric for r in curve.rows if r.trials}
+        exact = opt_mimo_ldp(d, 800.0, pop.domain)  # the identity: estimates the truth
+        for k, (fam, eps) in enumerate((f, e) for f in families for e in grid):
+            sq = []
+            for t in range(trials):
+                stat = estimate(task, pop, exact, values[truth[t]]).value
+                if fam == "oue":
+                    est = oue_count_estimate(draws[1 + k][t], n, eps)
+                else:
+                    y = draws[1 + k].reshape(trials, n)[t]
+                    if fam == "symmetric-rr":
+                        est = context_free_estimate(y, eps)
+                    else:
+                        est = estimate(task, pop, _dense_channels(fam, pop, eps),
+                                       values[y]).value
+                sq.append(np.sum((np.asarray(est) - stat) ** 2))
+            assert rows[(fam, eps)] == pytest.approx(math.sqrt(np.mean(sq) / n), rel=1e-9)
+

@@ -20,6 +20,7 @@ from lipagg import (
     opt_mimo_ldp,
     opt_mimo_lip,
     oue_channel,
+    oue_counts,
     oue_perturb,
     output_distribution,
     perturb,
@@ -230,3 +231,26 @@ def test_oue_perturb_rates():
     assert abs(keep_rate - 0.5) <= 3 * math.sqrt(0.25 / n)
     q = ch.flip_up_prob
     assert abs(flip_rate - q) <= 3 * math.sqrt(q * (1 - q) / (4 * n))
+
+
+def test_oue_counts_match_the_binomial_moments():
+    """Frozen seed 41, R = 20000 draws at N = 60: the per-bucket mean of
+    ``oue_counts`` is n_k/2 + (N - n_k) f and its variance the exact
+    n_k/4 + (N - n_k) f (1 - f), each within 5 standard errors.  The
+    standard error of the sample variance uses the exact fourth central
+    moment mu4 = kappa4 + 3 kappa2^2, with binomial cumulants
+    kappa2 = n p q and kappa4 = n p q (1 - 6 p q) added over both terms."""
+    ch = oue_channel(4, 1.5)
+    hot = np.array([30, 20, 10, 0])
+    n, trials, f = hot.sum(), 20_000, ch.flip_up_prob
+    counts = oue_counts(ch, np.tile(hot, (trials, 1)), np.random.Generator(np.random.Philox(41)))
+    assert counts.shape == (trials, 4)
+    pq = np.array([[0.25], [f * (1.0 - f)]])
+    sizes = np.stack([hot, n - hot])
+    mean = hot * 0.5 + (n - hot) * f
+    var = np.sum(sizes * pq, axis=0)
+    mu4 = np.sum(sizes * pq * (1.0 - 6.0 * pq), axis=0) + 3.0 * var ** 2
+    var_se = np.sqrt(mu4 / trials - var ** 2 * (trials - 3) / (trials * (trials - 1)))
+    assert np.all(np.abs(counts.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / trials))
+    assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) <= 5.0 * var_se)
+
