@@ -27,6 +27,8 @@ from .core import (
     Summation,
     Survey,
     WeightedSum,
+    check_real,
+    check_reals,
     validate_channel,
 )
 from .errors import InfeasibleError, ValidationError
@@ -41,7 +43,6 @@ from .harness import (
 )
 from .mechanisms import (
     MechanismFamily,
-    check_family_task,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
@@ -55,7 +56,7 @@ from .notions import audit as audit_channel
 def parse_eps_grid(spec) -> list[float]:
     """Accept "start:stop:step" (inclusive) or a comma list or a JSON list."""
     if isinstance(spec, (list, tuple)):
-        return [float(e) for e in spec]
+        return [check_real("eps grid entry", e) for e in spec]
     text = str(spec)
     if ":" in text:
         parts = text.split(":")
@@ -159,119 +160,120 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _task_from_args(kind: str, target: float, n: int):
+def _given(**flags) -> dict:
+    """The flags given on the command line; argparse leaves the others None."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
+def _keys(name: str, block, allowed: set) -> dict:
+    """``block``, if it is a JSON object with no key its reader would ignore."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {block!r}")
+    extra = sorted(set(block) - allowed)
+    if extra:
+        raise ValidationError(f"{name} does not take {', '.join(map(repr, extra))}")
+    return block
+
+
+def _population(block, seed: int) -> tuple[Population, np.ndarray | None]:
+    """A population block, from a config or from `analyze curve`'s flags:
+    ``{"file": path}``, an ingested population whose values stay fixed, or a
+    synthetic ``n, prior_mode, p1 | p_vector, d | values``.  Returns the
+    population and its fixed values (None for a synthetic one)."""
+    if isinstance(block, dict) and "file" in block:
+        path = _keys("a population file block", block, {"file"})["file"]
+        if not isinstance(path, str):
+            raise ValidationError(f"population file must be a path, got {path!r}")
+        return load_population(path)
+    _keys("population", block, {"n", "prior_mode", "p1", "p_vector", "d", "values"})
+    if "n" not in block:
+        raise ValidationError("a synthetic population needs n")
+    if "d" in block and "values" in block:
+        raise ValidationError("population takes d or values, not both")
+    domain = None
+    if "d" in block:
+        domain = Domain.of_size(block["d"])
+    if "values" in block:
+        domain = Domain(check_reals("values", block["values"]))
+    p1 = check_real("p1", block["p1"]) if "p1" in block else None
+    p_vector = check_reals("p_vector", block["p_vector"]) if "p_vector" in block else None
+    return generate_population(block["n"], block.get("prior_mode", "global"), seed,
+                               p1=p1, p_vector=p_vector, domain=domain), None
+
+
+def _task(block, n: int):
+    """A task block: ``kind`` (default survey) plus survey's ``target``
+    (default 1) or weighted-sum's ``coefficients`` and ``offsets`` (default
+    all 1 and all 0)."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"task must be a JSON object, got {block!r}")
+    kind = block.get("kind", "survey")
+    takes = {"survey": {"target"}, "summation": set(), "histogram": set(),
+             "weighted-sum": {"coefficients", "offsets"}}
+    if not isinstance(kind, str) or kind not in takes:
+        raise ValidationError(f"unknown task {kind!r}")
+    _keys(f"a {kind} task", block, {"kind"} | takes[kind])
     if kind == "survey":
-        return Survey(target=target)
-    if kind == "summation":
-        return Summation()
-    if kind == "histogram":
-        return Histogram()
+        return Survey(target=check_real("target", block.get("target", 1.0)))
     if kind == "weighted-sum":
-        return WeightedSum(np.ones(n), np.zeros(n))
-    raise ValidationError(f"unknown task {kind!r}")
-
-
-def _population_from_args(args) -> Population:
-    if getattr(args, "population", None):
-        pop, _values = load_population(args.population)
-        return pop
-    if args.prior is not None:
-        return generate_population(args.n, args.prior_mode, args.seed,
-                                   p_vector=[float(p) for p in args.prior.split(",")])
-    if args.prior_mode == "local-uniform":
-        domain = Domain.of_size(args.d) if args.d else Domain.binary()
-        return generate_population(args.n, "local-uniform", args.seed, domain=domain)
-    if args.p1 is None:
-        raise ValidationError("global populations need --p1 or --prior")
-    return generate_population(args.n, "global", args.seed, p1=args.p1)
+        return WeightedSum(check_reals("coefficients", block.get("coefficients", [1.0] * n)),
+                           check_reals("offsets", block.get("offsets", [0.0] * n)))
+    return Summation() if kind == "summation" else Histogram()
 
 
 def _cmd_curve(args) -> int:
-    population = _population_from_args(args)
-    task = _task_from_args(args.task, args.target, population.n_users)
+    p_vector = None if args.prior is None else [float(p) for p in args.prior.split(",")]
+    block = _given(file=args.population, n=args.n, prior_mode=args.prior_mode,
+                   p1=args.p1, p_vector=p_vector, d=args.d)
+    if "file" not in block:
+        block.setdefault("n", 100)
+    population, _ = _population(block, args.seed)
+    task = _task(_given(kind=args.task, target=args.target), population.n_users)
     grid = parse_eps_grid(args.eps_grid)
-    families = [MechanismFamily.from_tag(tag.strip()) for tag in args.families.split(",")]
-    for fam in families:
-        check_family_task(fam, task, population.domain)
     merged = TradeoffCurve()
-    for fam in families:
-        merged.extend(tradeoff_curve(fam, population, task, grid))
+    for tag in args.families.split(","):
+        merged.extend(tradeoff_curve(MechanismFamily.from_tag(tag.strip()),
+                                     population, task, grid))
     _write(merged.to_json() if args.format == "json" else merged.to_csv(), args.out)
     return 0
-
-
-def _task_from_config(blob, n: int):
-    kind = blob.get("kind", "survey")
-    if kind == "weighted-sum":
-        coeffs = blob.get("coefficients")
-        offsets = blob.get("offsets")
-        if coeffs is None:
-            coeffs = [1.0] * n
-        if offsets is None:
-            offsets = [0.0] * n
-        return WeightedSum(coeffs, offsets)
-    return _task_from_args(kind, float(blob.get("target", 1.0)), n)
 
 
 def _cmd_simulate(args) -> int:
     cfg = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    if args.trials is not None:
-        cfg["trials"] = args.trials
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.eps_grid is not None:
-        cfg["eps_grid"] = args.eps_grid
-    if args.families is not None:
-        cfg["families"] = [f.strip() for f in args.families.split(",")]
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.format is not None:
-        cfg["format"] = args.format
+            cfg = _keys("the config", json.load(fh), {"task", "families", "eps_grid", "trials",
+                                                      "seed", "population", "out", "format"})
+    families = None if args.families is None else [f.strip() for f in args.families.split(",")]
+    cfg.update(_given(trials=args.trials, seed=args.seed, eps_grid=args.eps_grid,
+                      families=families, out=args.out, format=args.format))
+    families = cfg.get("families", ["opt-binary-lip"])
+    out, fmt = cfg.get("out"), cfg.get("format", "csv")
+    if not isinstance(families, list):
+        raise ValidationError(f"families must be a list, got {families!r}")
+    if out is not None and not isinstance(out, str):
+        raise ValidationError(f"out must be a path, got {out!r}")
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"format must be csv or json, got {fmt!r}")
 
-    pop_blob = cfg.get("population")
-    if pop_blob is None:
-        raise ValidationError("simulate needs a population block in the config")
-    fixed_values = None
-    if "file" in pop_blob:
-        population, fixed_values = load_population(pop_blob["file"])
-    else:
-        domain = None
-        if "d" in pop_blob:
-            domain = Domain.of_size(pop_blob["d"])
-        if "values" in pop_blob:
-            domain = Domain(pop_blob["values"])
-        population = generate_population(
-            pop_blob["n"], pop_blob.get("prior_mode", "global"),
-            cfg.get("seed", 0),
-            p1=pop_blob.get("p1"), p_vector=pop_blob.get("p_vector"),
-            domain=domain)
-
-    task = _task_from_config(cfg.get("task", {}), population.n_users)
+    seed = cfg.get("seed", 0)
+    population, fixed_values = _population(cfg.get("population"), seed)
     config = ExperimentConfig(
-        task=task,
-        families=tuple(cfg.get("families", ["opt-binary-lip"])),
+        task=_task(cfg.get("task", {}), population.n_users),
+        families=tuple(families),
         eps_grid=tuple(parse_eps_grid(cfg.get("eps_grid", "1:5:1"))),
         trials=cfg.get("trials", 1000),
-        seed=cfg.get("seed", 0),
+        seed=seed,
         population=population,
         fixed_values=fixed_values,
     )
     curve = run_experiment(config)
-    text = curve.to_json() if cfg.get("format", "csv") == "json" else curve.to_csv()
-    _write(text, cfg.get("out"))
+    _write(curve.to_json() if fmt == "json" else curve.to_csv(), out)
     return 0
 
 
 def _cmd_ingest(args) -> int:
-    bbox = None
-    if args.bbox is not None:
-        parts = [float(p) for p in args.bbox.split(",")]
-        if len(parts) != 4:
-            raise ValidationError("bbox must be lat_min,lat_max,lon_min,lon_max")
-        bbox = tuple(parts)
+    bbox = None if args.bbox is None else tuple(float(p) for p in args.bbox.split(","))
     spec = IngestSpec(
         mode=args.mode, column=args.column, threshold=args.threshold,
         lat_col=args.lat_col, lon_col=args.lon_col,
@@ -357,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     cur.add_argument("--families", required=True)
     cur.add_argument("--task", default="survey",
                      choices=["survey", "summation", "weighted-sum", "histogram"])
-    cur.add_argument("--target", type=float, default=1.0)
+    cur.add_argument("--target", type=float, default=None, help="survey target (default 1)")
     cur.add_argument("--eps-grid", required=True)
-    cur.add_argument("--n", type=int, default=100)
+    cur.add_argument("--n", type=int, default=None, help="population size (default 100)")
     cur.add_argument("--p1", type=float, default=None)
     cur.add_argument("--prior", default=None)
-    cur.add_argument("--prior-mode", default="global",
-                     choices=["global", "local-uniform"])
+    cur.add_argument("--prior-mode", default=None, choices=["global", "local-uniform"],
+                     help="default global")
     cur.add_argument("--d", type=int, default=None)
     cur.add_argument("--seed", type=int, default=0)
     cur.add_argument("--population", default=None,

@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
     RowSumMismatchError,
+    ValidationError,
 )
 
 PROB_TOL = 1e-12
@@ -313,3 +314,18 @@ def check_whole(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def check_real(name: str, value) -> float:
+    """Numbers read from files are reals, not bools, strings or nulls; raise
+    ``ValidationError`` naming ``name`` otherwise, rather than coerce."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_reals(name: str, value) -> list[float]:
+    """A list of reals, each checked as :func:`check_real`."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
+    return [check_real(f"{name} entry", v) for v in value]

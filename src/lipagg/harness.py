@@ -16,6 +16,7 @@ not its expectation.  Populations ingested from files keep their real
 values fixed across trials; only the perturbation is resampled.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -31,6 +32,8 @@ from .core import (
     Prior,
     TaskForm,
     check_epsilon,
+    check_real,
+    check_reals,
     check_whole,
     task_form,
 )
@@ -40,6 +43,7 @@ from .errors import (
     MissingColumnError,
     ParseError,
     UnreachableOutputError,
+    ValidationError,
 )
 from .estimators import context_free_estimate, oue_count_estimate
 from .mechanisms import (
@@ -65,27 +69,21 @@ def generate_population(n: int, prior_mode: str, seed: int = 0, *,
                         domain: Domain | None = None) -> Population:
     """Synthesize a population of priors.
 
-    ``prior_mode`` is "global" (every user shares p1 or p_vector) or
-    "local-uniform" (each user draws its own prior: p1 uniform on [0, 1]
-    for binary domains, a flat-Dirichlet simplex point otherwise).
+    ``prior_mode`` is "global" (every user shares p1 or p_vector: exactly
+    one of them) or "local-uniform" (each user draws its own prior: p1
+    uniform on [0, 1] for binary domains, a flat-Dirichlet simplex point
+    otherwise; p1 and p_vector are rejected there, not ignored).
     """
     check_whole("population size", n, 1)
     check_whole("seed", seed, 0)
     if prior_mode == "global":
-        if p1 is not None:
-            domain = domain or Domain.binary()
-            if domain.size != 2:
-                raise ValueError("p1 implies a binary domain")
-            priors = np.tile([1.0 - p1, p1], (n, 1))
-        elif p_vector is not None:
-            pv = Prior(p_vector)
-            domain = domain or Domain.of_size(pv.size)
-            priors = np.tile(pv.p, (n, 1))
-        else:
-            raise ValueError("global mode needs p1 or p_vector")
-        Prior(priors[0])
-        return Population(domain, priors)
+        if (p1 is None) == (p_vector is None):
+            raise ValueError("global mode needs exactly one of p1 and p_vector")
+        pv = Prior([1.0 - p1, p1] if p_vector is None else p_vector)
+        return Population(domain or Domain.of_size(pv.size), np.tile(pv.p, (n, 1)))
     if prior_mode == "local-uniform":
+        if p1 is not None or p_vector is not None:
+            raise ValueError("local-uniform draws each user's prior, so takes no p1 or p_vector")
         rng = _rng(seed, 7)
         domain = domain or Domain.binary()
         if domain.size == 2:
@@ -103,7 +101,8 @@ class ExperimentConfig:
 
     Families and budgets must be nonempty and distinct; trials and seed
     must be integers (bools are rejected), so a config never runs a
-    truncated or empty experiment without saying so."""
+    truncated or empty experiment without saying so.  Families are stored
+    as ``MechanismFamily`` members and budgets as floats."""
 
     task: AggregationTask
     families: tuple
@@ -116,14 +115,15 @@ class ExperimentConfig:
     def __post_init__(self):
         check_whole("trials", self.trials, 1)
         check_whole("seed", self.seed, 0)
-        families = [MechanismFamily.from_tag(f) if isinstance(f, str) else f
-                    for f in self.families]
-        eps_grid = [check_epsilon(e) for e in self.eps_grid]
+        families = tuple(f if isinstance(f, MechanismFamily) else MechanismFamily.from_tag(f)
+                         for f in self.families)
+        eps_grid = tuple(check_epsilon(e) for e in self.eps_grid)
         for name, items in (("families", families), ("eps_grid", eps_grid)):
             if not items:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(items)) != len(items):
                 raise ValueError(f"{name} has a repeated entry: {list(getattr(self, name))}")
+            object.__setattr__(self, name, items)
         task_form(self.task, self.population)
         n = self.population.n_users
         if self.fixed_values is not None and np.shape(self.fixed_values) != (n,):
@@ -206,9 +206,6 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     domain = pop.domain
     n, d = pop.n_users, domain.size
     trials = config.trials
-    families = [MechanismFamily.from_tag(f) if isinstance(f, str) else f
-                for f in config.families]
-    eps_grid = [float(e) for e in config.eps_grid]
     form = task_form(task, pop)
     fixed_idx = None
     if config.fixed_values is not None:
@@ -218,7 +215,8 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
 
     runners = [(_FamilyRunner(fam, eps, pop, task, form, fixed_idx),
                 _rng(config.seed, 2, fi, ei))
-               for fi, fam in enumerate(families) for ei, eps in enumerate(eps_grid)]
+               for fi, fam in enumerate(config.families)
+               for ei, eps in enumerate(config.eps_grid)]
     truth_rng = _rng(config.seed, 1)
     truth_cdf = np.cumsum(pop.priors, axis=1)
     g = form.g.reshape(d, -1)
@@ -269,7 +267,9 @@ class IngestSpec:
     """How to turn a CSV file into a population.
 
     mode: "binarize" (column vs threshold), "grid" (lat/lon into an
-    r x c grid of cells), or "categorical" (column values as categories).
+    r x c grid of cells over a bounding box of four finite numbers with
+    lat_min < lat_max and lon_min < lon_max), or "categorical" (column
+    values as categories).
     prior_source: "global" (empirical distribution over all users) or
     "per-user-history" (group rows by ``user_col``; each user's prior is
     their own empirical frequency and their value is their last event).
@@ -297,8 +297,13 @@ class IngestSpec:
         if self.mode == "grid":
             if None in (self.lat_col, self.lon_col) or self.bbox is None:
                 raise ValueError("grid needs lat/lon columns and a bounding box")
-            if self.grid_rows * self.grid_cols < 2:
-                raise ValueError("grid needs at least 2 cells")
+            if min(self.grid_rows, self.grid_cols) < 1 or self.grid_rows * self.grid_cols < 2:
+                raise ValueError("grid needs at least one row, one column and 2 cells")
+            box = np.asarray(self.bbox, dtype=float)
+            if not (box.shape == (4,) and -math.inf < box[0] < box[1] < math.inf
+                    and -math.inf < box[2] < box[3] < math.inf):
+                raise ValueError("bbox must be four finite numbers lat_min < lat_max, "
+                                 f"lon_min < lon_max, got {self.bbox}")
         if self.mode == "categorical" and self.column is None:
             raise ValueError("categorical needs a column")
         if self.prior_source not in ("global", "per-user-history"):
@@ -315,126 +320,96 @@ class IngestResult:
     labels: tuple = ()
 
 
-def _read_rows(path: str, needed: list[str]):
+def _read_columns(path: str, names: list[str]) -> list[list[str]]:
+    """The named columns of a CSV file, as lists of cells (a short row's
+    missing cells read as empty)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise EmptyInputError(f"{path} has no header row")
-        for col in needed:
+        for col in names:
             if col not in reader.fieldnames:
                 raise MissingColumnError(f"column {col!r} not in {path}")
         rows = list(reader)
     if not rows:
         raise EmptyInputError(f"{path} has no data rows")
-    return rows
+    return [[row[col] for row in rows] for col in names]
 
 
-def _parse_float(row, col, line):
-    raw = row[col]
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(line, f"column {col!r}: not a number: {raw!r}") from None
-
-
-def _encode(path: str, spec: IngestSpec):
-    """Per-event (user_key, category_index) pairs plus the domain/labels."""
-    if spec.mode == "binarize":
-        needed = [spec.column]
-    elif spec.mode == "grid":
-        needed = [spec.lat_col, spec.lon_col]
-    else:
-        needed = [spec.column]
-    if spec.prior_source == "per-user-history":
-        needed = needed + [spec.user_col]
-    rows = _read_rows(path, needed)
-
-    labels: tuple = ()
-    if spec.mode == "binarize":
-        d = 2
-        values = Domain.binary().values
-    elif spec.mode == "grid":
-        d = spec.grid_rows * spec.grid_cols
-        values = np.arange(d, dtype=float)
-    else:
-        raw = [row[spec.column] for row in rows]
-        try:
-            uniq = sorted({float(v) for v in raw})
-            labels = tuple(repr(v) for v in uniq)
-            lookup = {repr(float(v)): i for i, v in enumerate(uniq)}
-            keyfn = lambda v: repr(float(v))
-        except ValueError:
-            uniq = sorted(set(raw))
-            labels = tuple(uniq)
-            lookup = {v: i for i, v in enumerate(uniq)}
-            keyfn = lambda v: v
-        d = len(uniq)
-        if d < 2:
-            raise EmptyInputError("categorical column has fewer than 2 categories")
-        values = np.arange(d, dtype=float)
-
-    events = []
-    for i, row in enumerate(rows):
-        line = i + 2  # header is line 1
-        if spec.mode == "binarize":
-            x = 1 if _parse_float(row, spec.column, line) > spec.threshold else 0
-        elif spec.mode == "grid":
-            lat = _parse_float(row, spec.lat_col, line)
-            lon = _parse_float(row, spec.lon_col, line)
-            lat0, lat1, lon0, lon1 = spec.bbox
-            r = int((lat - lat0) / (lat1 - lat0) * spec.grid_rows)
-            c = int((lon - lon0) / (lon1 - lon0) * spec.grid_cols)
-            r = min(max(r, 0), spec.grid_rows - 1)
-            c = min(max(c, 0), spec.grid_cols - 1)
-            x = r * spec.grid_cols + c
-        else:
-            x = lookup[keyfn(row[spec.column])]
-        user = row[spec.user_col] if spec.prior_source == "per-user-history" else str(i)
-        events.append((user, x))
-    return events, Domain(values), labels
+def _finite(name: str, cells: list[str]) -> np.ndarray:
+    """A column as finite floats; ``ParseError`` names the first line that
+    is not one (the header is line 1)."""
+    out = np.full(len(cells), np.nan)
+    for i, cell in enumerate(cells):
+        with contextlib.suppress(ValueError):
+            out[i] = float(cell)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ParseError(int(bad[0]) + 2,
+                         f"column {name!r}: not a finite number: {cells[bad[0]]!r}")
+    return out
 
 
 def ingest(path: str, spec: IngestSpec) -> IngestResult:
     """Load a CSV into a population plus the ground-truth statistic.
 
     Grid points outside the bounding box are clipped into the border
-    cells.  Zero-prior categories are preserved in the domain; the
-    context-aware mechanism reduces them away on its own.
+    cells.  Categories are the column's distinct numbers or, when a cell
+    is not a finite number, its distinct strings, in ascending order; a
+    column holding both 0.0 and -0.0 is rejected.  Zero-prior categories
+    are preserved in the domain; the context-aware mechanism reduces them
+    away on its own.
     """
-    events, domain, labels = _encode(path, spec)
+    grid = spec.mode == "grid"
+    history = spec.prior_source == "per-user-history"
+    names = [spec.lat_col, spec.lon_col] if grid else [spec.column]
+    cols = _read_columns(path, names + ([spec.user_col] if history else []))
+
+    labels: tuple = ()
+    if spec.mode == "binarize":
+        x_idx = (_finite(spec.column, cols[0]) > spec.threshold).astype(int)
+        domain = Domain.binary()
+    elif grid:
+        lat0, lat1, lon0, lon1 = spec.bbox
+        r = np.trunc((_finite(spec.lat_col, cols[0]) - lat0) / (lat1 - lat0) * spec.grid_rows)
+        c = np.trunc((_finite(spec.lon_col, cols[1]) - lon0) / (lon1 - lon0) * spec.grid_cols)
+        x_idx = (np.clip(r, 0, spec.grid_rows - 1) * spec.grid_cols
+                 + np.clip(c, 0, spec.grid_cols - 1)).astype(int)
+        domain = Domain.of_size(spec.grid_rows * spec.grid_cols)
+    else:
+        try:
+            keys = _finite(spec.column, cols[0])
+        except ParseError:
+            uniq, x_idx = np.unique(cols[0], return_inverse=True)
+            labels = tuple(uniq.tolist())
+        else:
+            zero_signs = np.signbit(keys[keys == 0.0])
+            if 0 < zero_signs.sum() < zero_signs.size:
+                raise ValidationError(f"column {spec.column!r} holds both 0.0 and -0.0")
+            uniq, x_idx = np.unique(keys, return_inverse=True)
+            labels = tuple(map(repr, uniq.tolist()))
+        if uniq.size < 2:
+            raise EmptyInputError("categorical column has fewer than 2 categories")
+        domain = Domain.of_size(uniq.size)
     d = domain.size
 
-    if spec.prior_source == "per-user-history":
-        order: dict = {}
-        hist: dict = {}
-        for user, x in events:
-            if user not in order:
-                order[user] = len(order)
-                hist[user] = []
-            hist[user].append(x)
-        users = sorted(order, key=order.get)
-        n = len(users)
-        priors = np.zeros((n, d))
-        x_idx = np.zeros(n, dtype=int)
-        for i, user in enumerate(users):
-            ev = hist[user]
-            counts = np.bincount(ev, minlength=d).astype(float)
-            priors[i] = counts / counts.sum()
-            x_idx[i] = ev[-1]
-        population = Population(domain, priors, users)
-    else:
-        x_idx = np.array([x for _, x in events], dtype=int)
-        n = x_idx.shape[0]
-        freq = np.bincount(x_idx, minlength=d).astype(float) / n
-        population = Population(domain, np.tile(freq, (n, 1)))
-
-    x_values = domain.values[x_idx]
-    if spec.mode == "binarize":
-        statistic = float(np.sum(x_idx == 1))
-    else:
-        statistic = np.bincount(x_idx, minlength=d).astype(float)
-    return IngestResult(population=population, values=x_values,
-                        statistic=statistic, labels=labels)
+    if history:
+        users, first, inverse = np.unique(cols[-1], return_index=True, return_inverse=True)
+        order = np.argsort(first)  # users in first-seen order
+        n = order.size
+        events = np.argsort(order)[inverse] * d + x_idx  # (user, value) per row
+        seen = np.bincount(events, minlength=n * d).reshape(n, d).astype(float)
+        # each user's last row: its first in the reversed column
+        last = len(inverse) - 1 - np.unique(cols[-1][::-1], return_index=True)[1]
+        x_idx = x_idx[last[order]]
+        population = Population(domain, seen / seen.sum(axis=1, keepdims=True),
+                                users[order])
+    counts = np.bincount(x_idx, minlength=d).astype(float)
+    if not history:
+        population = Population(domain, np.tile(counts / x_idx.size, (x_idx.size, 1)))
+    return IngestResult(population=population, values=domain.values[x_idx],
+                        statistic=float(counts[1]) if spec.mode == "binarize" else counts,
+                        labels=labels)
 
 
 def save_population(result: IngestResult, path: str) -> None:
@@ -457,11 +432,18 @@ def save_population(result: IngestResult, path: str) -> None:
 
 
 def load_population(path: str) -> tuple[Population, np.ndarray]:
-    """Read a population JSON written by :func:`save_population`."""
+    """Read a population JSON written by :func:`save_population`; a missing
+    key or a value of the wrong type raises ``ValidationError``."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    domain = Domain(blob["domain"])
-    ids = [u["id"] for u in blob["users"]]
-    priors = np.array([u["prior"] for u in blob["users"]], dtype=float)
-    values = np.array([u["value"] for u in blob["users"]], dtype=float)
-    return Population(domain, priors, ids), values
+    try:
+        users = list(enumerate(blob["users"]))
+        ids = [str(u["id"]) for _, u in users]
+        priors = [check_reals(f"user {i} prior", u["prior"]) for i, u in users]
+        values = [check_real(f"user {i} value", u["value"]) for i, u in users]
+        domain = Domain(check_reals("domain", blob["domain"]))
+    except KeyError as exc:
+        raise ValidationError(f"{path}: a population file needs the key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"{path} is not a population file: {exc}") from None
+    return Population(domain, priors, ids), np.array(values)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lipagg.cli as cli
 from lipagg.errors import UnreachableOutputError
@@ -203,10 +207,14 @@ def test_infeasible_maps_to_exit_3(tmp_path, monkeypatch):
     assert run_cli("simulate", "--config", str(cfg_path)) == 3
 
 
+def _write_population(path, prior=(0.5, 0.5)):
+    path.write_text(json.dumps({"domain": [0.0, 1.0], "labels": [], "users": [
+        {"id": f"u{i}", "value": 1.0, "prior": list(prior)} for i in range(10)]}))
+
+
 def test_fixed_value_outside_prior_support_exit_3(tmp_path):
     pop = tmp_path / "pop.json"
-    pop.write_text(json.dumps({"domain": [0.0, 1.0], "labels": [], "users": [
-        {"id": f"u{i}", "value": 1.0, "prior": [1.0, 0.0]} for i in range(10)]}))
+    _write_population(pop, prior=(1.0, 0.0))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "task": {"kind": "survey"}, "families": ["opt-mimo-lip"], "eps_grid": [2.0],
@@ -259,6 +267,25 @@ def test_curve_family_task_mismatch_exit_2(capsys):
     assert "symmetric-rr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--prior", "0.1,0.2,0.7", "--prior-mode", "local-uniform"],
+    ["--p1", "0.3", "--d", "5"],
+    ["--p1", "0.3", "--prior-mode", "local-uniform"],
+    ["--p1", "0.3", "--prior", "0.7,0.3"],
+    ["--p1", "0.3", "--task", "summation", "--target", "1"],
+    ["--population", "pop.json", "--n", "5"],
+], ids=["prior-under-local-uniform", "p1-with-d", "p1-under-local-uniform",
+        "p1-with-prior", "target-on-summation", "population-file-with-n"])
+def test_curve_rejects_flags_it_would_ignore(tmp_path, monkeypatch, capsys, flags):
+    _write_population(tmp_path / "pop.json")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "curve.csv"
+    assert run_cli("analyze", "curve", "--families", "opt-binary-ldp", "--eps-grid", "1",
+                   "--out", str(out), *flags) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("change", [
     {"families": []},
     {"eps_grid": []},
@@ -269,14 +296,34 @@ def test_curve_family_task_mismatch_exit_2(capsys):
     {"seed": 2.5},
     {"population": {"n": 5.5, "prior_mode": "local-uniform"}},
     {"population": {"n": 5, "prior_mode": "local-uniform", "d": 3.7}},
+    {"trails": 5},
+    {"population": {"n": 5, "prior_mode": "local-uniform", "p1": 0.3}},
+    {"task": {"kind": "summation", "target": 1.0}},
+    {"population": {"prior_mode": "local-uniform"}},
+    [4],
+    {"population": [4]},
+    {"task": "survey"},
+    {"population": {"n": 5, "p1": "x"}},
+    {"families": 5},
+    {"population": {"n": 5, "p1": 0.3, "p_vector": [0.7, 0.3]}},
+    {"population": {"n": 5, "prior_mode": "local-uniform", "d": 2, "values": [0, 1]}},
+    {"population": {"file": "pop.json", "n": 5}},
+    {"task": {"kind": "weighted-sum", "coefficients": {"a": 1}}},
+    {"format": "xml"},
 ], ids=["empty-families", "empty-eps-grid", "repeated-family", "repeated-eps",
         "bool-trials", "fractional-trials", "fractional-seed", "fractional-n",
-        "fractional-d"])
-def test_simulate_rejects_configs_that_would_run_empty_or_truncated(tmp_path, capsys, change):
+        "fractional-d", "unknown-key", "p1-under-local-uniform", "target-on-summation",
+        "population-without-n", "config-not-an-object", "population-not-an-object",
+        "task-not-an-object", "string-p1", "number-families", "p1-with-p-vector",
+        "d-with-values", "population-file-with-n", "object-coefficients", "unknown-format"])
+def test_simulate_rejects_configs_that_would_run_empty_or_truncated(tmp_path, monkeypatch,
+                                                                   capsys, change):
+    _write_population(tmp_path / "pop.json")
+    monkeypatch.chdir(tmp_path)
     cfg = {"task": {"kind": "survey"}, "families": ["opt-binary-lip"], "eps_grid": [1.0],
            "trials": 5, "seed": 1,
            "population": {"n": 5, "prior_mode": "local-uniform"}}
-    cfg.update(change)
+    cfg = change if isinstance(change, list) else {**cfg, **change}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out.csv"
@@ -312,3 +359,60 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "simulate" in done.stdout
+
+
+def test_readme_experiment_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(block)
+    out = tmp_path / "out.csv"
+    assert run_cli("simulate", "--config", str(cfg_path), "--trials", "5",
+                   "--out", str(out)) == 0
+    assert out.read_text().startswith("epsilon,family,metric,trials\n")
+
+
+# Random JSON values, or values each key could take, under the config's own
+# keys and under junk keys; the output path is always the --out flag, which
+# overrides any "out" key.
+_LIKELY = st.sampled_from([
+    1, 2, 3, 5, 0.3, 1.0, [0.5, 0.5], [0.2, 0.3, 0.5], [0, 1], [1.0, 2.0, 3.0], [1, 1, 1, 1],
+    "summation", "histogram", "weighted-sum", "local-uniform", "json", "0.5:2:0.5",
+    ["oue"], ["opt-mimo-lip", "opt-mimo-ldp"], ["symmetric-rr"], ["opt-binary-ldp"]])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=6)
+    | st.floats(-2.0, 5.0) | st.sampled_from(["survey", "histogram", "weighted-sum",
+                                               "local-uniform", "global", "oue", "1:3:1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "n", "p1", "d", "file", "junk"]), inner, max_size=3),
+    max_leaves=6)
+_KEYS = {None: ["task", "families", "eps_grid", "trials", "seed", "population", "format",
+                "trails"],
+         "population": ["n", "prior_mode", "p1", "p_vector", "d", "values", "file", "pi"],
+         "task": ["kind", "target", "coefficients", "offsets", "targets"]}
+_EDITS = st.lists(st.sampled_from([(block, key) for block, keys in _KEYS.items()
+                                   for key in keys]).flatmap(
+    lambda where: st.tuples(st.just(where), _LIKELY | _JSON)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits=_EDITS)
+def test_simulate_maps_any_json_config_to_an_exit_code(tmp_path_factory, edits):
+    cfg = {"task": {"kind": "survey"}, "families": ["opt-binary-lip", "opt-mimo-ldp"],
+           "eps_grid": [1.0], "trials": 3, "seed": 1,
+           "population": {"n": 4, "prior_mode": "global", "p1": 0.3}}
+    for (block, key), value in edits:
+        target = cfg if block is None else cfg.get(block)
+        if isinstance(target, dict):
+            target[key] = value
+    work = tmp_path_factory.mktemp("cfg")
+    (work / "cfg.json").write_text(json.dumps(cfg))
+    here = os.getcwd()
+    os.chdir(work)  # a random "file" string resolves inside this empty directory
+    try:
+        code = run_cli("simulate", "--config", "cfg.json", "--out", "out.csv")
+    finally:
+        os.chdir(here)
+    assert code in (0, 2, 3)
+    assert (work / "out.csv").exists() == (code == 0)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from pathlib import Path
@@ -38,6 +39,7 @@ from lipagg.errors import (
     MissingColumnError,
     ParseError,
     UnreachableOutputError,
+    ValidationError,
 )
 from lipagg.mechanisms import MechanismFamily, check_family_task
 
@@ -61,6 +63,17 @@ def test_generate_population_uniform_mean():
     mean = pop.priors[:, 1].mean()
     sigma = math.sqrt(1.0 / 12.0 / 100_000)
     assert abs(mean - 0.5) <= 3 * sigma
+
+
+@pytest.mark.parametrize("mode, kwargs", [
+    ("local-uniform", dict(p1=0.3)),
+    ("local-uniform", dict(p_vector=[0.5, 0.5])),
+    ("global", dict(p1=0.3, p_vector=[0.7, 0.3])),
+    ("global", dict()),
+])
+def test_generate_population_rejects_unused_or_conflicting_priors(mode, kwargs):
+    with pytest.raises(ValueError):
+        generate_population(5, mode, seed=0, **kwargs)
 
 
 def test_generate_population_dirichlet_rows():
@@ -253,6 +266,23 @@ def test_ingest_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest(str(bad), IngestSpec(mode="binarize", column="clicks", threshold=1.0))
     assert err.value.line == 3
+    points = tmp_path / "p.csv"
+    points.write_text("lat,lon\n0.1,0.1\n0.9,0.9\n")
+    for bbox in ((0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.inf),
+                 (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="bbox"):
+            ingest(str(points), IngestSpec(mode="grid", lat_col="lat", lon_col="lon",
+                                           grid_rows=2, grid_cols=2, bbox=bbox))
+    for coord in ("inf", "nan", "-inf"):
+        points.write_text(f"lat,lon\n0.1,0.1\n0.5,0.5\n0.9,{coord}\n")
+        with pytest.raises(ParseError, match="lon") as err:
+            ingest(str(points), IngestSpec(mode="grid", lat_col="lat", lon_col="lon",
+                                           grid_rows=2, grid_cols=2, bbox=(0.0, 1.0, 0.0, 1.0)))
+        assert err.value.line == 4
+    zeros = tmp_path / "z.csv"
+    zeros.write_text("x\n0.0\n1.0\n-0.0\n")
+    with pytest.raises(ValidationError, match="0.0 and -0.0"):
+        ingest(str(zeros), IngestSpec(mode="categorical", column="x"))
 
 
 def test_population_roundtrip(tmp_path):
@@ -264,6 +294,16 @@ def test_population_roundtrip(tmp_path):
     pop, values = load_population(str(path))
     assert np.array_equal(values, res.values)
     assert np.array_equal(pop.priors, res.population.priors)
+    # a file with a user missing its value, or a value of the wrong type
+    blob = json.loads(path.read_text())
+    del blob["users"][1]["value"]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValidationError, match="'value'"):
+        load_population(str(path))
+    blob["users"][1]["value"] = "1.0"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValidationError, match="user 1 value must be a number"):
+        load_population(str(path))
 
 
 def test_fixture_clickstream_shape():
