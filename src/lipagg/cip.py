@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .core import Prior, check_epsilon
-from .errors import BudgetExceededError, NoFeasiblePointError
+from .errors import NoFeasiblePointError
 from .mechanisms import opt_mimo_lip
 
 _BAND_TOL = 1e-9
@@ -35,6 +35,9 @@ _BAND_TOL = 1e-9
 # at a time) and not at large m (at m = 201 seven starts took 9 s for 3
 # sweeps, one at a time 7 s, on a 2-core Xeon)
 _LOCKSTEP_CELLS = 1 << 16
+_RANDOM_STARTS = 4  # seeded Dirichlet starts besides the fixed ones
+_MAX_SWEEPS = 40
+_FRACTIONS = (1.0, 0.5, 0.25)  # shares of a source column's mass a move may carry, in (0, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +55,10 @@ class CipInstance:
         object.__setattr__(self, "n_users", int(n_users))
         object.__setattr__(self, "p1", float(p1))
         object.__setattr__(self, "eps", check_epsilon(eps))
-        prior = binom.pmf(np.arange(n_users + 1), n_users, p1)
+        try:
+            prior = binom.pmf(np.arange(n_users + 1), n_users, p1)
+        except OverflowError:  # scipy's pmf overflows for p1 within ~100x of DBL_MIN
+            prior = np.exp(binom.logpmf(np.arange(n_users + 1), n_users, p1))
         prior.setflags(write=False)
         object.__setattr__(self, "s_prior", prior)
 
@@ -150,7 +156,7 @@ def _threshold_start(prior, svals, m):
     return q
 
 
-def _feasible_starts(instance: CipInstance, m: int, n_random_starts: int, seed: int):
+def _feasible_starts(instance: CipInstance, m: int, seed: int):
     """The search's starts, each blended toward the constant mechanism
     until band-feasible, and how many needed a blend."""
     band = cip_band(instance)
@@ -163,7 +169,7 @@ def _feasible_starts(instance: CipInstance, m: int, n_random_starts: int, seed: 
     starts = [const, _threshold_start(prior, svals, m)]
     if m == instance.n_users + 1:
         starts.append(lip_seed_mechanism(instance))
-    for _ in range(n_random_starts):
+    for _ in range(_RANDOM_STARTS):
         starts.append(rng.dirichlet(np.ones(m), size=svals.shape[0]))
 
     feasible, blended = [], 0
@@ -180,7 +186,7 @@ def _feasible_starts(instance: CipInstance, m: int, n_random_starts: int, seed: 
     return feasible, blended
 
 
-def _ascend(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
+def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint,
     run in lockstep over a stack of starts Q (S, N+1, m).
 
@@ -210,7 +216,7 @@ def _ascend(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
         moved = np.zeros(n_starts, dtype=bool)
         a = active.size
         for s in np.flatnonzero(prior > 0.0):
-            for frac in fractions:
+            for frac in _FRACTIONS:
                 delta = frac * Q[active, s]  # mass leaving each source column
                 dm = prior[s] * delta
                 w_a, t_a, tw_a = w[active], t[active], tw[active]
@@ -250,35 +256,26 @@ def _ascend(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
     return Q, [_objective(*wt) for wt in zip(w, t)], sweeps.tolist()
 
 
-def cip_search(instance: CipInstance, output_size: int = 2,
-               n_random_starts: int = 4, max_sweeps: int = 40,
-               seed: int = 0,
-               fractions=(1.0, 0.5, 0.25)) -> CipSearchResult:
+def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> CipSearchResult:
     """Best mechanism found by multi-start coordinate ascent.
 
     ``output_size`` may be anything from 2 to N+1; passing N+1 puts the
     always-feasible context-aware seed in the start set.  Infeasible
     starts are blended toward the constant mechanism until feasible; the
     constant mechanism itself is always a valid start, so the search
-    cannot come up empty.  ``fractions`` are the shares of a source
-    column's mass a move may carry, each in (0, 1].
+    cannot come up empty.
     """
     if not 2 <= output_size <= instance.n_users + 1:
         raise ValueError("output_size must lie in {2, ..., N+1}")
-    if max_sweeps < 1:
-        raise BudgetExceededError("at least one sweep is required")
-    fractions = tuple(fractions)
-    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
-        raise ValueError(f"fractions must be a non-empty sequence in (0, 1], got {fractions}")
     band = cip_band(instance)
     svals = np.arange(instance.n_users + 1, dtype=float)
     tol = _BAND_TOL * max(1.0, instance.n_users)
-    starts, blended = _feasible_starts(instance, output_size, n_random_starts, seed)
+    starts, blended = _feasible_starts(instance, output_size, seed)
     group = max(1, _LOCKSTEP_CELLS // output_size ** 2)
     Q, values, sweeps = [], [], []
     for i in range(0, len(starts), group):
         q, v, n = _ascend(np.stack(starts[i:i + group]), instance.s_prior, svals,
-                          band.lower, band.upper, tol, fractions, max_sweeps)
+                          band.lower, band.upper, tol)
         Q.extend(q)
         values += v
         sweeps += n

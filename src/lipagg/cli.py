@@ -12,6 +12,8 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from dataclasses import fields
 from decimal import Decimal
 
 import numpy as np
@@ -72,10 +74,6 @@ def parse_eps_grid(spec) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _parse_prior(text: str) -> Prior:
-    return Prior([float(p) for p in text.split(",")])
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -89,74 +87,83 @@ def _matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_num(x: float):
-    return "inf" if math.isinf(x) else x
+def _emit(blob: dict, args) -> None:
+    """A flat record as ``key,repr`` lines, or as sorted JSON with inf as "inf"."""
+    if args.format == "json":
+        blob = {key: "inf" if value == math.inf else value for key, value in blob.items()}
+        _write(json.dumps(blob, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _write("".join(f"{key},{value!r}\n" for key, value in blob.items()), args.out)
 
 
-def _derive_channel(args):
-    fam = MechanismFamily.from_tag(args.family)
-    if fam is MechanismFamily.OPT_BINARY_LIP:
-        if args.p1 is None:
-            raise ValidationError("opt-binary-lip needs --p1")
-        return opt_binary_lip(args.p1, args.eps)
-    if fam is MechanismFamily.OPT_BINARY_LDP:
-        return opt_binary_ldp(args.eps)
-    if fam is MechanismFamily.SYMMETRIC_RR:
-        return symmetric_rr(args.eps)
-    if fam is MechanismFamily.OPT_MIMO_LIP:
-        if args.prior is None:
-            raise ValidationError("opt-mimo-lip needs --prior")
-        return opt_mimo_lip(_parse_prior(args.prior), args.eps)
-    if fam is MechanismFamily.OPT_MIMO_LDP:
-        if args.d is None:
-            raise ValidationError("opt-mimo-ldp needs --d")
-        return opt_mimo_ldp(args.d, args.eps)
-    if fam is MechanismFamily.OUE:
-        if args.d is None:
-            raise ValidationError("oue needs --d")
-        ch = oue_channel(args.d, args.eps)
-        # per-bit channel: rows are (bit stays 0, bit becomes 1) probabilities
-        return Channel(np.array([[1.0 - ch.flip_up_prob, ch.flip_up_prob],
-                                 [1.0 - ch.keep_prob, ch.keep_prob]]))
-    raise ValidationError(f"unknown family {args.family!r}")
+def _prior(args) -> Prior:
+    """``--prior``, or ``--p1 x`` as shorthand for ``--prior 1-x,x``."""
+    if (args.p1 is None) == (args.prior is None):
+        raise ValidationError("give exactly one of --p1 and --prior")
+    if args.p1 is not None:
+        return Prior.binary(args.p1)
+    return Prior([float(p) for p in args.prior.split(",")])
+
+
+def _binary_p1(prior: Prior) -> float:
+    if prior.size != 2:
+        raise ValidationError(f"opt-binary-lip needs a binary prior, got {prior.size} entries")
+    return float(prior.p[1])
+
+
+# Each family: what it reads besides --eps (the prior from --p1 or --prior, the
+# width from --d in `derive` and the prior's size in `audit`, or nothing), its channel.
+_FAMILIES = {
+    "opt-binary-lip": ("prior", lambda eps, prior: opt_binary_lip(_binary_p1(prior), eps)),
+    "opt-mimo-lip": ("prior", lambda eps, prior: opt_mimo_lip(prior, eps)),
+    "opt-mimo-ldp": ("width", lambda eps, d: opt_mimo_ldp(d, eps)),
+    "opt-binary-ldp": (None, lambda eps, _: opt_binary_ldp(eps)),
+    "symmetric-rr": (None, lambda eps, _: symmetric_rr(eps)),
+    "oue": (None, lambda eps, _: oue_channel(2, eps).bit_channel()),  # the same for any d
+}
+
+
+def _family(args):
+    if args.family not in _FAMILIES:
+        raise ValidationError(f"--family takes one of {', '.join(_FAMILIES)}")
+    if args.eps is None:
+        raise ValidationError(f"--family {args.family} needs --eps")
+    return _FAMILIES[args.family]
 
 
 def _cmd_mechanism(args) -> int:
-    ch = _derive_channel(args)
+    reads, build = _family(args)
+    for flag, what in (("p1", "prior"), ("prior", "prior"), ("d", "width")):
+        if getattr(args, flag) is not None and what != reads:
+            raise ValidationError(f"--family {args.family} does not read --{flag}")
+    if reads == "width" and args.d is None:
+        raise ValidationError(f"--family {args.family} needs --d")
+    ch = build(args.eps, _prior(args) if reads == "prior" else args.d)
     if args.format == "json":
-        blob = {"family": args.family, "eps": args.eps,
-                "matrix": [[float(v) for v in row] for row in ch.matrix]}
-        _write(json.dumps(blob, indent=2, sort_keys=True) + "\n", args.out)
+        _emit({"family": args.family, "eps": args.eps, "matrix": ch.matrix.tolist()}, args)
     else:
         _write(_matrix_csv(ch.matrix), args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    if args.channel_file is not None:
-        matrix = np.loadtxt(args.channel_file, delimiter=",", ndmin=2)
+    prior = _prior(args)  # audited against, and read by a context-aware --family
+    if args.channel_file is None:
+        reads, build = _family(args)
+        ch = build(args.eps, prior.size if reads == "width" else prior)
+    elif args.family is not None or args.eps is not None:
+        raise ValidationError("audit takes --channel-file, or --family and --eps")
+    else:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt", UserWarning)  # no rows: named below
+            matrix = np.loadtxt(args.channel_file, delimiter=",", ndmin=2)
+        if matrix.size == 0:
+            raise ValidationError(f"channel file {args.channel_file} holds no rows")
         ch = Channel(matrix)
         validate_channel(ch)
-        if args.prior is None:
-            raise ValidationError("audit of a channel file needs --prior")
-        prior = _parse_prior(args.prior)
-    else:
-        ch = _derive_channel(args)
-        if args.prior is not None:
-            prior = _parse_prior(args.prior)
-        elif args.p1 is not None:
-            prior = Prior.binary(args.p1)
-        else:
-            raise ValidationError("audit needs --prior or --p1")
     report = audit_channel(ch, prior)
-    if args.format == "json":
-        blob = {"ldp_eps": _json_num(report.ldp_eps),
-                "lip_eps": _json_num(report.lip_eps),
-                "mip_nats": report.mip_nats}
-        _write(json.dumps(blob, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _write(f"ldp_eps,{report.ldp_eps!r}\nlip_eps,{report.lip_eps!r}\n"
-               f"mip_nats,{report.mip_nats!r}\n", args.out)
+    _emit({"ldp_eps": report.ldp_eps, "lip_eps": report.lip_eps,
+           "mip_nats": report.mip_nats}, args)
     return 0
 
 
@@ -273,14 +280,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    bbox = None if args.bbox is None else tuple(float(p) for p in args.bbox.split(","))
-    spec = IngestSpec(
-        mode=args.mode, column=args.column, threshold=args.threshold,
-        lat_col=args.lat_col, lon_col=args.lon_col,
-        grid_rows=args.grid_rows, grid_cols=args.grid_cols, bbox=bbox,
-        prior_source=args.prior_source, user_col=args.user_col,
-    )
-    result = ingest(args.input, spec)
+    spec = {f.name: getattr(args, f.name) for f in fields(IngestSpec)}  # flags by field name
+    if args.bbox is not None:
+        spec["bbox"] = tuple(float(p) for p in args.bbox.split(","))
+    result = ingest(args.input, IngestSpec(**spec))
     if args.out is not None:
         save_population(result, args.out)
     stat = result.statistic
@@ -302,7 +305,7 @@ def _cmd_cip(args) -> int:
     inst = CipInstance(args.n, args.p1, args.eps)
     band = cip_band(inst)
     bound = cip_mse_lower_bound(inst)
-    output_size = args.output_size or inst.n_users + 1
+    output_size = inst.n_users + 1 if args.output_size is None else args.output_size
     result = cip_search(inst, output_size=output_size, seed=args.seed)
     blob = {
         "band_lower": band.lower,
@@ -317,9 +320,7 @@ def _cmd_cip(args) -> int:
         blob.update(starts=result.starts, starts_blended=result.starts_blended,
                     max_sweeps_used=max(result.sweeps),
                     bound_gap=result.mse - bound)
-        _write(json.dumps(blob, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _write("".join(f"{k},{v!r}\n" for k, v in blob.items()), args.out)
+    _emit(blob, args)
     return 0
 
 
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     mech_sub = mech.add_subparsers(dest="subcommand", required=True)
     der = mech_sub.add_parser("derive")
     der.add_argument("--family", required=True)
-    der.add_argument("--eps", type=float, required=True)
+    der.add_argument("--eps", type=float, default=None)
     der.add_argument("--p1", type=float, default=None)
     der.add_argument("--prior", default=None, help="comma list, e.g. 0.1,0.2,0.7")
     der.add_argument("--d", type=int, default=None)
@@ -349,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--eps", type=float, default=None)
     aud.add_argument("--p1", type=float, default=None)
     aud.add_argument("--prior", default=None)
-    aud.add_argument("--d", type=int, default=None)
     _add_common(aud)
     aud.set_defaults(func=_cmd_audit)
 
@@ -391,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--threshold", type=float, default=None)
     ing.add_argument("--lat-col", default=None)
     ing.add_argument("--lon-col", default=None)
-    ing.add_argument("--grid-rows", type=int, default=0)
-    ing.add_argument("--grid-cols", type=int, default=0)
+    ing.add_argument("--grid-rows", type=int, default=None)
+    ing.add_argument("--grid-cols", type=int, default=None)
     ing.add_argument("--bbox", default=None,
                      help="lat_min,lat_max,lon_min,lon_max")
     ing.add_argument("--prior-source", default="global",

@@ -2,8 +2,8 @@
 
 Validation failures (bad matrices, bad files, bad parameters) raise
 subclasses of ``ValidationError``; infeasibility conditions discovered at
-runtime (an observation the channel could never emit, an optimizer that
-ran out of budget) raise subclasses of ``InfeasibleError``.  The CLI maps
+runtime (an observation the channel could never emit, a search with no
+feasible point) raise subclasses of ``InfeasibleError``.  The CLI maps
 the former to exit code 2 and the latter to exit code 3.
 """
 
@@ -69,10 +69,6 @@ class UnreachableOutputError(InfeasibleError):
 
 class NoFeasiblePointError(InfeasibleError):
     """A constrained search found no point satisfying the constraints."""
-
-
-class BudgetExceededError(InfeasibleError):
-    """An iterative optimizer hit its iteration cap before any feasible evaluation."""
 
 
 class InternalInconsistencyError(AssertionError):

@@ -20,7 +20,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -262,6 +262,10 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
 # dataset ingestion
 # ---------------------------------------------------------------------------
 
+_MODE_READS = {"binarize": ("column", "threshold"), "categorical": ("column",),
+               "grid": ("lat_col", "lon_col", "grid_rows", "grid_cols", "bbox")}
+
+
 @dataclass(frozen=True)
 class IngestSpec:
     """How to turn a CSV file into a population.
@@ -273,6 +277,7 @@ class IngestSpec:
     prior_source: "global" (empirical distribution over all users) or
     "per-user-history" (group rows by ``user_col``; each user's prior is
     their own empirical frequency and their value is their last event).
+    Each field the mode and prior source do not read must be left None.
     """
 
     mode: str
@@ -280,23 +285,25 @@ class IngestSpec:
     threshold: float | None = None
     lat_col: str | None = None
     lon_col: str | None = None
-    grid_rows: int = 0
-    grid_cols: int = 0
+    grid_rows: int | None = None
+    grid_cols: int | None = None
     bbox: tuple | None = None  # (lat_min, lat_max, lon_min, lon_max)
     prior_source: str = "global"
     user_col: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("binarize", "grid", "categorical"):
+        if self.mode not in _MODE_READS:
             raise ValueError(f"unknown ingest mode {self.mode!r}")
-        if self.mode == "binarize":
-            if self.column is None or self.threshold is None:
-                raise ValueError("binarize needs column and threshold")
-            if not math.isfinite(self.threshold):
-                raise ValueError("threshold must be finite")
+        if self.prior_source not in ("global", "per-user-history"):
+            raise ValueError(f"unknown prior source {self.prior_source!r}")
+        reads = _MODE_READS[self.mode] + ("user_col",) * (self.prior_source == "per-user-history")
+        for name in (f.name for f in fields(self) if f.name not in ("mode", "prior_source")):
+            if (getattr(self, name) is None) == (name in reads):
+                verb = "needs" if name in reads else "does not read"
+                raise ValueError(f"{self.mode} with a {self.prior_source} prior {verb} {name}")
+        if self.mode == "binarize" and not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
         if self.mode == "grid":
-            if None in (self.lat_col, self.lon_col) or self.bbox is None:
-                raise ValueError("grid needs lat/lon columns and a bounding box")
             if min(self.grid_rows, self.grid_cols) < 1 or self.grid_rows * self.grid_cols < 2:
                 raise ValueError("grid needs at least one row, one column and 2 cells")
             box = np.asarray(self.bbox, dtype=float)
@@ -304,12 +311,6 @@ class IngestSpec:
                     and -math.inf < box[2] < box[3] < math.inf):
                 raise ValueError("bbox must be four finite numbers lat_min < lat_max, "
                                  f"lon_min < lon_max, got {self.bbox}")
-        if self.mode == "categorical" and self.column is None:
-            raise ValueError("categorical needs a column")
-        if self.prior_source not in ("global", "per-user-history"):
-            raise ValueError(f"unknown prior source {self.prior_source!r}")
-        if self.prior_source == "per-user-history" and self.user_col is None:
-            raise ValueError("per-user-history needs user_col")
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,6 +128,10 @@ class OUEChannel:
     keep_prob: float
     flip_up_prob: float
 
+    def bit_channel(self) -> Channel:
+        """Each bit's 2x2 channel: rows are a 0 bit and a 1 bit."""
+        return _binary_channel(self.flip_up_prob, 1.0 - self.keep_prob)
+
 
 def _renormalize(matrix: np.ndarray) -> np.ndarray:
     return matrix / matrix.sum(axis=1, keepdims=True)

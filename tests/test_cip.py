@@ -16,7 +16,7 @@ from lipagg import (
     posterior_means_in_band,
 )
 from lipagg import cip
-from lipagg.cip import _BAND_TOL, _feasible_starts
+from lipagg.cip import _BAND_TOL, _ascend, _feasible_starts
 from lipagg.core import Channel
 
 from conftest import serial_ascent
@@ -53,6 +53,10 @@ def test_prior_is_binomial():
     assert abs(inst.s_prior.sum() - 1.0) <= 1e-9
     assert inst.s_prior[15] == pytest.approx(
         math.comb(50, 15) * 0.3 ** 15 * 0.7 ** 35, rel=1e-9)
+    # near DBL_MIN scipy's pmf overflows; the prior is still the binomial one
+    tiny = CipInstance(2, 1.1125369292536007e-308, 0.0).s_prior
+    assert tiny[0] == 1.0 and tiny[2] == 0.0
+    assert tiny[1] == pytest.approx(2.2250738585072014e-308, rel=1e-9, abs=0)
 
 
 def test_seed_mechanism_band_feasible():
@@ -112,14 +116,6 @@ def test_search_validates_arguments():
         CipInstance(500, 0.4, 1.0)
 
 
-@pytest.mark.parametrize("fractions", [(1.5,), (0.0,), (-0.5,), ()])
-def test_search_rejects_fractions_outside_unit_interval(fractions):
-    # a fraction above 1 moves more mass than a column holds (negative
-    # entries, an mse below the bound); no fractions would skip the ascent
-    with pytest.raises(ValueError):
-        cip_search(CipInstance(10, 0.3, 1.0), output_size=4, fractions=fractions)
-
-
 def test_search_mse_is_never_negative():
     # p1 = 1: S = N surely and the prior variance is 0, while rounding puts
     # the variance of the estimate 1.4e-14 above it
@@ -132,7 +128,11 @@ def test_search_reports_starts_and_sweeps():
     res = cip_search(inst, output_size=21, seed=0)
     assert res.starts == 7  # constant, threshold, context-aware seed, 4 random
     assert len(res.sweeps) == 7 and all(1 <= v <= 40 for v in res.sweeps)
-    assert cip_search(inst, output_size=21, max_sweeps=1).sweeps == (1,) * 7
+    starts, _ = _feasible_starts(inst, 21, 0)
+    band = cip_band(inst)
+    capped = _ascend(np.stack(starts), inst.s_prior, np.arange(21.0), band.lower, band.upper,
+                     _BAND_TOL * 20, max_sweeps=1)
+    assert capped[2] == [1] * 7
     # at eps = 0 the band is the single point N*p1: only the constant start
     # is feasible as drawn, the threshold and 4 random starts need a blend
     flat = cip_search(CipInstance(20, 0.3, 0.0), output_size=4, seed=0)
@@ -166,7 +166,7 @@ def test_lockstep_search_matches_serial_reference(case):
     inst = CipInstance(n, p1, eps)
     band = cip_band(inst)
     svals = np.arange(n + 1, dtype=float)
-    starts, blended = _feasible_starts(inst, m, 4, seed)
+    starts, blended = _feasible_starts(inst, m, seed)
     best_q, best_v = None, -np.inf
     for q in starts:
         cand, v = serial_ascent(q, inst.s_prior, svals, band.lower, band.upper,

@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import os
 import re
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,14 @@ from lipagg.errors import UnreachableOutputError
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def assert_rejected(capsys, flag, *argv):
+    """``argv`` exits 2 with a single error line that names ``flag``."""
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
 
 
 def test_mechanism_derive_csv(tmp_path, capsys):
@@ -31,6 +41,11 @@ def test_mechanism_derive_json(capsys):
                    "--d", "3", "--eps", "1.0", "--format", "json") == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["matrix"][0][0] == pytest.approx(math.e / (math.e + 2), rel=1e-12)
+    # a flag the family does not read, or one it needs, is named
+    assert_rejected(capsys, "--p1", "mechanism", "derive", "--family", "opt-binary-ldp",
+                    "--eps", "1", "--p1", "0.3", "--d", "7")
+    assert_rejected(capsys, "--d", "mechanism", "derive", "--family", "opt-mimo-ldp",
+                    "--eps", "1")
 
 
 def test_audit_derived_channel(capsys):
@@ -39,6 +54,16 @@ def test_audit_derived_channel(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["ldp_eps"] == pytest.approx(2.0, abs=1e-9)
     assert blob["lip_eps"] <= 2.0 + 1e-9
+    # opt-mimo-ldp takes its width from the prior
+    assert run_cli("audit", "--family", "opt-mimo-ldp", "--eps", "1",
+                   "--prior", "0.2,0.3,0.5", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["ldp_eps"] == pytest.approx(1.0, abs=1e-9)
+    assert_rejected(capsys, "--eps", "audit", "--family", "opt-binary-ldp", "--p1", "0.3")
+    # the prior a context-aware family reads is the one it is audited against
+    assert_rejected(capsys, "--p1", "audit", "--family", "opt-binary-lip", "--eps", "1",
+                    "--p1", "0.3", "--prior", "0.5,0.5")
+    with pytest.raises(SystemExit):
+        run_cli("audit", "--family", "opt-mimo-ldp", "--eps", "1", "--p1", "0.3", "--d", "3")
 
 
 def test_audit_channel_file(tmp_path, capsys):
@@ -55,6 +80,17 @@ def test_audit_bad_channel_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.5,0.4\n0.3,0.7\n")
     assert run_cli("audit", "--channel-file", str(bad), "--prior", "0.5,0.5") == 2
+    good = tmp_path / "good.csv"
+    good.write_text("0.5,0.5\n0.3,0.7\n")
+    assert_rejected(capsys, "--channel-file", "audit", "--channel-file", str(good),
+                    "--prior", "0.5,0.5", "--family", "opt-mimo-lip", "--eps", "7")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_rejected(capsys, str(empty), "audit", "--channel-file", str(empty),
+                        "--prior", "0.5,0.5")
+    assert not caught
 
 
 def test_curve_csv_schema(tmp_path):
@@ -147,11 +183,16 @@ def test_ingest_grid_cli(tmp_path, capsys):
     assert summary["domain_size"] == 4
 
 
-def test_ingest_missing_column_exit_2(tmp_path):
+def test_ingest_missing_column_exit_2(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("a\n1\n")
     assert run_cli("ingest", "--input", str(data), "--mode", "binarize",
                    "--column", "clicks", "--threshold", "1") == 2
+    # flags the mode does not read
+    clicks = Path(__file__).resolve().parent / "fixtures" / "clickstream.csv"
+    assert_rejected(capsys, "grid_rows", "ingest", "--input", str(clicks), "--mode", "binarize",
+                    "--column", "clicks", "--threshold", "1000", "--user-col", "website",
+                    "--grid-rows", "3", "--bbox", "1,2,3")
 
 
 def test_cip_cli(capsys):
@@ -163,6 +204,8 @@ def test_cip_cli(capsys):
     assert blob["starts"] == 7 and 0 <= blob["starts_blended"] <= 7
     assert 1 <= blob["max_sweeps_used"] <= 40
     assert blob["bound_gap"] == blob["achieved_mse"] - blob["mse_lower_bound"]
+    assert_rejected(capsys, "output_size", "cip", "--n", "10", "--p1", "0.3", "--eps", "1",
+                    "--output-size", "0")
 
 
 def test_cip_cli_csv_bytes(capsys):
@@ -416,3 +459,47 @@ def test_simulate_maps_any_json_config_to_an_exit_code(tmp_path_factory, edits):
         os.chdir(here)
     assert code in (0, 2, 3)
     assert (work / "out.csv").exists() == (code == 0)
+
+
+# Values each derive/audit flag could take, good and bad; channel files are
+# named inside the test's own directory.
+_FLAG_VALUES = {"--eps": ["1", "2.5", "0", "-1", "inf"],
+                "--p1": ["0.3", "0", "1.5"],
+                "--prior": ["0.5,0.5", "0.2,0.3,0.5", "1", "x,1"],
+                "--d": ["2", "3", "1"],
+                "--channel-file": ["binary.csv", "ternary.csv", "empty.csv", "bad.csv",
+                                   "missing.csv"]}
+_CHANNEL_FILES = {"binary.csv": "0.75,0.25\n0.25,0.75\n", "empty.csv": "",
+                  "ternary.csv": "0.5,0.25,0.25\n0.25,0.5,0.25\n0.25,0.25,0.5\n",
+                  "bad.csv": "0.5,0.4\n0.3,0.7\n"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["opt-binary-lip", "opt-binary-ldp", "opt-mimo-lip",
+                               "opt-mimo-ldp", "symmetric-rr", "oue"]),
+       audit_family=st.booleans(),
+       flags=st.fixed_dictionaries({}, optional={
+           flag: st.sampled_from(values) for flag, values in _FLAG_VALUES.items()}))
+def test_derive_and_audit_map_any_flags_to_an_exit_code(tmp_path_factory, family,
+                                                        audit_family, flags):
+    work = tmp_path_factory.mktemp("flags")
+    for name, text in _CHANNEL_FILES.items():
+        (work / name).write_text(text)
+    if "--channel-file" in flags:
+        flags["--channel-file"] = str(work / flags["--channel-file"])
+    commands = {"audit": (["audit"] + ["--family", family] * audit_family,
+                          {"--eps", "--p1", "--prior", "--channel-file"}),
+                "derive": (["mechanism", "derive", "--family", family],
+                           {"--eps", "--p1", "--prior", "--d"})}
+    for name, (argv, takes) in commands.items():
+        out = work / f"{name}.out"
+        argv = argv + [x for flag in sorted(takes & set(flags)) for x in (flag, flags[flag])]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli(*argv, "--out", str(out))
+        assert code in (0, 2, 3), argv
+        assert not caught, argv
+        # a failure is one line on stderr and writes nothing
+        assert out.exists() == (code == 0), argv
+        assert err.getvalue().count("\n") == (code != 0), argv

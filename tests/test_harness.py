@@ -285,6 +285,28 @@ def test_ingest_errors(tmp_path):
         ingest(str(zeros), IngestSpec(mode="categorical", column="x"))
 
 
+_SPEC_FIELDS = {"column": "c", "threshold": 1.0, "lat_col": "lat", "lon_col": "lon",
+                "grid_rows": 2, "grid_cols": 2, "bbox": (0.0, 1.0, 0.0, 1.0), "user_col": "u"}
+
+
+@pytest.mark.parametrize("mode, reads", [
+    ("binarize", ("column", "threshold")),
+    ("categorical", ("column",)),
+    ("grid", ("lat_col", "lon_col", "grid_rows", "grid_cols", "bbox")),
+])
+def test_ingest_spec_takes_exactly_the_fields_its_mode_reads(mode, reads):
+    given = {name: _SPEC_FIELDS[name] for name in reads}
+    IngestSpec(mode=mode, **given)
+    IngestSpec(mode=mode, **given, prior_source="per-user-history", user_col="u")
+    for name, value in _SPEC_FIELDS.items():
+        if name in reads:
+            with pytest.raises(ValueError, match=f"needs {name}"):
+                IngestSpec(mode=mode, **{k: v for k, v in given.items() if k != name})
+        else:  # another mode's field, or user_col under a global prior
+            with pytest.raises(ValueError, match=f"does not read {name}"):
+                IngestSpec(mode=mode, **given, **{name: value})
+
+
 def test_population_roundtrip(tmp_path):
     f = tmp_path / "clicks.csv"
     f.write_text("clicks\n20000\n100\n16000\n")

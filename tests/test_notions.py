@@ -115,6 +115,9 @@ def test_audit_ldp_optimum_implies_same_level_lip():
     rep = audit(opt_binary_ldp(2.0), Prior.binary(0.9))
     assert rep.ldp_eps == pytest.approx(2.0, abs=1e-9)
     assert rep.lip_eps <= 2.0 + 1e-12
+    # a degenerate prior reveals nothing, whatever the channel: ldp > 2 lip there
+    rep = audit(opt_binary_ldp(2.0), Prior.binary(0.0))
+    assert rep.ldp_eps == pytest.approx(2.0, abs=1e-9) and rep.lip_eps == 0.0
 
 
 def test_mixing_toward_constant_drives_measures_to_zero(rng):
