@@ -19,6 +19,7 @@ from .core import (
     Domain,
     Population,
     Prior,
+    check_distinct,
     check_epsilon,
     posterior_ratio,
     task_form,
@@ -132,11 +133,6 @@ class TradeoffCurve:
         self.rows.sort(key=lambda r: (r.family, r.epsilon, r.trials))
         return self
 
-    def extend(self, other: "TradeoffCurve") -> "TradeoffCurve":
-        self.rows.extend(other.rows)
-        self.metadata.update(other.metadata)
-        return self.sort()
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("epsilon,family,metric,trials\n")
@@ -200,9 +196,7 @@ def closed_form_total_mse(family: MechanismFamily, population: Population,
 def tradeoff_curve(family: MechanismFamily, population: Population,
                    task: AggregationTask, eps_grid) -> TradeoffCurve:
     """Closed-form tradeoff rows (trials = 0) for one family over a budget grid."""
-    eps_grid = [check_epsilon(e) for e in eps_grid]
-    if not eps_grid:
-        raise ValueError("eps_grid must be nonempty")
+    eps_grid = check_distinct("eps_grid", eps_grid, check_epsilon)
     n = population.n_users
     rows = [
         CurveRow(epsilon=e, family=family.value,

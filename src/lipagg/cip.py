@@ -130,16 +130,16 @@ def _band_ok(w, t, lower, upper, tol):
     return bool(np.all(means >= lower - tol) and np.all(means <= upper + tol))
 
 
-def posterior_means_in_band(Q, instance: CipInstance, tol: float = _BAND_TOL) -> bool:
-    """Whether Q is a mechanism (entries >= -tol, rows summing to 1 within
-    tol) whose every reachable output has its posterior mean in the band."""
+def posterior_means_in_band(Q, instance: CipInstance) -> bool:
+    """Whether Q is a mechanism, to within _BAND_TOL, whose every reachable
+    output has its posterior mean in the band."""
     Q = np.asarray(Q, dtype=float)
-    if not (np.all(Q >= -tol) and np.all(np.abs(Q.sum(axis=1) - 1.0) <= tol)):
+    if not (np.all(Q >= -_BAND_TOL) and np.all(np.abs(Q.sum(axis=1) - 1.0) <= _BAND_TOL)):
         return False
     band = cip_band(instance)
     svals = np.arange(instance.n_users + 1, dtype=float)
     w, t = _column_stats(Q, instance.s_prior, svals)
-    return _band_ok(w, t, band.lower, band.upper, tol * max(1.0, instance.n_users))
+    return _band_ok(w, t, band.lower, band.upper, _BAND_TOL * max(1.0, instance.n_users))
 
 
 def lip_seed_mechanism(instance: CipInstance) -> np.ndarray:

@@ -29,6 +29,7 @@ from .core import (
     Summation,
     Survey,
     WeightedSum,
+    check_distinct,
     check_real,
     check_reals,
     validate_channel,
@@ -55,6 +56,14 @@ from .mechanisms import (
 from .notions import audit as audit_channel
 
 
+def _numbers(flag: str, text: str, sep: str = ",") -> list[float]:
+    """``flag``'s ``sep``-separated list as floats; the reader checks ranges."""
+    try:
+        return [float(p) for p in text.split(sep)]
+    except ValueError:
+        raise ValidationError(f"{flag} takes numbers separated by {sep!r}, got {text!r}") from None
+
+
 def parse_eps_grid(spec) -> list[float]:
     """Accept "start:stop:step" (inclusive) or a comma list or a JSON list."""
     if isinstance(spec, (list, tuple)):
@@ -63,15 +72,15 @@ def parse_eps_grid(spec) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValidationError(f"bad eps grid {text!r}, want start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+            raise ValidationError(f"--eps-grid {text!r} is not start:stop:step")
+        start, stop, step = _numbers("--eps-grid", text, ":")
         if not (math.isfinite(start + stop) and 0 < step < math.inf):
-            raise ValidationError("eps grid needs finite bounds and a positive step")
+            raise ValidationError("--eps-grid needs finite bounds and a positive step")
         # decimal steps, so "0.1:1:0.1" gives 0.3 rather than 0.30000000000000004
         lo, hi, inc = (Decimal(p.strip()) for p in parts)
         count = max(0, math.ceil((hi - lo) / inc + Decimal("0.5")))
         return [float(lo + i * inc) for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    return _numbers("--eps-grid", text)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -102,7 +111,7 @@ def _prior(args) -> Prior:
         raise ValidationError("give exactly one of --p1 and --prior")
     if args.p1 is not None:
         return Prior.binary(args.p1)
-    return Prior([float(p) for p in args.prior.split(",")])
+    return Prior(_numbers("--prior", args.prior))
 
 
 def _binary_p1(prior: Prior) -> float:
@@ -229,7 +238,7 @@ def _task(block, n: int):
 
 
 def _cmd_curve(args) -> int:
-    p_vector = None if args.prior is None else [float(p) for p in args.prior.split(",")]
+    p_vector = None if args.prior is None else _numbers("--prior", args.prior)
     block = _given(file=args.population, n=args.n, prior_mode=args.prior_mode,
                    p1=args.p1, p_vector=p_vector, d=args.d)
     if "file" not in block:
@@ -237,11 +246,11 @@ def _cmd_curve(args) -> int:
     population, _ = _population(block, args.seed)
     task = _task(_given(kind=args.task, target=args.target), population.n_users)
     grid = parse_eps_grid(args.eps_grid)
-    merged = TradeoffCurve()
-    for tag in args.families.split(","):
-        merged.extend(tradeoff_curve(MechanismFamily.from_tag(tag.strip()),
-                                     population, task, grid))
-    _write(merged.to_json() if args.format == "json" else merged.to_csv(), args.out)
+    families = check_distinct("families", [f.strip() for f in args.families.split(",")],
+                              MechanismFamily.from_tag)
+    curves = [tradeoff_curve(family, population, task, grid) for family in families]
+    curve = TradeoffCurve([row for c in curves for row in c.rows], curves[0].metadata).sort()
+    _write(curve.to_json() if args.format == "json" else curve.to_csv(), args.out)
     return 0
 
 
@@ -282,7 +291,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_ingest(args) -> int:
     spec = {f.name: getattr(args, f.name) for f in fields(IngestSpec)}  # flags by field name
     if args.bbox is not None:
-        spec["bbox"] = tuple(float(p) for p in args.bbox.split(","))
+        spec["bbox"] = tuple(_numbers("--bbox", args.bbox))
     result = ingest(args.input, IngestSpec(**spec))
     if args.out is not None:
         save_population(result, args.out)

@@ -209,15 +209,6 @@ class Population:
     def prior(self, i: int) -> Prior:
         return Prior(self.priors[i])
 
-    @staticmethod
-    def from_users(domain: Domain, users) -> "Population":
-        """Build from an iterable of (user_id, Prior) pairs."""
-        ids, priors = [], []
-        for uid, prior in users:
-            ids.append(uid)
-            priors.append(prior.p)
-        return Population(domain, np.array(priors), ids)
-
 
 @dataclass(frozen=True)
 class Survey:
@@ -305,6 +296,16 @@ def check_epsilon(eps: float) -> float:
     if not (eps >= 0.0 and np.isfinite(eps)):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     return eps
+
+
+def check_distinct(name: str, given, convert) -> tuple:
+    """``given`` converted entry by entry, nonempty and with no value twice."""
+    items = tuple(convert(g) for g in given)
+    if not items:
+        raise ValueError(f"{name} must be nonempty")
+    if len(set(items)) != len(items):
+        raise ValueError(f"{name} has a repeated entry: {list(given)}")
+    return items
 
 
 def check_whole(name: str, value, low: int) -> None:

@@ -31,6 +31,7 @@ from .core import (
     Population,
     Prior,
     TaskForm,
+    check_distinct,
     check_epsilon,
     check_real,
     check_reals,
@@ -115,15 +116,8 @@ class ExperimentConfig:
     def __post_init__(self):
         check_whole("trials", self.trials, 1)
         check_whole("seed", self.seed, 0)
-        families = tuple(f if isinstance(f, MechanismFamily) else MechanismFamily.from_tag(f)
-                         for f in self.families)
-        eps_grid = tuple(check_epsilon(e) for e in self.eps_grid)
-        for name, items in (("families", families), ("eps_grid", eps_grid)):
-            if not items:
-                raise ValueError(f"{name} must be nonempty")
-            if len(set(items)) != len(items):
-                raise ValueError(f"{name} has a repeated entry: {list(getattr(self, name))}")
-            object.__setattr__(self, name, items)
+        for name, convert in (("families", MechanismFamily.from_tag), ("eps_grid", check_epsilon)):
+            object.__setattr__(self, name, check_distinct(name, getattr(self, name), convert))
         task_form(self.task, self.population)
         n = self.population.n_users
         if self.fixed_values is not None and np.shape(self.fixed_values) != (n,):

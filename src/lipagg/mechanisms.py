@@ -52,9 +52,9 @@ class MechanismFamily(enum.Enum):
     OUE = "oue"
 
     @staticmethod
-    def from_tag(tag: str) -> "MechanismFamily":
+    def from_tag(tag) -> "MechanismFamily":
         for fam in MechanismFamily:
-            if fam.value == tag:
+            if tag in (fam, fam.value):  # a member is its own tag
                 return fam
         raise ValueError(f"unknown mechanism family {tag!r}")
 

@@ -180,6 +180,10 @@ def test_curve_csv_schema_and_sorting():
     eps_col = [float(line.split(",")[0]) for line in lines[1:]]
     assert eps_col == sorted(eps_col)
     assert all(line.endswith(",0") for line in lines[1:])
+    # no budget may be missing or give two rows; 1 and 1.0 are the same budget
+    for grid in ([], [1.0, 2.0, 1]):
+        with pytest.raises(ValueError, match="eps_grid"):
+            tradeoff_curve(MechanismFamily.OPT_BINARY_LDP, pop, Survey(1.0), grid)
 
 
 def test_summation_task_scales_per_user_contribution():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipagg.cli as cli
-from lipagg.errors import UnreachableOutputError
+from lipagg.errors import UnreachableOutputError, ValidationError
 
 
 def run_cli(*argv):
@@ -20,11 +21,14 @@ def run_cli(*argv):
 
 
 def assert_rejected(capsys, flag, *argv):
-    """``argv`` exits 2 with a single error line that names ``flag``."""
+    """``argv`` exits 2 with a single error line that names ``flag``, and
+    writes no ``--out`` file."""
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 def test_mechanism_derive_csv(tmp_path, capsys):
@@ -93,7 +97,7 @@ def test_audit_bad_channel_file_exit_2(tmp_path, capsys):
     assert not caught
 
 
-def test_curve_csv_schema(tmp_path):
+def test_curve_csv_schema(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert run_cli("analyze", "curve", "--families", "opt-binary-lip,opt-binary-ldp",
                    "--task", "survey", "--eps-grid", "1:3:1",
@@ -102,9 +106,15 @@ def test_curve_csv_schema(tmp_path):
     assert lines[0] == "epsilon,family,metric,trials"
     assert len(lines) == 1 + 2 * 3
     assert all(line.endswith(",0") for line in lines[1:])
+    # a family or a budget given twice would print its rows twice
+    bad = tmp_path / "bad.csv"
+    for flag, families, grid in (("families", "opt-binary-lip, opt-binary-lip", "1"),
+                                 ("eps_grid", "opt-binary-lip", "1,1.0")):
+        assert_rejected(capsys, flag, "analyze", "curve", "--families", families,
+                        "--eps-grid", grid, "--p1", "0.3", "--out", str(bad))
 
 
-def test_simulate_roundtrip_and_overrides(tmp_path):
+def test_simulate_roundtrip_and_overrides(tmp_path, capsys):
     cfg = {
         "task": {"kind": "survey", "target": 1.0},
         "families": ["opt-binary-lip"],
@@ -127,6 +137,9 @@ def test_simulate_roundtrip_and_overrides(tmp_path):
                    "--out", str(out2)) == 0
     assert {line.split(",")[3] for line in out2.read_text().strip().split("\n")[1:]} \
         == {"0", "25"}
+    for grid in ("1,,2", "1:x:1"):
+        assert_rejected(capsys, "--eps-grid", "simulate", "--config", str(cfg_path),
+                        "--eps-grid", grid, "--out", str(tmp_path / "bad.csv"))
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -181,6 +194,9 @@ def test_ingest_grid_cli(tmp_path, capsys):
                    "--bbox", "0,1,0,1") == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["domain_size"] == 4
+    assert_rejected(capsys, "--bbox", "ingest", "--input", str(data), "--mode", "grid",
+                    "--lat-col", "lat", "--lon-col", "lon", "--grid-rows", "2",
+                    "--grid-cols", "2", "--bbox", "1,x,2,3", "--out", str(tmp_path / "p.json"))
 
 
 def test_ingest_missing_column_exit_2(tmp_path, capsys):
@@ -284,17 +300,25 @@ def test_eps_grid_parsing():
     assert cli.parse_eps_grid([1, 2]) == [1.0, 2.0]
     assert cli.parse_eps_grid("0.1:1.0:0.1") == [
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    for bad in ("1,,2", "1,2,", "", "0.5,x", "1:x:1", "1:2"):
+        with pytest.raises(ValidationError, match="--eps-grid"):
+            cli.parse_eps_grid(bad)
 
 
-def test_infinite_budget_exit_2():
+def test_infinite_budget_exit_2(tmp_path, capsys):
     assert run_cli("mechanism", "derive", "--family", "opt-binary-ldp", "--eps", "inf") == 2
     assert run_cli("analyze", "curve", "--families", "opt-binary-lip", "--p1", "0.3",
                    "--eps-grid", "1,inf") == 2
     assert run_cli("analyze", "curve", "--families", "opt-binary-lip", "--p1", "0.3",
                    "--eps-grid", "0:inf:1") == 2
+    # an empty or non-numeric grid entry is named, not skipped
+    for grid in ("1,,2", "1:x:1"):
+        assert_rejected(capsys, "--eps-grid", "analyze", "curve", "--families",
+                        "opt-binary-lip", "--p1", "0.3", "--eps-grid", grid,
+                        "--out", str(tmp_path / "curve.csv"))
 
 
-def test_nan_prior_exit_2(capsys):
+def test_nan_prior_exit_2(tmp_path, capsys):
     assert run_cli("mechanism", "derive", "--family", "opt-mimo-lip", "--eps", "1",
                    "--prior", "nan,0.5,0.5") == 2
     assert run_cli("audit", "--family", "opt-binary-ldp", "--eps", "1",
@@ -302,6 +326,13 @@ def test_nan_prior_exit_2(capsys):
     assert run_cli("analyze", "curve", "--families", "opt-mimo-lip", "--task", "summation",
                    "--eps-grid", "1", "--prior", "nan,0.5,0.5", "--d", "3", "--n", "5") == 2
     assert "prior entries must lie in [0, 1]" in capsys.readouterr().err
+    out = str(tmp_path / "out.csv")
+    assert_rejected(capsys, "--prior", "mechanism", "derive", "--family", "opt-mimo-lip",
+                    "--eps", "1", "--prior", "0.5,,0.5", "--out", out)
+    assert_rejected(capsys, "--prior", "audit", "--family", "opt-mimo-lip", "--eps", "1",
+                    "--prior", "0.5,,0.5", "--out", out)
+    assert_rejected(capsys, "--prior", "analyze", "curve", "--families", "opt-mimo-lip",
+                    "--eps-grid", "1", "--prior", "0.5,x", "--out", out)
 
 
 def test_curve_family_task_mismatch_exit_2(capsys):
@@ -334,6 +365,7 @@ def test_curve_rejects_flags_it_would_ignore(tmp_path, monkeypatch, capsys, flag
     {"eps_grid": []},
     {"families": ["opt-binary-lip", "opt-binary-lip"]},
     {"eps_grid": [1.0, 1.0]},
+    {"eps_grid": "1,,2"},
     {"trials": True},
     {"trials": 2.7},
     {"seed": 2.5},
@@ -353,7 +385,7 @@ def test_curve_rejects_flags_it_would_ignore(tmp_path, monkeypatch, capsys, flag
     {"population": {"file": "pop.json", "n": 5}},
     {"task": {"kind": "weighted-sum", "coefficients": {"a": 1}}},
     {"format": "xml"},
-], ids=["empty-families", "empty-eps-grid", "repeated-family", "repeated-eps",
+], ids=["empty-families", "empty-eps-grid", "repeated-family", "repeated-eps", "empty-eps-entry",
         "bool-trials", "fractional-trials", "fractional-seed", "fractional-n",
         "fractional-d", "unknown-key", "p1-under-local-uniform", "target-on-summation",
         "population-without-n", "config-not-an-object", "population-not-an-object",
@@ -503,3 +535,89 @@ def test_derive_and_audit_map_any_flags_to_an_exit_code(tmp_path_factory, family
         # a failure is one line on stderr and writes nothing
         assert out.exists() == (code == 0), argv
         assert err.getvalue().count("\n") == (code != 0), argv
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```bash\n(.*?)```", readme.split("## CLI", 1)[1], re.S).group(1)
+    config = re.search(r"```json\n(.*?)```", readme.split("### Experiment config", 1)[1],
+                       re.S).group(1)
+    (tmp_path / "experiment.json").write_text(config)
+    fixtures = root / "tests" / "fixtures"
+    swap = {"clicks.csv": str(fixtures / "clickstream.csv"),
+            "checkins.csv": str(fixtures / "checkins.csv")}
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("lipagg ")]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = [swap.get(word, word) for word in shlex.split(line)[1:]]
+        if "--trials" in argv:
+            argv[argv.index("--trials") + 1] = "5"
+        assert run_cli(*argv) == 0, line
+
+
+# Three flag sets that run, edited by setting a flag to a value it could take,
+# good or bad (list junk included), or by dropping an optional flag; the
+# population files are named inside the test's own directory.
+_CURVE_BASES = [
+    {"--families": "opt-binary-lip,opt-binary-ldp", "--eps-grid": "0.5:2:0.5", "--p1": "0.3"},
+    {"--families": "opt-mimo-lip,opt-mimo-ldp,oue", "--eps-grid": "1,2", "--task": "histogram",
+     "--prior-mode": "local-uniform", "--d": "4", "--n": "4"},
+    {"--families": "opt-binary-lip", "--eps-grid": "1", "--population": "pop.json"},
+]
+_CURVE_VALUES = {
+    "--families": ["opt-binary-lip", "opt-binary-lip,opt-binary-ldp,symmetric-rr",
+                   "opt-mimo-lip,opt-mimo-ldp,oue", "oue", "a,a", "opt-binary-lip,opt-binary-lip",
+                   "opt-binary-lip,,opt-binary-ldp", ""],
+    "--eps-grid": ["1", "0.5:2:0.5", "0,1", "1,,2", "a,a", "0.5,x", "1:2", "1,1", "1:x:1",
+                   "2:1:1", "-1", "inf", ""],
+    "--task": ["survey", "summation", "weighted-sum", "histogram"],
+    "--target": ["1", "0", "2"],
+    "--n": ["1", "4", "0"],
+    "--p1": ["0.3", "0", "1.5"],
+    "--prior": ["0.5,0.5", "0.2,0.3,0.5", "0.5,x", "1,,2", "1", "a,a"],
+    "--prior-mode": ["global", "local-uniform"],
+    "--d": ["2", "3", "1"],
+    "--seed": ["0", "3"],
+    "--population": ["pop.json", "missing.json"],
+    "--format": ["csv", "json"],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from(_CURVE_BASES), edits=st.lists(st.sampled_from(sorted(
+    _CURVE_VALUES)).flatmap(lambda flag: st.tuples(st.just(flag), st.sampled_from(
+        _CURVE_VALUES[flag] + [None] * (flag not in ("--families", "--eps-grid"))))),
+    max_size=3))
+def test_curve_maps_any_flags_to_an_exit_code(tmp_path_factory, base, edits):
+    flags = dict(base)
+    for flag, value in edits:
+        flags[flag] = value
+    flags = {flag: value for flag, value in flags.items() if value is not None}
+    work = tmp_path_factory.mktemp("curve")
+    _write_population(work / "pop.json")
+    if "--population" in flags:
+        flags["--population"] = str(work / flags["--population"])
+    out = work / "curve.out"
+    argv = ["analyze", "curve", *[x for item in sorted(flags.items()) for x in item]]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(*argv, "--out", str(out))
+    assert code in (0, 2, 3), argv
+    assert not caught, argv
+    assert out.exists() == (code == 0), argv
+    assert err.getvalue().count("\n") == (code != 0), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: "), argv
+    if code == 0:
+        text = out.read_text()
+        if flags.get("--format") == "json":
+            pairs = [(r["family"], r["epsilon"]) for r in json.loads(text)["rows"]]
+        else:
+            lines = text.splitlines()
+            assert lines[0] == "epsilon,family,metric,trials", argv
+            pairs = [tuple(line.split(",")[:2]) for line in lines[1:]]
+        assert pairs and len(set(pairs)) == len(pairs), argv

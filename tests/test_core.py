@@ -108,7 +108,7 @@ def test_population_invariants():
     dom = Domain.binary()
     with pytest.raises(DimensionMismatchError):
         Population(dom, np.array([[0.2, 0.3, 0.5]]))
-    pop = Population.from_users(dom, [("a", Prior.binary(0.3)), ("b", Prior.binary(0.9))])
+    pop = Population(dom, [Prior.binary(0.3).p, Prior.binary(0.9).p], ["a", "b"])
     assert pop.n_users == 2
     assert pop.user_ids == ("a", "b")
     assert np.allclose(pop.prior(1).p, [0.1, 0.9])
