@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import Prior, check_epsilon
 from .errors import NoFeasiblePointError
@@ -55,6 +54,7 @@ class CipInstance:
         object.__setattr__(self, "n_users", int(n_users))
         object.__setattr__(self, "p1", float(p1))
         object.__setattr__(self, "eps", check_epsilon(eps))
+        from scipy.stats import binom  # loaded on first use: only cip code needs scipy.stats
         try:
             prior = binom.pmf(np.arange(n_users + 1), n_users, p1)
         except OverflowError:  # scipy's pmf overflows for p1 within ~100x of DBL_MIN

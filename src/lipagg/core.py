@@ -6,6 +6,7 @@ concurrent workers.  Probabilities are double precision; stochasticity
 checks use an absolute tolerance of 1e-12.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -296,6 +297,16 @@ def check_epsilon(eps: float) -> float:
     if not (eps >= 0.0 and np.isfinite(eps)):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     return eps
+
+
+def flip_probability(eps: float) -> float:
+    """1/(e^eps + 1), the flip probability of binary randomized response,
+    as scipy's ``expit(-eps)`` computes it; 0.0 where e^eps overflows (eps
+    above about 709.78)."""
+    try:
+        return 1.0 / (1.0 + math.exp(eps))
+    except OverflowError:
+        return 0.0
 
 
 def check_distinct(name: str, given, convert) -> tuple:

@@ -12,13 +12,13 @@ formulas elsewhere in the package assume the raw estimators.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     AggregationTask,
     Channel,
     Population,
     Prior,
+    flip_probability,
     posterior_ratio,
     task_form,
 )
@@ -115,7 +115,7 @@ def context_free_estimate(observations, eps: float) -> float | np.ndarray:
     obs = np.asarray(observations, dtype=float)
     if not np.all((obs == 0.0) | (obs == 1.0)):
         raise ValueError("observations must be binary")
-    flip = expit(-eps)
+    flip = flip_probability(eps)
     n = obs.shape[-1]
     est = (obs.sum(axis=-1) - n * flip) / (1.0 - 2.0 * flip)
     return float(est) if obs.ndim == 1 else est
@@ -129,7 +129,7 @@ def oue_count_estimate(counts, n: int, eps: float) -> np.ndarray:
     """
     if eps <= 0.0:
         raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
-    flip = expit(-eps)
+    flip = flip_probability(eps)
     return (np.asarray(counts, dtype=float) - n * flip) / (0.5 - flip)
 
 

@@ -146,10 +146,11 @@ class _FamilyRunner:
             self.oue = oue_channel(d, eps)
             return
         ch = optimal_channel(family, eps, priors)
-        # CDF of the output given true value x: steps[x] + tail, the kept
-        # mass keep [k >= x] over the redraw mass redraw cumsum(r)_k
-        self.steps = np.triu(np.full((d, d), ch.keep))
-        self.tail = ch.redraw * np.cumsum(ch.resample, axis=-1)
+        # CDF of the output given true value x at outputs k < d-1 (the
+        # boundaries sample_rows reads): steps[x] + tail, the kept mass
+        # keep [k >= x] over the redraw mass redraw cumsum(r)_k
+        self.steps = np.triu(np.full((d, d - 1), ch.keep))
+        self.tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
         kept, redrawn = ch.posterior(priors)
         self.rows = np.arange(n) * d  # flat offset of each user's table row
         if fixed_idx is not None and ch.keep > 0.0:
@@ -175,7 +176,7 @@ class _FamilyRunner:
             hot = np.bincount((x_idx + d * np.arange(m)[:, None]).ravel(),
                               minlength=m * d).reshape(m, d)
             return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
-        y_idx = sample_rows((self.steps.take(x_idx, axis=0) + self.tail).reshape(m * n, d),
+        y_idx = sample_rows((self.steps.take(x_idx, axis=0) + self.tail).reshape(m * n, d - 1),
                             rng).reshape(m, n)
         if self.family is MechanismFamily.SYMMETRIC_RR:
             count = context_free_estimate(y_idx, self.eps)
@@ -212,7 +213,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
                for fi, fam in enumerate(config.families)
                for ei, eps in enumerate(config.eps_grid)]
     truth_rng = _rng(config.seed, 1)
-    truth_cdf = np.cumsum(pop.priors, axis=1)
+    truth_cdf = np.cumsum(pop.priors[:, :-1], axis=1)  # sample_rows' boundaries
     g = form.g.reshape(d, -1)
 
     # squared error of every trial, summed over the statistic's components
@@ -221,7 +222,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     for t0 in range(0, trials, chunk):
         m = min(chunk, trials - t0)
         if fixed_idx is None:
-            x_idx = sample_rows(np.broadcast_to(truth_cdf, (m, n, d)).reshape(m * n, d),
+            x_idx = sample_rows(np.broadcast_to(truth_cdf, (m, n, d - 1)).reshape(m * n, d - 1),
                                 truth_rng).reshape(m, n)
         else:
             x_idx = np.broadcast_to(fixed_idx, (m, n))

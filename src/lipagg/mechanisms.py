@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (Channel, Domain, Histogram, Prior, Survey, check_epsilon,
-                   validate_channel)
+                   flip_probability, validate_channel)
 from .errors import ValueNotInDomainError, ZeroEpsilonError
 
 
@@ -152,7 +151,7 @@ def budget_feasible_prior_floor(eps: float) -> float:
     prior and the measured context-aware level is
     :func:`closed_form_lip_level` instead of eps.
     """
-    return float(expit(-check_epsilon(eps)))
+    return flip_probability(check_epsilon(eps))
 
 
 def closed_form_lip_level(p_min: float, eps: float) -> float:
@@ -191,7 +190,7 @@ def opt_binary_lip(p1: float, eps: float) -> Channel:
 
 def opt_binary_ldp(eps: float) -> Channel:
     """Symmetric binary channel with flip probability 1/(e^eps + 1)."""
-    flip = float(expit(-check_epsilon(eps)))
+    flip = flip_probability(check_epsilon(eps))
     return _binary_channel(flip, flip)
 
 
@@ -250,7 +249,7 @@ def oue_channel(d: int, eps: float) -> OUEChannel:
         raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
     if d < 2:
         raise ValueError("domain size must be at least 2")
-    return OUEChannel(d=d, keep_prob=0.5, flip_up_prob=expit(-eps))
+    return OUEChannel(d=d, keep_prob=0.5, flip_up_prob=flip_probability(eps))
 
 
 def _coerce_rng(rng) -> np.random.Generator:
@@ -259,16 +258,18 @@ def _coerce_rng(rng) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(rng))
 
 
-def sample_rows(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sample one index per row of ``cdf``, an (n, d) array of
-    row-wise cumulative probabilities; one uniform draw per row, in order.
+def sample_rows(bounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sample one index in [0, d-1] per row of ``bounds``, an
+    (n, d-1) array of the row-wise cumulative probabilities of every output
+    but the last; one uniform draw per row, in order.
 
-    Uses u in (0, 1]; a u exactly on a CDF boundary resolves to the lower
-    index, so zero-probability outputs are never produced.  The last column
-    counts as 1, so a row total rounded below 1 still yields an index.
+    Returns #{k : bounds[k] < u} for u in (0, 1]: a u exactly on a boundary
+    resolves to the lower index, so zero-probability outputs are never
+    produced, and the last output takes all the mass above the last
+    boundary, so a row total rounded below 1 still yields an index.
     """
-    u = 1.0 - rng.random(cdf.shape[0])
-    return np.sum(cdf[:, :-1] < u[:, None], axis=1)
+    u = 1.0 - rng.random(bounds.shape[0])
+    return np.sum(bounds < u[:, None], axis=1)
 
 
 def perturb(q: Channel, x: float, rng) -> float:
@@ -277,15 +278,15 @@ def perturb(q: Channel, x: float, rng) -> float:
     idx = q.input_domain.index_of(x)
     if idx < 0:
         raise ValueNotInDomainError(f"value {x} not in the input domain")
-    k = sample_rows(np.cumsum(q.matrix[[idx]], axis=1), _coerce_rng(rng))[0]
+    k = sample_rows(np.cumsum(q.matrix[[idx], :-1], axis=1), _coerce_rng(rng))[0]
     return float(q.output_domain.values[k])
 
 
 def perturb_indices(q: Channel, x_idx: np.ndarray, rng) -> np.ndarray:
     """Vector form of :func:`perturb` over input indices, returning output
     indices; one uniform draw per entry, in order."""
-    cdf = np.cumsum(q.matrix, axis=1)
-    return sample_rows(cdf[np.asarray(x_idx, dtype=int)], _coerce_rng(rng))
+    bounds = np.cumsum(q.matrix[:, :-1], axis=1)
+    return sample_rows(bounds[np.asarray(x_idx, dtype=int)], _coerce_rng(rng))
 
 
 def oue_perturb(oue: OUEChannel, x_idx: np.ndarray, rng) -> np.ndarray:

@@ -17,7 +17,6 @@ channel.  They certify the closed-form optima and the output-range property.
 import math
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .core import Prior, check_epsilon
 from .errors import DimensionMismatchError, NoFeasiblePointError
@@ -63,6 +62,8 @@ def _split_optimum(p: Prior, eps: float, g) -> tuple[float, np.ndarray]:
     Zero-prior rows (which never fire) get the output marginal.  Outputs are
     ordered by ascending posterior mean.
     """
+    from scipy.optimize import linprog, nnls  # loaded on first use, off lipagg's import path
+
     eps = check_epsilon(eps)
     pv, d = p.p, p.size
     g = g.reshape(d, -1)

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -419,21 +421,43 @@ def test_simulate_json_rows_carry_standard_errors(tmp_path, capsys):
     assert {r["trials"]: r["mse_stderr"] > 0.0 for r in blob["rows"]} == {0: False, 20: True}
 
 
-def test_python_dash_m_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import lipagg
-
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's lipagg."""
     env = dict(os.environ)
-    src = str(Path(lipagg.__file__).resolve().parent.parent)
+    src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "lipagg", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run_python("-m", "lipagg", "--help")
     assert done.returncode == 0, done.stderr
     assert "simulate" in done.stdout
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    """``mechanism derive``, ``audit``, ``analyze curve`` and ``simulate``
+    run without scipy; only ``cip`` and the oracles load it, on first use."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": {"kind": "histogram"}, "families": ["opt-mimo-lip", "opt-mimo-ldp", "oue"],
+        "eps_grid": [0.5, 2.0], "trials": 20, "seed": 1,
+        "population": {"n": 10, "prior_mode": "local-uniform", "d": 3}}))
+    script = f"""
+import sys
+import lipagg, lipagg.cli as cli
+for argv in (["mechanism", "derive", "--family", "opt-mimo-lip", "--prior", "0.2,0.8", "--eps", "1"],
+             ["audit", "--family", "opt-binary-ldp", "--eps", "2", "--p1", "0.9"],
+             ["analyze", "curve", "--families", "opt-binary-lip,symmetric-rr",
+              "--eps-grid", "1,2", "--n", "20", "--p1", "0.3"],
+             ["simulate", "--config", {str(cfg)!r}]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_experiment_config_runs(tmp_path):

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipagg import Channel, Domain, Population, Prior, output_distribution, validate_channel
-from lipagg.core import Histogram, Summation, Survey, WeightedSum, check_epsilon, task_form
+from lipagg.core import (Histogram, Summation, Survey, WeightedSum, check_epsilon,
+                         flip_probability, task_form)
 from lipagg.errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -181,3 +183,21 @@ def test_check_epsilon_accepts_finite_nonnegative_only():
     for bad in (math.inf, -math.inf, math.nan, -0.5):
         with pytest.raises(ValueError):
             check_epsilon(bad)
+
+
+def test_flip_probability_matches_scipy_bit_for_bit():
+    # 1/(e^eps + 1) as scipy.special.expit(-eps) computes it, on a dense grid
+    # over [0, 800] that holds the e^eps overflow edge (ln DBL_MAX ~ 709.78)
+    # and the budgets where u/(1+u) with u = e^-eps is one ulp off
+    from scipy.special import expit
+
+    edge = math.log(np.finfo(float).max)
+    near = edge * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)  # a few ulps either side
+    grid = np.concatenate([np.linspace(0.0, 800.0, 400_001), near,
+                           [0.25, 0.5, 2.5, 3.0, 4.0, 5.0, 709.5, 709.78, 709.79]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([flip_probability(float(e)) for e in grid])
+        assert flip_probability(709.79) == flip_probability(800.0) == 0.0
+    assert np.array_equal(got, expit(-grid))
+    assert isinstance(flip_probability(1.0), float)

@@ -162,7 +162,7 @@ def test_cross_user_residuals_uncorrelated(rng):
     gen = np.random.Generator(np.random.Philox(17))
     for i, (p, ch) in enumerate(zip(p1s, chans)):
         x = (gen.random(trials) < p).astype(int)
-        y = sample_rows(np.cumsum(ch.matrix, axis=1)[x], gen)
+        y = sample_rows(np.cumsum(ch.matrix, axis=1)[x][:, :-1], gen)
         post1 = np.where(y == 1, ch.matrix[1, 1] * p, ch.matrix[1, 0] * p)
         lam = np.where(y == 1, p, 1 - p)  # marginal equals prior here
         res[:, i] = x - post1 / lam

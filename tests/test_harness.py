@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -41,7 +42,7 @@ from lipagg.errors import (
     UnreachableOutputError,
     ValidationError,
 )
-from lipagg.mechanisms import MechanismFamily, check_family_task
+from lipagg.mechanisms import MechanismFamily, check_family_task, optimal_channel
 
 
 def test_generate_population_global():
@@ -519,6 +520,52 @@ def test_draws_and_rows_do_not_depend_on_the_chunk_size(monkeypatch, block_trial
             assert (a.family, a.epsilon, a.trials) == (b.family, b.epsilon, b.trials)
             assert b.metric == pytest.approx(a.metric, rel=1e-12, abs=0.0)
             assert b.mse_stderr == pytest.approx(a.mse_stderr, rel=1e-12, abs=0.0)
+
+
+def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
+    """The harness hands ``sample_rows`` only the d-1 interior CDF
+    boundaries; every index it draws equals np.sum(cdf[:, :-1] < u, axis=1)
+    on the full d-column CDF (the prior's for the true values,
+    keep [k >= x] + redraw cumsum(r) for a keep-or-resample channel), with
+    u = 1 - random() replayed from the stream's state before the call."""
+    from lipagg import harness
+
+    real, calls = harness.sample_rows, []
+
+    def record(bounds, rng):
+        state = copy.deepcopy(rng.bit_generator.state)
+        calls.append((state, real(bounds, rng)))
+        return calls[-1][1]
+
+    def replay(state, cdf):
+        gen = np.random.Generator(np.random.Philox(0))
+        gen.bit_generator.state = state
+        u = 1.0 - gen.random(cdf.shape[0])
+        return np.sum(cdf[:, :-1] < u[:, None], axis=1)
+
+    monkeypatch.setattr(harness, "sample_rows", record)
+    binary = generate_population(30, "local-uniform", seed=4)
+    wide = generate_population(30, "local-uniform", seed=4, domain=Domain.of_size(5))
+    trials, grid = 20, (0.5, 2.0)
+    for pop, task, families in (
+            (binary, Survey(1.0), ("opt-binary-lip", "opt-binary-ldp", "symmetric-rr",
+                                   "opt-mimo-lip")),
+            (wide, Histogram(), ("opt-mimo-lip", "oue", "opt-mimo-ldp"))):
+        calls.clear()
+        run_experiment(ExperimentConfig(task=task, families=families, eps_grid=grid,
+                                        trials=trials, seed=12, population=pop))
+        n, d = pop.priors.shape
+        sampled = [(f, e) for f in families if f != "oue" for e in grid]
+        assert len(calls) == 1 + len(sampled)  # one chunk of trials
+        state, x_idx = calls[0]
+        assert np.array_equal(x_idx, replay(state, np.cumsum(np.tile(pop.priors, (trials, 1)),
+                                                             axis=1)))
+        x_idx = x_idx.reshape(trials, n)
+        for (fam, eps), (state, y_idx) in zip(sampled, calls[1:]):
+            ch = optimal_channel(MechanismFamily.from_tag(fam), eps, pop.priors)
+            cdf = (np.triu(np.full((d, d), ch.keep))[x_idx]
+                   + ch.redraw * np.cumsum(ch.resample, axis=-1))
+            assert np.array_equal(y_idx, replay(state, cdf.reshape(-1, d)))
 
 
 def _dense_channels(family, pop, eps):

@@ -29,6 +29,7 @@ from lipagg import (
     validate_channel,
 )
 from lipagg.errors import ValueNotInDomainError, ZeroEpsilonError
+from lipagg.mechanisms import sample_rows
 
 from conftest import random_prior
 
@@ -219,6 +220,29 @@ def test_perturb_empirical_rate_binary():
     q1 = 0.7 / math.e
     sigma = math.sqrt(q1 * (1 - q1) / n)
     assert abs((ys == 0).mean() - q1) <= 3 * sigma
+
+
+class _FixedDraws:
+    """Stands in for a generator: ``random(n)`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, n):
+        return self.draws[:n]
+
+
+def test_sample_rows_past_the_last_boundary_is_the_last_output():
+    # ten outputs of mass 0.1: the running total rounds to 1 - 2^-53 < 1, and
+    # a draw of 0 (u = 1, above every boundary) still gives index d-1 = 9
+    full = np.cumsum(np.full((3, 10), 0.1), axis=1)
+    assert full[0, -1] < 1.0
+    got = sample_rows(full[:, :-1], _FixedDraws([0.0, 1.0 - full[0, -1], 0.5]))
+    assert got.tolist() == [9, 9, 4]
+    # u on a boundary resolves to the lower index: a zero-mass output
+    # (index 1, boundaries 0.5 and 0.5) is never drawn
+    bounds = np.array([[0.5, 0.5]] * 3)
+    assert sample_rows(bounds, _FixedDraws([0.5, 0.25, 0.0])).tolist() == [0, 2, 2]
 
 
 def test_oue_perturb_rates():
