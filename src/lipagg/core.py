@@ -151,26 +151,29 @@ def validate_channel(q: Channel) -> None:
         raise RowSumMismatchError(i, float(sums[i]))
 
 
-def posterior_ratio(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+def posterior_ratio(q: np.ndarray, p: np.ndarray, *,
+                    posterior: bool = True) -> tuple[np.ndarray, ...]:
     """The Bayes step for channels q (..., d, f) and priors p (..., d): the
     output marginal lam = p @ q, the posterior-to-prior ratio q[m][k] / lam[k]
-    and the posterior p[m] q[m][k] / lam[k], both 0 where lam is 0.  The
-    posterior is divided out of the joint, not taken as p * ratio: for a
-    prior entry below 1/DBL_MAX the ratio overflows to inf.  Raises
-    ``DimensionMismatchError`` when p and q disagree on d."""
+    and, unless ``posterior`` is false, the posterior p[m] q[m][k] / lam[k],
+    both 0 where lam is 0.  The posterior is divided out of the joint, not
+    taken as p * ratio: for a prior entry below 1/DBL_MAX the ratio
+    overflows to inf.  Raises ``DimensionMismatchError`` when p and q
+    disagree on d."""
     if p.shape[-1] != q.shape[-2]:
         raise DimensionMismatchError(
             f"prior size {p.shape[-1]} != channel input size {q.shape[-2]}")
     lam = (p[..., None, :] @ q)[..., 0, :]
     col = lam[..., None, :]
+    tables = (q, p[..., None] * q) if posterior else (q,)
     with np.errstate(over="ignore"):
         return lam, *[np.divide(t, col, out=np.zeros(np.broadcast(t, col).shape),
-                                where=col > 0.0) for t in (q, p[..., None] * q)]
+                                where=col > 0.0) for t in tables]
 
 
 def output_distribution(q: Channel, p: Prior) -> np.ndarray:
     """Marginal output distribution: lambda[k] = sum_m p[m] * q[m][k]."""
-    return posterior_ratio(q.matrix, p.p)[0]
+    return posterior_ratio(q.matrix, p.p, posterior=False)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,18 @@ true values are drawn once and shared by every family under comparison
 (common random numbers), then each family perturbs them on its own stream.
 ``STREAM_LAYOUT`` numbers this layout and is recorded in the curve metadata.
 
+Inverse-CDF sampling (:func:`mechanisms.sample_rows`) reads the d-1
+interior CDF boundaries of every user-trial.  They are laid out
+boundary-major: the true values' boundaries as a (d-1, N) table, a
+keep-or-resample channel's as a (d-1, d) step table plus a (d-1, N) or
+(d-1, 1) tail, and a chunk's block as (d-1, trials x N), so counting the
+boundaries below each draw sums d-1 contiguous rows.  ``sample_rows``
+still receives the (trials x N, d-1) transpose view.  A run allocates one
+workspace sized for a chunk (draws, boundary block, comparison mask,
+counts, index arrays, gathered table values and g rows), and every chunk
+rewrites it in place, so the chunk loop allocates nothing that grows with
+N or the chunk; the last, shorter chunk uses prefixes of the same buffers.
+
 Empirical error is measured against the sampled statistic of each trial,
 not its expectation.  Populations ingested from files keep their real
 values fixed across trials; only the perturbation is resampled.
@@ -125,6 +137,53 @@ class ExperimentConfig:
                 f"{np.size(self.fixed_values)} fixed values for {n} users")
 
 
+class _Workspace:
+    """Every array a chunk of m trials x N users needs, allocated once per run
+    and rewritten in place by each chunk: each numpy call writes through
+    ``out=``, and each ``np.take`` passes ``mode="clip"`` (with the default
+    ``mode="raise"`` numpy buffers ``out`` and copies, allocating anyway).
+    Arrays are kept flat so that a shorter last chunk gets contiguous
+    prefixes of the same memory (:meth:`prefix`).
+
+    The arrays are cut from one block, which keeps the workspace mapped from
+    one run to the next.  Allocated as ten arrays it was handed back to the
+    system after each run and faulted in again: 5.2k minor page faults per
+    survey-plus-histogram pair of runs at N=20000, d=2 against 1.4k-4.1k for
+    the block, depending on the heap layout (glibc raises its mmap threshold
+    to the size of a freed mapped block, so a block of that size later comes
+    from the heap and stays)."""
+
+    def __init__(self, m: int, n: int, d: int, c: int, flat: dict | None = None):
+        self.n, self.d, self.c = n, d, c
+        shapes = {
+            "u": ((m * n,), float),  # uniform draws, then u = 1 - draw
+            "less": ((d - 1, m * n), bool),  # boundary-major comparison mask
+            "counts": ((m * n,), np.min_scalar_type(d - 1)),  # sampled indices
+            "bounds": ((d - 1, m, n), float),  # boundary-major CDF block
+            "x": ((m, n), np.intp),  # true values
+            "y": ((m, n), np.intp),  # published outputs
+            "at": ((m, n), np.intp),  # flat (user, output) table offsets
+            "kept": ((m, n), float),
+            "redrawn": ((m, n), float),
+            "gathered": ((m, n, c), float),  # g[x], then g[y]
+        }
+        if flat is None:  # one allocation, cut into 64-byte-aligned pieces
+            nbytes = {k: -(-math.prod(s) * np.dtype(t).itemsize // 64) * 64
+                      for k, (s, t) in shapes.items()}
+            block, at, flat = np.empty(sum(nbytes.values()), np.uint8), 0, {}
+            for k, (_, t) in shapes.items():
+                flat[k] = block[at:at + nbytes[k]].view(t)
+                at += nbytes[k]
+        self.flat = flat
+        for k, (s, _) in shapes.items():
+            setattr(self, k, self.flat[k][:math.prod(s)].reshape(s))
+        self.sample = (self.u, self.less, self.counts)
+
+    def prefix(self, m: int) -> "_Workspace":
+        """The same buffers sized for m trials."""
+        return _Workspace(m, self.n, self.d, self.c, self.flat)
+
+
 class _FamilyRunner:
     """Per-(family, eps) sampler and estimator for a chunk of trials.
 
@@ -147,10 +206,11 @@ class _FamilyRunner:
             return
         ch = optimal_channel(family, eps, priors)
         # CDF of the output given true value x at outputs k < d-1 (the
-        # boundaries sample_rows reads): steps[x] + tail, the kept mass
-        # keep [k >= x] over the redraw mass redraw cumsum(r)_k
-        self.steps = np.triu(np.full((d, d - 1), ch.keep))
-        self.tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
+        # boundaries sample_rows reads), boundary-major: steps[:, x] + tail,
+        # the kept mass keep [k >= x] over the redraw mass redraw cumsum(r)_k
+        self.steps = np.tril(np.full((d - 1, d), ch.keep))
+        tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
+        self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)  # (d-1, N) or (d-1, 1)
         kept, redrawn = ch.posterior(priors)
         self.rows = np.arange(n) * d  # flat offset of each user's table row
         if fixed_idx is not None and ch.keep > 0.0:
@@ -167,24 +227,30 @@ class _FamilyRunner:
         self.redrawn = form.weights[:, None] * redrawn
         self.mu = priors @ self.g
 
-    def estimate(self, x_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Perturb a (trials, N) chunk of true values, reading ``rng`` in
-        trial-major order, and return the (trials, components) estimates."""
-        m, n = x_idx.shape
+    def estimate(self, ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
+        """Perturb the chunk of true values in ``ws.x``, (trials, N), reading
+        ``rng`` in trial-major order, and return the (trials, components)
+        estimates."""
+        m, n = ws.x.shape
         d = self.g.shape[0]
         if self.family is MechanismFamily.OUE:
-            hot = np.bincount((x_idx + d * np.arange(m)[:, None]).ravel(),
-                              minlength=m * d).reshape(m, d)
+            np.add(ws.x, d * np.arange(m)[:, None], out=ws.at)
+            hot = np.bincount(ws.at.ravel(), minlength=m * d).reshape(m, d)
             return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
-        y_idx = sample_rows((self.steps.take(x_idx, axis=0) + self.tail).reshape(m * n, d - 1),
-                            rng).reshape(m, n)
+        np.take(self.steps, ws.x, axis=1, out=ws.bounds, mode="clip")
+        np.add(ws.bounds, self.tail[:, None, :], out=ws.bounds)
+        np.copyto(ws.y, sample_rows(ws.bounds.reshape(d - 1, m * n).T, rng,
+                                    buffers=ws.sample).reshape(m, n))
         if self.family is MechanismFamily.SYMMETRIC_RR:
-            count = context_free_estimate(y_idx, self.eps)
+            count = context_free_estimate(ws.y, self.eps)
             return n * self.g[0] + (self.g[1] - self.g[0]) * count[:, None]
-        at = self.rows + y_idx
+        np.add(self.rows, ws.y, out=ws.at)
+        np.take(self.kept, ws.at, out=ws.kept, mode="clip")
+        np.take(self.redrawn, ws.at, out=ws.redrawn, mode="clip")
+        gy = np.take(self.g, ws.y, axis=0, out=ws.gathered, mode="clip")
         return (self.offset
-                + (self.kept.take(at)[:, None, :] @ self.g.take(y_idx, axis=0))[:, 0]
-                + self.redrawn.take(at) @ self.mu)
+                + (ws.kept[:, None, :] @ gy)[:, 0]
+                + ws.redrawn @ self.mu)
 
 
 def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
@@ -213,22 +279,29 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
                for fi, fam in enumerate(config.families)
                for ei, eps in enumerate(config.eps_grid)]
     truth_rng = _rng(config.seed, 1)
-    truth_cdf = np.cumsum(pop.priors[:, :-1], axis=1)  # sample_rows' boundaries
     g = form.g.reshape(d, -1)
 
+    chunk = min(trials, max(1, _BLOCK // (n * d)))
+    ws = _Workspace(chunk, n, d, g.shape[1])
+    if fixed_idx is None:
+        # sample_rows' boundaries for the true values, boundary-major and
+        # repeated for each trial of a chunk; a shorter chunk reads a prefix
+        truth_cdf = np.empty((d - 1, chunk, n))
+        truth_cdf[...] = np.cumsum(pop.priors[:, :-1], axis=1).T[:, None, :]
+    else:
+        ws.x[...] = fixed_idx
     # squared error of every trial, summed over the statistic's components
     sq_err = np.zeros((len(runners), trials))
-    chunk = max(1, _BLOCK // (n * d))
     for t0 in range(0, trials, chunk):
         m = min(chunk, trials - t0)
+        if m < chunk:  # only the last chunk can be shorter
+            ws = ws.prefix(m)
         if fixed_idx is None:
-            x_idx = sample_rows(np.broadcast_to(truth_cdf, (m, n, d - 1)).reshape(m * n, d - 1),
-                                truth_rng).reshape(m, n)
-        else:
-            x_idx = np.broadcast_to(fixed_idx, (m, n))
-        stat = form.total(g.take(x_idx, axis=0))
+            np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
+                                        buffers=ws.sample).reshape(m, n))
+        stat = form.total(np.take(g, ws.x, axis=0, out=ws.gathered, mode="clip"))
         for r, (runner, rng) in enumerate(runners):
-            err = runner.estimate(x_idx, rng) - stat
+            err = runner.estimate(ws, rng) - stat
             sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)
 
     rows = []

@@ -258,7 +258,8 @@ def _coerce_rng(rng) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(rng))
 
 
-def sample_rows(bounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_rows(bounds: np.ndarray, rng: np.random.Generator, *,
+                buffers: tuple | None = None) -> np.ndarray:
     """Inverse-CDF sample one index in [0, d-1] per row of ``bounds``, an
     (n, d-1) array of the row-wise cumulative probabilities of every output
     but the last; one uniform draw per row, in order.
@@ -266,10 +267,23 @@ def sample_rows(bounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Returns #{k : bounds[k] < u} for u in (0, 1]: a u exactly on a boundary
     resolves to the lower index, so zero-probability outputs are never
     produced, and the last output takes all the mass above the last
-    boundary, so a row total rounded below 1 still yields an index.
+    boundary, so a row total rounded below 1 still yields an index.  The
+    count is taken in the narrowest unsigned type that holds d-1, over a
+    boundary-major (d-1, n) comparison mask, so it sums d-1 contiguous rows;
+    it reads fastest when ``bounds`` is itself the transpose view of a
+    contiguous (d-1, n) block.
+
+    ``buffers`` is an optional (u, less, counts) triple written in place
+    instead of allocated: float64 (n,), bool (d-1, n) and (n,) of the count
+    type; the returned indices are then ``counts`` itself.
     """
-    u = 1.0 - rng.random(bounds.shape[0])
-    return np.sum(bounds < u[:, None], axis=1)
+    n, b = bounds.shape
+    u, less, counts = buffers or (np.empty(n), np.empty((b, n), dtype=bool),
+                                  np.empty(n, np.min_scalar_type(b)))
+    np.subtract(1.0, rng.random(out=u), out=u)
+    np.less(bounds, u[:, None], out=less.T)
+    # summed as 0/1 bytes: a bool mask would be cast through a buffer first
+    return np.add.reduce(less.T.view(np.uint8), axis=1, dtype=counts.dtype, out=counts)
 
 
 def perturb(q: Channel, x: float, rng) -> float:
@@ -284,9 +298,10 @@ def perturb(q: Channel, x: float, rng) -> float:
 
 def perturb_indices(q: Channel, x_idx: np.ndarray, rng) -> np.ndarray:
     """Vector form of :func:`perturb` over input indices, returning output
-    indices; one uniform draw per entry, in order."""
-    bounds = np.cumsum(q.matrix[:, :-1], axis=1)
-    return sample_rows(bounds[np.asarray(x_idx, dtype=int)], _coerce_rng(rng))
+    indices (in :func:`sample_rows`' unsigned count type); one uniform draw
+    per entry, in order."""
+    bounds = np.cumsum(q.matrix[:, :-1], axis=1).T  # boundary-major (d-1, d)
+    return sample_rows(bounds.take(np.asarray(x_idx, dtype=int), axis=1).T, _coerce_rng(rng))
 
 
 def oue_perturb(oue: OUEChannel, x_idx: np.ndarray, rng) -> np.ndarray:

@@ -39,14 +39,19 @@ def measure_ldp(q: Channel) -> float:
     m = q.matrix[:, np.any(q.matrix > 0.0, axis=0)]  # outputs some input emits
     if not np.all(m > 0.0):
         return math.inf
-    return float(np.log(m.max(axis=0) / m.min(axis=0)).max(initial=0.0))
+    hi, lo = m.max(axis=0), m.min(axis=0)
+    with np.errstate(over="ignore"):
+        level = float(np.log(hi / lo).max(initial=0.0))
+    # hi / lo overflows only through a subnormal entry, whose column then has
+    # the largest ratio: take its log as ln hi - ln lo
+    return level if level < math.inf else float((np.log(hi) - np.log(lo)).max())
 
 
 def _log_ratio(q: Channel, p: Prior):
     """The output marginal lam and ln(q[x][y] / lam[y]) (0 where lam is 0,
     -inf where q is 0).  Where the ratio overflows, which needs lam below
     q / DBL_MAX and so a prior entry below 1/DBL_MAX, it is ln q - ln lam."""
-    lam, ratio, _ = posterior_ratio(q.matrix, p.p)
+    lam, ratio = posterior_ratio(q.matrix, p.p, posterior=False)
     with np.errstate(divide="ignore"):
         logs = np.log(ratio)
     over = logs == math.inf
@@ -56,33 +61,41 @@ def _log_ratio(q: Channel, p: Prior):
     return lam, logs
 
 
+def _lip(p: Prior, lam, logs) -> float:
+    return float(np.abs(logs[np.ix_(p.p > 0.0, lam > 0.0)]).max(initial=0.0))
+
+
+def _mip(q: Channel, p: Prior, logs) -> float:
+    joint = p.p[:, None] * q.matrix
+    mask = joint > 0.0
+    return max(0.0, float(np.sum(joint[mask] * logs[mask])))
+
+
 def measure_lip(q: Channel, p: Prior) -> float:
     """Largest absolute log prior-to-posterior ratio over reachable (x, y).
 
     Returns +inf when q[x][y] = 0 for a reachable pair (observing y rules
     x out entirely).
     """
-    lam, logs = _log_ratio(q, p)
-    return float(np.abs(logs[np.ix_(p.p > 0.0, lam > 0.0)]).max(initial=0.0))
+    return _lip(p, *_log_ratio(q, p))
 
 
 def measure_mip(q: Channel, p: Prior) -> float:
     """Mutual information I(X; Y) in nats; zero-probability terms contribute 0."""
-    _, logs = _log_ratio(q, p)
-    joint = p.p[:, None] * q.matrix
-    mask = joint > 0.0
-    return max(0.0, float(np.sum(joint[mask] * logs[mask])))
+    return _mip(q, p, _log_ratio(q, p)[1])
 
 
 def audit(q: Channel, p: Prior) -> PrivacyAudit:
-    """Measure all three levels and verify the relations among them.
+    """Measure all three levels and verify the relations among them; the
+    two context-aware levels share one Bayes step.
 
     Raises ``InternalInconsistencyError`` if the measurements violate
     lip <= ldp, ldp <= 2*lip (full-support prior) or I(X;Y) <= lip.
     """
     ldp = measure_ldp(q)
-    lip = measure_lip(q, p)
-    mip = measure_mip(q, p)
+    lam, logs = _log_ratio(q, p)
+    lip = _lip(p, lam, logs)
+    mip = _mip(q, p, logs)
     if math.isfinite(ldp) and math.isfinite(lip):
         # ldp also compares the rows of zero-prior inputs, which lip leaves out
         if lip > ldp + _AUDIT_SLACK or (ldp > 2.0 * lip + _AUDIT_SLACK and p.p.all()):

@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import sys
+import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -476,15 +479,16 @@ def test_monte_carlo_rows_agree_with_closed_form_within_five_standard_errors():
 
 def _recorded_run(monkeypatch, cfg, block):
     """Run ``cfg`` with ``harness._BLOCK = block``, recording every sampled
-    index and unary-encoding count array by the generator it was drawn from."""
+    index and unary-encoding count array by the generator it was drawn from
+    (a copy: the harness reuses its buffers from chunk to chunk)."""
     from lipagg import harness
 
     draws = {}
 
     def record(fn):
-        def wrapper(arg, *rest):
-            out = fn(arg, *rest)
-            draws.setdefault(id(rest[-1]), []).append(out)
+        def wrapper(arg, *rest, **kw):
+            out = fn(arg, *rest, **kw)
+            draws.setdefault(id(rest[-1]), []).append(out.copy())
             return out
         return wrapper
 
@@ -532,10 +536,11 @@ def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
 
     real, calls = harness.sample_rows, []
 
-    def record(bounds, rng):
+    def record(bounds, rng, **kw):
         state = copy.deepcopy(rng.bit_generator.state)
-        calls.append((state, real(bounds, rng)))
-        return calls[-1][1]
+        out = real(bounds, rng, **kw)
+        calls.append((state, out.copy()))
+        return out
 
     def replay(state, cdf):
         gen = np.random.Generator(np.random.Philox(0))
@@ -566,6 +571,65 @@ def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
             cdf = (np.triu(np.full((d, d), ch.keep))[x_idx]
                    + ch.redraw * np.cumsum(ch.resample, axis=-1))
             assert np.array_equal(y_idx, replay(state, cdf.reshape(-1, d)))
+
+
+def _traced_run(monkeypatch, cfg):
+    """Run ``cfg`` under tracemalloc with one trial per chunk; return the
+    peak traced memory, the most memory a chunk holds above what was held
+    when it started (over every chunk but the last, which the closed form
+    follows), and the bounds shapes of the ``sample_rows`` calls.  The
+    record stays one size, so it adds nothing that grows per chunk."""
+    from lipagg import harness
+
+    real, shapes = harness.sample_rows, Counter()
+    state = {"peak": 0, "start": None, "held": 0}
+
+    def record(bounds, rng, **kw):
+        shapes[bounds.shape] += 1
+        if sys._getframe(1).f_code.co_name == "run_experiment":  # a chunk starts
+            current, peak = tracemalloc.get_traced_memory()
+            if state["start"] is not None:
+                state["held"] = max(state["held"], peak - state["start"])
+            state["start"] = current
+            state["peak"] = max(state["peak"], peak)
+            tracemalloc.reset_peak()
+        return real(bounds, rng, **kw)
+
+    n, d = cfg.population.priors.shape
+    monkeypatch.setattr(harness, "_BLOCK", n * d)
+    monkeypatch.setattr(harness, "sample_rows", record)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = max(state["peak"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return peak, state["held"], shapes
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_the_chunk_loop_allocates_per_run_not_per_chunk(monkeypatch, d):
+    """The chunk loop writes into one workspace allocated per run: with one
+    trial per chunk the peak traced memory of 40 trials is within a few KiB
+    of 2 trials (the (runs, trials) error table grows by 1.8 KiB; numpy's
+    cache of small freed buffers varies by a few KiB), and no chunk holds a
+    tenth of one (N, d-1) boundary block above its start.
+    Every ``sample_rows`` call still gets (trials x N, d-1) bounds, the
+    user-trial count the benchmark reads off its first axis."""
+    n = 20_000
+    pop = generate_population(n, "local-uniform", seed=3, domain=Domain.of_size(d))
+    task, families = ((Survey(1.0), ("opt-binary-lip", "opt-binary-ldp", "opt-mimo-lip"))
+                      if d == 2 else (Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
+    runs = {}
+    for trials in (2, 40):
+        cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
+                               trials=trials, seed=1, population=pop)
+        runs[trials] = _traced_run(monkeypatch, cfg)
+        sampled = 1 + 2 * sum(f != "oue" for f in families)  # truth + each runner
+        assert runs[trials][2] == {(n, d - 1): trials * sampled}
+    assert runs[40][0] <= runs[2][0] + 16 * 1024
+    assert runs[40][1] < n * (d - 1) * 8 // 10
 
 
 def _dense_channels(family, pop, eps):

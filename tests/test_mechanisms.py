@@ -210,6 +210,16 @@ def test_scalar_and_vector_perturb_share_stream():
     rng = np.random.Generator(np.random.Philox(9))
     seq = [perturb(ch, float(ch.input_domain.values[x]), rng) for x in xs]
     assert np.allclose(ch.output_domain.values[vec], seq)
+    # the vector form gathers a boundary-major table: the same outputs exactly,
+    # up to d = 257, where indices need two bytes
+    for d in (2, 5, 257):
+        gen = np.random.default_rng(d)
+        ch = opt_mimo_lip(Prior(gen.dirichlet(np.ones(d))), 1.0)
+        xs = gen.integers(0, d, 300)
+        vec = perturb_indices(ch, xs, np.random.Generator(np.random.Philox(d)))
+        rng = np.random.Generator(np.random.Philox(d))
+        seq = [perturb(ch, float(ch.input_domain.values[x]), rng) for x in xs]
+        assert ch.output_domain.values[vec].tolist() == seq
 
 
 def test_perturb_empirical_rate_binary():
@@ -223,13 +233,15 @@ def test_perturb_empirical_rate_binary():
 
 
 class _FixedDraws:
-    """Stands in for a generator: ``random(n)`` returns the given draws."""
+    """Stands in for a generator: ``random(out=a)`` fills ``a`` with the
+    given draws."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=float)
 
-    def random(self, n):
-        return self.draws[:n]
+    def random(self, *, out):
+        out[...] = self.draws[:out.size]
+        return out
 
 
 def test_sample_rows_past_the_last_boundary_is_the_last_output():
@@ -243,6 +255,33 @@ def test_sample_rows_past_the_last_boundary_is_the_last_output():
     # (index 1, boundaries 0.5 and 0.5) is never drawn
     bounds = np.array([[0.5, 0.5]] * 3)
     assert sample_rows(bounds, _FixedDraws([0.5, 0.25, 0.0])).tolist() == [0, 2, 2]
+
+
+@pytest.mark.parametrize("d", [256, 257])
+def test_sample_rows_reaches_every_index_at_the_count_type_edge(d):
+    """Indices are counted in the narrowest unsigned type that holds d-1:
+    one byte up to d = 256, two at d = 257, where index 256 must still be
+    drawn.  C-ordered bounds, boundary-major bounds and the in-place
+    buffers all give np.sum(cdf[:, :-1] < u, axis=1), for u on every
+    boundary (dyadic masses make the sums exact), u = 1 and random u."""
+    rng = np.random.default_rng(d)
+    mass = np.full(d, 2.0 ** -10)
+    mass[-1] = 1.0 - (d - 1) * 2.0 ** -10
+    u_edge = np.append(np.arange(1, d) * 2.0 ** -10, [1.0, (d - 0.5) * 2.0 ** -10])
+    cdf = np.vstack([np.tile(np.cumsum(mass), (u_edge.size, 1)),
+                     np.cumsum(rng.dirichlet(np.ones(d), size=500), axis=1)])
+    u = np.append(u_edge, 1.0 - rng.random(500))
+    want = np.sum(cdf[:, :-1] < u[:, None], axis=1)
+    assert want.max() == d - 1 and want[d - 1] == d - 1  # u = 1 takes the last output
+    n = cdf.shape[0]
+    for bounds in (cdf[:, :-1], np.ascontiguousarray(cdf[:, :-1].T).T):
+        got = sample_rows(bounds, _FixedDraws(1.0 - u))
+        assert got.dtype == np.min_scalar_type(d - 1)
+        assert np.array_equal(got, want)
+        buffers = (np.empty(n), np.empty((d - 1, n), dtype=bool),
+                   np.empty(n, dtype=np.min_scalar_type(d - 1)))
+        got = sample_rows(bounds, _FixedDraws(1.0 - u), buffers=buffers)
+        assert got is buffers[2] and np.array_equal(got, want)
 
 
 def test_oue_perturb_rates():

@@ -19,6 +19,7 @@ from lipagg import (
     posterior,
 )
 from lipagg.errors import UnreachableOutputError
+from lipagg.notions import PrivacyAudit
 
 from conftest import (
     enum_ldp_level,
@@ -196,3 +197,32 @@ def test_levels_stay_finite_for_subnormal_prior_entries():
     assert 710.0 < level < 710.5
     assert math.isclose(measure_lip(ch, p), level, rel_tol=1e-12)
     assert math.isfinite(measure_mip(ch, p))
+    # q[1][1] / q[0][1] = (1 - (1-p_min) u) / (p_min u) overflows too: ln of it
+    assert math.isclose(measure_ldp(ch), level + 1.0, rel_tol=1e-12)
+
+
+def test_audit_equals_the_three_measures_for_every_family():
+    """``audit`` shares one Bayes step between the lip and mip levels; for
+    every family the CLI derives, over priors with zero and subnormal
+    entries and budgets up to 40, it returns exactly the three measures."""
+    from lipagg.cli import _FAMILIES
+
+    tiny = 2.2e-309  # below 1/DBL_MAX: q / lambda overflows for its input
+    priors = [Prior([0.7, 0.3]), Prior([0.0, 1.0]), Prior([1.0, tiny]), Prior([tiny, 1.0]),
+              Prior([0.2, 0.3, 0.5]), Prior([0.5, tiny, 0.5]), Prior([0.1, 0.0, 0.6, 0.3])]
+    checked, overflowed = 0, 0
+    for name, (reads, build) in _FAMILIES.items():
+        for p in priors:
+            if name == "opt-binary-lip" and p.size != 2:
+                continue
+            for eps in (0.1, 1.0, 5.0, 40.0):
+                ch = build(eps, p.size if reads == "width" else p)
+                if ch.d_in != p.size:
+                    continue  # the fixed binary channels audit binary priors
+                got = audit(ch, p)
+                assert got == PrivacyAudit(measure_ldp(ch), measure_lip(ch, p),
+                                           measure_mip(ch, p)), (name, p.p, eps)
+                checked += 1
+                overflowed += got.lip_eps > math.log(np.finfo(float).max)
+    assert checked == 4 * 4 + 7 * 4 + 7 * 4 + 3 * 4 * 4
+    assert overflowed > 0  # the ln q - ln lam branch ran
