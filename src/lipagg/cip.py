@@ -17,6 +17,13 @@ output alphabet has N+1 symbols the d-ary context-aware optimum over S is
 included as a start; it is always band-feasible and already matches the
 aggregate error of the per-user binary optimum, so the search can only
 improve on it.
+
+A step of the ascent moves mass out of one source column of a row.  Adding
+mass dm at value s to a column raises its t^2/w by at most dm s^2, so each
+source's best gain has an exact upper bound that costs O(m) to compute.  Only
+the sources whose bound can clear the move threshold get a row of gains over
+every destination; the others cannot win, so the moves are the ones a scan
+of every (source, destination) pair would pick, bit for bit.
 """
 
 import math
@@ -29,11 +36,21 @@ from .errors import NoFeasiblePointError
 from .mechanisms import opt_mimo_lip
 
 _BAND_TOL = 1e-9
-# cells of the (starts, m, m) gain tensor one lockstep ascent may stack.
-# Stacking pays at small m (7 starts at m = 51: about 2.7x faster than one
-# at a time) and not at large m (at m = 201 seven starts took 9 s for 3
-# sweeps, one at a time 7 s, on a 2-core Xeon)
+# (start, source, destination) cells one lockstep ascent may stack, which
+# caps a step's block of gains.  Stacking shares each step's fixed costs: at
+# m = 51 seven starts ascend 3.8x faster together than one at a time, at
+# m = 201 no faster (3 sweeps: 2.8 s against 2.7 s, 2-core Xeon)
 _LOCKSTEP_CELLS = 1 << 16
+# Rounding allowance on a source's gain bound, in units of max(1, E[S^2]).
+# Each t^2/w term is at most E[S^2] (Cauchy-Schwarz within a column:
+# (sum p q s)^2 / sum p q <= sum p q s^2).  A gain and its bound share the
+# source's two terms; the rest is the exact destination inequality
+# (t + dm s)^2 / (w + dm) <= t^2/w + dm s^2, whose sides are computed from
+# sums of nonnegative numbers, then a few additions: a few dozen roundings
+# of 2^-53 relative to E[S^2] at most, well below 2^-44.  The worst excess
+# over the bound in tests/test_cip.py's 60 instances (N to 40, p1 from 0 to
+# 1, eps 0 to 5) is 1.0e-16 max(1, E[S^2]).
+_GAIN_SLACK = 2.0 ** -44
 _RANDOM_STARTS = 4  # seeded Dirichlet starts besides the fixed ones
 _MAX_SWEEPS = 40
 _FRACTIONS = (1.0, 0.5, 0.25)  # shares of a source column's mass a move may carry, in (0, 1]
@@ -97,13 +114,18 @@ def cip_mse_lower_bound(instance: CipInstance) -> float:
 class CipSearchResult:
     """The best mechanism found, with what the search did to find it:
     ``starts`` tried (all made band-feasible), how many of them needed a
-    blend toward the constant mechanism, and the sweeps each start ran."""
+    blend toward the constant mechanism, the sweeps each start ran, and how
+    many (start, step, source) candidates with an in-band move out got a
+    block of gains (``sources_scored``) or were dropped by their gain bound
+    (``sources_pruned``)."""
     mechanism: np.ndarray
     mse: float
     estimator_variance: float
     starts: int = 0
     starts_blended: int = 0
     sweeps: tuple = ()
+    sources_scored: int = 0
+    sources_pruned: int = 0
 
 
 def _column_stats(Q, prior, svals):
@@ -188,72 +210,119 @@ def _feasible_starts(instance: CipInstance, m: int, seed: int):
 
 def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint,
-    run in lockstep over a stack of starts Q (S, N+1, m).
+    run in lockstep, in place, over a stack of starts Q (S, N+1, m).
 
     Each (row s, fraction) step moves, in every start at once, the mass
-    fraction of one source column of row s to the destination column with
-    the largest gain in E[E[S|Y]^2] (the first in row-major order on ties)
-    whose source and destination posterior means stay in the band.  A start
-    leaves the active set after a sweep with no move.  Every start follows
-    exactly the trajectory it would follow alone: the fractions stay
-    sequential, and the column sums w = prior @ Q and t = (prior s) @ Q of a
-    moved start are recomputed, not updated.  Returns the final stack, and
-    the objective and the number of sweeps run per start.
+    fraction of one source column j of row s to the destination column k
+    with the largest gain in E[E[S|Y]^2] (the first in row-major order on
+    ties) whose source and destination posterior means stay in the band,
+    if that gain exceeds the start's improve_tol.  Adding mass dm at value s
+    to a column raises its t^2/w by at most dm s^2, so every gain out of j
+    is at most t_minus^2/w_minus - t_j^2/w_j + dm_j s^2 (plus _GAIN_SLACK
+    for rounding).  Only the in-band sources whose bound reaches improve_tol
+    get a block of gains over every destination; the others cannot win, so
+    leaving them out changes no move.  A start leaves the stack after a
+    sweep with no move.  Every start follows exactly the trajectory it would
+    follow alone: the fractions stay sequential, and after a move the column
+    sums w = prior @ Q and t = (prior s) @ Q are recomputed, not updated.
+    Returns the final stack, the objective and the number of sweeps run per
+    start, and how many (start, step, source) candidates passed the band
+    test and were scored or pruned.
     """
-    Q = Q.copy()
-    n_starts, _, m = Q.shape
+    q = Q  # the stack of starts still ascending
+    n_starts, _, m = q.shape
+    # room for a block over every source of every start, cut to each step's
+    # live rows: the destinations' w_plus and t_plus, the gains, the mask
+    cells = n_starts * m * m
+    blk, gain_buf = np.empty(2 * cells), np.empty(cells)
+    off_buf = np.empty(cells, dtype=bool)
     pt = prior * svals
-    w, t = prior @ Q, pt @ Q
-    tw = _term(w, t)
-    improve_tol = 1e-12 * np.maximum(1.0, [_objective(*wt) for wt in zip(w, t)])
+    # w, t and t^2/w of every column of every start; a block gathers its
+    # destinations' w and t in one take
+    stats = np.empty((3, n_starts, m))
+    stats[0], stats[1] = prior @ q, pt @ q
+    stats[2] = _term(stats[0], stats[1])
+    out_stats = np.empty_like(stats)
+    improve_tol = 1e-12 * np.maximum(1.0, [_objective(w, t) for w, t in zip(stats[0], stats[1])])
+    # a source whose bound lies below cut cannot reach improve_tol
+    cut = improve_tol - _GAIN_SLACK * max(1.0, float(pt @ svals))
     lo, hi = lower - tol, upper + tol
-    diag = np.eye(m, dtype=bool)
     sweeps = np.zeros(n_starts, dtype=int)
-    active = np.arange(n_starts)
+    active = np.arange(n_starts)  # the global index of each stacked start
+    scored = pruned = 0
 
     for _ in range(max_sweeps):
         sweeps[active] += 1
-        moved = np.zeros(n_starts, dtype=bool)
         a = active.size
+        moved = np.zeros(a, dtype=bool)
+        tol_a, cut_a = improve_tol[active], cut[active, None]
         for s in np.flatnonzero(prior > 0.0):
             for frac in _FRACTIONS:
-                delta = frac * Q[active, s]  # mass leaving each source column
+                delta = frac * q[:, s]  # mass leaving each source column
                 dm = prior[s] * delta
-                w_a, t_a, tw_a = w[active], t[active], tw[active]
-                w_minus = w_a - dm
-                t_minus = t_a - dm * svals[s]
-                w_plus = w_a[:, None, :] + dm[:, :, None]
-                t_plus = t_a[:, None, :] + (dm * svals[s])[:, :, None]
-                # t^2 / w needs no guard: Q, and so w, stay nonnegative
-                # (fractions <= 1), w_plus > 0 wherever dm > 0, and the rows
-                # with dm = 0 are masked below
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    gain = (_term(w_minus, t_minus)[:, :, None] + t_plus * t_plus / w_plus
-                            - tw_a[:, :, None] - tw_a[:, None, :])
-                # masked: sources with no mass or whose mean would leave the
-                # band, a column onto itself, destinations leaving the band
-                src_off = (dm <= 0.0) | ((w_minus > 0.0) & (
-                    (t_minus < lo * w_minus) | (t_minus > hi * w_minus)))
-                off = (src_off[:, :, None] | diag
-                       | (t_plus < lo * w_plus) | (t_plus > hi * w_plus))
+                dms = dm * svals[s]
+                w, t, tw = stats
+                w_minus = w - dm
+                t_minus = t - dms
+                tm = _term(w_minus, t_minus)
+                # sources with mass whose mean stays in the band
+                src_ok = (dm > 0.0) & ((w_minus <= 0.0) | (
+                    (t_minus >= lo * w_minus) & (t_minus <= hi * w_minus)))
+                live = src_ok & (tm - tw + dm * (svals[s] * svals[s]) >= cut_a)
+                f = np.flatnonzero(live)  # (start, source) pairs in row-major order
+                pruned += int(np.count_nonzero(src_ok)) - f.size
+                scored += f.size
+                if f.size == 0:
+                    continue
+                si, j = np.divmod(f, m)
+                pairs, size = np.arange(f.size), f.size * m
+                w_plus, t_plus = np.take(stats[:2], si, axis=1, mode="clip",
+                                         out=blk[:2 * size].reshape(2, f.size, m))
+                w_plus += dm.take(f)[:, None]
+                t_plus += dms.take(f)[:, None]
+                # masked: a column onto itself, destinations leaving the band
+                gain = gain_buf[:size].reshape(f.size, m)
+                off = np.less(t_plus, np.multiply(lo, w_plus, out=gain),
+                              out=off_buf[:size].reshape(f.size, m))
+                off |= t_plus > np.multiply(hi, w_plus, out=gain)
+                off[pairs, j] = True
+                # the live sources' rows of the dense (j, k) gain, by the
+                # same elementwise expressions; w_plus > 0 since dm > 0
+                np.multiply(t_plus, t_plus, out=gain)
+                gain /= w_plus
+                gain += tm.take(f)[:, None]
+                gain -= tw.take(f)[:, None]
+                gain -= np.take(tw, si, axis=0, mode="clip", out=t_plus)  # t_k^2 / w_k
                 np.putmask(gain, off, -np.inf)
-                gain = gain.reshape(a, m * m)
-                best = gain.argmax(axis=1)
-                go = gain[np.arange(a), best] > improve_tol[active]
+                to = gain.argmax(axis=1)
+                best = np.full(a * m, -np.inf)
+                best[f] = gain[pairs, to]
+                best = best.reshape(a, m)
+                j_best = best.argmax(axis=1)
+                go = best[np.arange(a), j_best] > tol_a
                 if not go.any():
                     continue
-                ids = active[go]
-                j, k = np.divmod(best[go], m)
-                mass = delta[go, j]
-                Q[ids, s, j] -= mass
-                Q[ids, s, k] += mass
-                w[ids], t[ids] = prior @ Q[ids], pt @ Q[ids]
-                tw[ids] = _term(w[ids], t[ids])
-                moved[ids] = True
-        active = active[moved[active]]
-        if active.size == 0:
-            break
-    return Q, [_objective(*wt) for wt in zip(w, t)], sweeps.tolist()
+                ids = np.flatnonzero(go)
+                jj = j_best[ids]
+                kk = to[np.searchsorted(f, ids * m + jj)]
+                mass = delta[ids, jj]
+                q[ids, s, jj] -= mass
+                q[ids, s, kk] += mass
+                # an unmoved start's sums come out as they were
+                stats[0], stats[1] = prior @ q, pt @ q
+                stats[2] = _term(stats[0], stats[1])
+                moved |= go
+        if not moved.all():
+            stop = ~moved
+            Q[active[stop]], out_stats[:, active[stop]] = q[stop], stats[:, stop]
+            active, q, stats = active[moved], q[moved], stats[:, moved]
+            if active.size == 0:
+                break
+    if q is not Q:  # the stack was cut down to a copy
+        Q[active] = q
+    out_stats[:, active] = stats
+    values = [_objective(w, t) for w, t in zip(out_stats[0], out_stats[1])]
+    return Q, values, sweeps.tolist(), scored, pruned
 
 
 def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> CipSearchResult:
@@ -271,19 +340,22 @@ def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> Ci
     svals = np.arange(instance.n_users + 1, dtype=float)
     tol = _BAND_TOL * max(1.0, instance.n_users)
     starts, blended = _feasible_starts(instance, output_size, seed)
+    starts = np.stack(starts)  # ascended in place, a group at a time
     group = max(1, _LOCKSTEP_CELLS // output_size ** 2)
-    Q, values, sweeps = [], [], []
+    values, sweeps, scored, pruned = [], [], 0, 0
     for i in range(0, len(starts), group):
-        q, v, n = _ascend(np.stack(starts[i:i + group]), instance.s_prior, svals,
-                          band.lower, band.upper, tol)
-        Q.extend(q)
+        _, v, n, sc, pr = _ascend(starts[i:i + group], instance.s_prior, svals,
+                                  band.lower, band.upper, tol)
         values += v
         sweeps += n
+        scored += sc
+        pruned += pr
     best = int(np.argmax(values))  # the first best start, as a serial scan keeps
 
     var_est = max(0.0, values[best] - instance.mean ** 2)
-    return CipSearchResult(mechanism=Q[best].copy(),
+    return CipSearchResult(mechanism=starts[best].copy(),
                            mse=max(0.0, instance.variance - var_est),
                            estimator_variance=var_est,
                            starts=len(starts), starts_blended=blended,
-                           sweeps=tuple(sweeps))
+                           sweeps=tuple(sweeps), sources_scored=scored,
+                           sources_pruned=pruned)

@@ -325,10 +325,14 @@ def _cmd_cip(args) -> int:
     }
     if args.format == "json":
         # what the search did; a positive bound_gap says the certified
-        # bound is not tight there (it is often vacuous, 0.0)
+        # bound is not tight there (it is often vacuous, 0.0), and
+        # pruned_share is the share of candidate sources whose gain bound
+        # spared them a row of gains
+        candidates = result.sources_scored + result.sources_pruned
         blob.update(starts=result.starts, starts_blended=result.starts_blended,
                     max_sweeps_used=max(result.sweeps),
-                    bound_gap=result.mse - bound)
+                    bound_gap=result.mse - bound,
+                    pruned_share=result.sources_pruned / candidates if candidates else 0.0)
     _emit(blob, args)
     return 0
 

@@ -108,12 +108,19 @@ def context_free_estimate(observations, eps: float) -> float | np.ndarray:
     With flip probability p = 1/(e^eps + 1), returns
     (sum Y_i - N p) / (1 - 2p) over the last axis; unbiased for sum X_i
     and deliberately not clipped to [0, N].  One row of observations gives
-    a float, a stack of rows (one per trial) an array.
+    a float, a stack of rows (one per trial) an array.  Integer
+    observations (the harness's output indices) are checked and counted as
+    integers, without a float copy: the count equals the float sum exactly.
     """
     if eps <= 0.0:
         raise ZeroEpsilonError("denominator 1 - 2p vanishes at eps = 0")
-    obs = np.asarray(observations, dtype=float)
-    if not np.all((obs == 0.0) | (obs == 1.0)):
+    obs = np.asarray(observations)
+    if obs.dtype.kind in "biu":
+        binary = obs.size == 0 or (obs.min() >= 0 and obs.max() <= 1)
+    else:
+        obs = obs.astype(float, copy=False)
+        binary = np.all((obs == 0.0) | (obs == 1.0))
+    if not binary:
         raise ValueError("observations must be binary")
     flip = flip_probability(eps)
     n = obs.shape[-1]

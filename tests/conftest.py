@@ -156,17 +156,44 @@ def _objective(w, t):
     return float(np.sum(t[mask] ** 2 / w[mask]))
 
 
-def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
+def _term(wv, tv):
+    return np.where(wv > 0.0, np.divide(tv * tv, np.where(wv > 0.0, wv, 1.0)), 0.0)
+
+
+def dense_gain(w, t, dm, sv, lower, upper, tol):
+    """(m, m) gain in E[E[S|Y]^2] of moving mass dm[j] at value sv from
+    column j to column k of a mechanism with column sums w and t; -inf
+    where the move is not allowed: no mass to move, a column onto itself,
+    or a source or destination posterior mean leaving the band."""
+    w_minus = w - dm
+    t_minus = t - dm * sv
+    w_plus = w[None, :] + dm[:, None]
+    t_plus = t[None, :] + (dm * sv)[:, None]
+    gain = (_term(w_minus, t_minus)[:, None]
+            + _term(w_plus, t_plus)
+            - _term(w, t)[:, None] - _term(w, t)[None, :])
+    np.fill_diagonal(gain, -np.inf)
+    gain[dm <= 0.0, :] = -np.inf
+
+    src_ok = (w_minus <= 0.0) | (
+        (t_minus >= (lower - tol) * w_minus)
+        & (t_minus <= (upper + tol) * w_minus))
+    dst_ok = ((t_plus >= (lower - tol) * w_plus)
+              & (t_plus <= (upper + tol) * w_plus))
+    gain[~src_ok, :] = -np.inf
+    gain[~dst_ok] = -np.inf
+    return gain
+
+
+def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps, on_step=None):
     """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint,
     one start at a time: the definitional reference for ``cip._ascend``,
-    which runs every start in lockstep and must match it bit for bit."""
+    which runs every start in lockstep and must match it bit for bit.
+    ``on_step(s, w, t, dm, gain)``, if given, sees every step's column sums,
+    moved masses and dense gain before the move."""
     Q = Q.copy()
-    m = Q.shape[1]
     w, t = _column_stats(Q, prior, svals)
     improve_tol = 1e-12 * max(1.0, _objective(w, t))
-
-    def term(wv, tv):
-        return np.where(wv > 0.0, np.divide(tv * tv, np.where(wv > 0.0, wv, 1.0)), 0.0)
 
     for _ in range(max_sweeps):
         moved = False
@@ -178,23 +205,9 @@ def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
                 if not np.any(delta > 0.0):
                     continue
                 dm = prior[s] * delta
-                w_minus = w - dm
-                t_minus = t - dm * svals[s]
-                w_plus = w[None, :] + dm[:, None]
-                t_plus = t[None, :] + (dm * svals[s])[:, None]
-                gain = (term(w_minus, t_minus)[:, None]
-                        + term(w_plus, t_plus)
-                        - term(w, t)[:, None] - term(w, t)[None, :])
-                np.fill_diagonal(gain, -np.inf)
-                gain[dm <= 0.0, :] = -np.inf
-
-                src_ok = (w_minus <= 0.0) | (
-                    (t_minus >= (lower - tol) * w_minus)
-                    & (t_minus <= (upper + tol) * w_minus))
-                dst_ok = ((t_plus >= (lower - tol) * w_plus)
-                          & (t_plus <= (upper + tol) * w_plus))
-                gain[~src_ok, :] = -np.inf
-                gain[~dst_ok] = -np.inf
+                gain = dense_gain(w, t, dm, svals[s], lower, upper, tol)
+                if on_step is not None:
+                    on_step(s, w, t, dm, gain)
 
                 j, k = np.unravel_index(np.argmax(gain), gain.shape)
                 if gain[j, k] > improve_tol:

@@ -159,6 +159,30 @@ def _search_case(draw):
     return n, p1, eps, m, draw(st.integers(0, 2 ** 63 - 1))
 
 
+def _assert_search_matches_serial(n, p1, eps, m, seed):
+    # the body of test_lockstep_search_matches_serial_reference, which keeps
+    # its own copy: hypothesis draws a derandomized test's examples from a
+    # digest of its source
+    inst = CipInstance(n, p1, eps)
+    band = cip_band(inst)
+    svals = np.arange(n + 1, dtype=float)
+    starts, blended = _feasible_starts(inst, m, seed)
+    best_q, best_v = None, -np.inf
+    for q in starts:
+        cand, v = serial_ascent(q, inst.s_prior, svals, band.lower, band.upper,
+                                _BAND_TOL * max(1.0, n), (1.0, 0.5, 0.25), 40)
+        if v > best_v:
+            best_q, best_v = cand, v
+    var_est = max(0.0, best_v - inst.mean ** 2)
+
+    res = cip_search(inst, output_size=m, seed=seed)
+    assert np.array_equal(res.mechanism, best_q)
+    assert res.estimator_variance == var_est
+    assert res.mse == max(0.0, inst.variance - var_est)
+    assert (res.starts, res.starts_blended) == (len(starts), blended)
+    return res
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_search_case())
 def test_lockstep_search_matches_serial_reference(case):
@@ -180,3 +204,48 @@ def test_lockstep_search_matches_serial_reference(case):
     assert res.estimator_variance == var_est
     assert res.mse == max(0.0, inst.variance - var_est)
     assert (res.starts, res.starts_blended) == (len(starts), blended)
+
+
+@pytest.mark.parametrize("n, m, seed", [(30, 31, 0), (50, 11, 7)])
+def test_pruned_search_matches_serial_reference_where_pruning_bites(n, m, seed):
+    # at these sizes the gain bound drops a large share of the sources
+    res = _assert_search_matches_serial(n, 0.3, 1.0, m, seed)
+    assert res.sources_pruned > res.sources_scored / 4
+
+
+@st.composite
+def _bound_case(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(2, n + 1))
+    # p1 = 0.18 at N = 40 puts Pr(S = N) near 1e-30
+    p1 = draw(st.one_of(st.sampled_from([0.0, 1.0, 1e-6, 0.18]), st.floats(0.0, 1.0)))
+    eps = draw(st.sampled_from([0.0, 0.3, 1.0, 5.0]))
+    return n, p1, eps, m, draw(st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_bound_case())
+def test_every_allowed_gain_is_within_its_source_bound(case):
+    # the bound _ascend prunes by: a move out of column j gains at most
+    # t_minus^2/w_minus - t_j^2/w_j + dm_j s^2, plus the rounding allowance
+    n, p1, eps, m, seed = case
+    inst = CipInstance(n, p1, eps)
+    band = cip_band(inst)
+    prior, svals = inst.s_prior, np.arange(n + 1, dtype=float)
+    allowance = cip._GAIN_SLACK * max(1.0, float(prior @ svals ** 2))
+    # one-hot rows on all but the last column: empty destinations, and
+    # sources a whole-column move empties (w_minus = 0)
+    rng = np.random.Generator(np.random.Philox(seed))
+    sparse = np.zeros((n + 1, m))
+    sparse[np.arange(n + 1), rng.integers(0, m - 1, size=n + 1)] = 1.0
+    starts, _ = _feasible_starts(inst, m, seed)
+
+    def check(s, w, t, dm, gain):
+        term = cip._term(w - dm, t - dm * svals[s])
+        bound = term - cip._term(w, t) + dm * (svals[s] * svals[s])
+        allowed = np.isfinite(gain)
+        assert np.all(gain <= bound[:, None] + allowance, where=allowed)
+
+    for q in starts[:2] + [sparse]:
+        serial_ascent(q, prior, svals, band.lower, band.upper, _BAND_TOL * max(1.0, n),
+                      (1.0, 0.5, 0.25), 3, on_step=check)

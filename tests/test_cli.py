@@ -222,6 +222,7 @@ def test_cip_cli(capsys):
     assert blob["starts"] == 7 and 0 <= blob["starts_blended"] <= 7
     assert 1 <= blob["max_sweeps_used"] <= 40
     assert blob["bound_gap"] == blob["achieved_mse"] - blob["mse_lower_bound"]
+    assert 0.0 < blob["pruned_share"] < 1.0
     assert_rejected(capsys, "output_size", "cip", "--n", "10", "--p1", "0.3", "--eps", "1",
                     "--output-size", "0")
 

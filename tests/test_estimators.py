@@ -191,6 +191,19 @@ def test_context_free_arithmetic():
         context_free_estimate(np.zeros(10), 0.0)
 
 
+def test_context_free_integer_observations_match_floats():
+    # integers are counted without a float copy, to the same bits
+    rng = np.random.Generator(np.random.Philox(8))
+    obs = (rng.random((6, 300)) < 0.4).astype(np.intp)
+    for eps in (0.2, 1.0, 30.0):
+        assert np.array_equal(context_free_estimate(obs, eps),
+                              context_free_estimate(obs.astype(float), eps))
+        assert context_free_estimate(obs[0], eps) == context_free_estimate(obs[0] == 1, eps)
+    for bad in ([0, 2, 1], [0, -1, 1]):
+        with pytest.raises(ValueError, match="binary"):
+            context_free_estimate(np.array(bad), 1.0)
+
+
 def test_context_free_large_budget_recovers_count():
     obs = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     assert context_free_estimate(obs, 20.0) == pytest.approx(3.0, abs=1e-6)

@@ -632,6 +632,38 @@ def test_the_chunk_loop_allocates_per_run_not_per_chunk(monkeypatch, d):
     assert runs[40][1] < n * (d - 1) * 8 // 10
 
 
+def test_symmetric_rr_estimate_equals_the_context_free_estimator():
+    """The harness hands ``context_free_estimate`` its integer output
+    indices, which it counts as integers; the estimates are bit-identical
+    to those from the outputs as floats."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    pop = generate_population(500, "local-uniform", seed=6)
+    task = Survey(1.0)
+    form = task_form(task, pop)
+    trials, n = 30, pop.n_users
+    ws = harness._Workspace(trials, n, 2, 1)
+    ws.x[...] = np.random.Generator(np.random.Philox(2)).integers(0, 2, size=(trials, n))
+    for eps in (0.1, 1.0, 5.0):
+        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop, task, form, None)
+        est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)))
+        count = context_free_estimate(ws.y.astype(float), eps)
+        assert np.array_equal(est, n * runner.g[0] + (runner.g[1] - runner.g[0]) * count[:, None])
+
+
+def test_symmetric_rr_chunks_allocate_nothing_per_chunk(monkeypatch):
+    """With one trial per chunk no symmetric-rr chunk holds a tenth of an
+    (N,) float row above its start: the count of ones needs no float copy
+    of the outputs and no masks."""
+    n = 20_000
+    pop = generate_population(n, "local-uniform", seed=3)
+    cfg = ExperimentConfig(task=Survey(1.0), families=("symmetric-rr", "opt-binary-lip"),
+                           eps_grid=(0.5, 2.0), trials=20, seed=1, population=pop)
+    _, held, _ = _traced_run(monkeypatch, cfg)
+    assert held < n * 8 // 10
+
+
 def _dense_channels(family, pop, eps):
     dom = pop.domain
     if family == "opt-binary-lip":
