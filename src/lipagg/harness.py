@@ -1,15 +1,20 @@
 """Monte-Carlo experiment engine, synthetic populations, and CSV ingestion.
 
-Seeding: every random draw comes from a Philox stream keyed by the master
-seed plus a purpose counter (``np.random.SeedSequence`` spawn keys).  A run
-opens one stream for the true values and one per (family, eps) runner, and
-reads each in trial-major order: user after user within a trial, trial
-after trial.  Trials are processed in chunks of about ``_BLOCK`` user-values;
-Philox output does not depend on how a stream is split into consecutive
-reads, so the chunk size changes no draw and no result.  Within a trial the
-true values are drawn once and shared by every family under comparison
-(common random numbers), then each family perturbs them on its own stream.
-``STREAM_LAYOUT`` numbers this layout and is recorded in the curve metadata.
+Seeding: every Monte-Carlo draw comes from a PCG64DXSM stream keyed by the
+master seed plus a purpose counter (``np.random.SeedSequence`` spawn keys).
+A run opens one stream for the true values and one per (family, eps)
+runner, and reads each in trial-major order: user after user within a
+trial, trial after trial.  Trials are processed in chunks of about
+``_BLOCK`` user-values.  ``Generator.random`` takes one 64-bit word per
+double, in order, so a stream split into consecutive reads gives the same
+doubles, the chunk size changes no draw and no result, and a test checks
+this, unary-encoding binomials included.  Within a trial the true values
+are drawn once and shared by every family under comparison (common random
+numbers), then each family perturbs them on its own stream.
+``STREAM_LAYOUT`` numbers this layout and is recorded in the curve
+metadata.  Synthetic populations are inputs, not part of the layout: they
+keep their own Philox stream, so a seed names the same users under every
+layout.
 
 Inverse-CDF sampling (:func:`mechanisms.sample_rows`) reads the d-1
 interior CDF boundaries of every user-trial.  They are laid out
@@ -68,13 +73,15 @@ from .mechanisms import (
     sample_rows,
 )
 
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 _BLOCK = 1 << 16  # user-values drawn per chunk of trials
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
+    """A Monte-Carlo stream; PCG64DXSM fills doubles 2-3x as fast as
+    Philox."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def generate_population(n: int, prior_mode: str, seed: int = 0, *,
@@ -97,7 +104,9 @@ def generate_population(n: int, prior_mode: str, seed: int = 0, *,
     if prior_mode == "local-uniform":
         if p1 is not None or p_vector is not None:
             raise ValueError("local-uniform draws each user's prior, so takes no p1 or p_vector")
-        rng = _rng(seed, 7)
+        # Philox under key 7, as in every layout: a population is an input
+        ss = np.random.SeedSequence(seed, spawn_key=(7,))
+        rng = np.random.Generator(np.random.Philox(ss))
         domain = domain or Domain.binary()
         if domain.size == 2:
             ones = rng.random(n)

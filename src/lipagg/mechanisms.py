@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Channel, Domain, Histogram, Prior, Survey, check_epsilon,
-                   flip_probability, validate_channel)
+                   check_whole, flip_probability, validate_channel)
 from .errors import ValueNotInDomainError, ZeroEpsilonError
 
 
@@ -253,8 +253,12 @@ def oue_channel(d: int, eps: float) -> OUEChannel:
 
 
 def _coerce_rng(rng) -> np.random.Generator:
+    """``rng`` itself, or a Philox stream for an integer seed of at least 0;
+    anything else (None, a bool, a float, a string) raises ``ValueError``
+    rather than draw from OS entropy or an unintended seed."""
     if isinstance(rng, np.random.Generator):
         return rng
+    check_whole("seed", rng, 0)
     return np.random.Generator(np.random.Philox(rng))
 
 

@@ -418,7 +418,7 @@ def test_simulate_json_rows_carry_standard_errors(tmp_path, capsys):
         "population": {"n": 5, "prior_mode": "global", "p1": 0.3}}))
     assert run_cli("simulate", "--config", str(cfg_path)) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert blob["metadata"]["stream_layout"] == 2
+    assert blob["metadata"]["stream_layout"] == 3
     assert {r["trials"]: r["mse_stderr"] > 0.0 for r in blob["rows"]} == {0: False, 20: True}
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import sys
@@ -78,6 +79,19 @@ def test_generate_population_uniform_mean():
 def test_generate_population_rejects_unused_or_conflicting_priors(mode, kwargs):
     with pytest.raises(ValueError):
         generate_population(5, mode, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("size, seed, digest", [
+    (2, 0, "a23da25991943a01320090fa140d8d55c87ca097fda496845102067292aeef2c"),
+    (2, 11, "58587690e0b4997109730fae754af80b8555c7fec3d4213345e2e9d6682d283d"),
+    (3, 0, "fd7e258d07a215bdd12bc0d6114103ee23049c66a1eca712b09f3f5b35c36db0"),
+    (3, 11, "6898e6b1411fe2be74cc8fe7a2a2d0e71d50658285ed2c6a300b7830e0482e25"),
+])
+def test_local_uniform_populations_keep_their_bytes(size, seed, digest):
+    """A seeded population is an input: a change to the Monte-Carlo streams
+    must not move it.  The digests were taken under stream layout 2."""
+    pop = generate_population(40, "local-uniform", seed=seed, domain=Domain.of_size(size))
+    assert hashlib.sha256(pop.priors.tobytes()).hexdigest() == digest
 
 
 def test_generate_population_dirichlet_rows():
@@ -526,6 +540,16 @@ def test_draws_and_rows_do_not_depend_on_the_chunk_size(monkeypatch, block_trial
             assert b.mse_stderr == pytest.approx(a.mse_stderr, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("key", [(1,), (2, 0, 1)])
+def test_monte_carlo_streams_are_pcg64dxsm_under_layout_3(key):
+    from lipagg import harness
+
+    ss = np.random.SeedSequence(12, spawn_key=key)
+    want = np.random.Generator(np.random.PCG64DXSM(ss)).random(8)
+    assert np.array_equal(harness._rng(12, *key).random(8), want)
+    assert harness.STREAM_LAYOUT == 3
+
+
 def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
     """The harness hands ``sample_rows`` only the d-1 interior CDF
     boundaries; every index it draws equals np.sum(cdf[:, :-1] < u, axis=1)
@@ -543,7 +567,7 @@ def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
         return out
 
     def replay(state, cdf):
-        gen = np.random.Generator(np.random.Philox(0))
+        gen = np.random.Generator(np.random.PCG64DXSM(0))
         gen.bit_generator.state = state
         u = 1.0 - gen.random(cdf.shape[0])
         return np.sum(cdf[:, :-1] < u[:, None], axis=1)

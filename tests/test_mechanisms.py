@@ -198,6 +198,22 @@ def test_perturb_deterministic_given_seed():
     assert perturb(ch, 1.0, 123) == perturb(ch, 1.0, 123)
 
 
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, "7"])
+def test_perturb_rejects_a_seed_that_is_not_a_whole_number(seed):
+    with pytest.raises(ValueError, match="seed"):
+        perturb(opt_binary_lip(0.3, 1.0), 1.0, seed)
+
+
+def test_integer_seed_draws_from_its_philox_stream():
+    ch = opt_mimo_lip(Prior([0.2, 0.3, 0.5]), 1.0)
+    xs = np.array([0, 1, 2, 1, 0] * 20)
+    for seed in (0, 42, np.int64(7)):
+        def philox():
+            return np.random.Generator(np.random.Philox(int(seed)))
+        assert np.array_equal(perturb_indices(ch, xs, seed), perturb_indices(ch, xs, philox()))
+        assert perturb(ch, 1.0, seed) == perturb(ch, 1.0, philox())
+
+
 def test_perturb_rejects_foreign_value():
     with pytest.raises(ValueNotInDomainError):
         perturb(Channel(np.eye(2)), 5.0, 0)
