@@ -62,6 +62,12 @@ class Domain:
         hits = np.nonzero(self.values == value)[0]
         return int(hits[0]) if hits.size else -1
 
+    def indices_of(self, values) -> np.ndarray:
+        """:meth:`index_of` of every entry of a 1-D array, from one (n, d)
+        comparison: NaN matches nothing and -0.0 matches 0.0."""
+        hits = np.asarray(values)[:, None] == self.values
+        return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+
     @staticmethod
     def binary() -> "Domain":
         return Domain([0.0, 1.0])

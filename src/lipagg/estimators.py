@@ -80,8 +80,8 @@ def estimate(task: AggregationTask, population: Population,
     # each user's observed channel column, up to the first channel that
     # does not fit the domain
     if isinstance(channels, Channel):
-        hits = observations[:, None] == channels.output_domain.values
-        found, cols = hits.any(axis=1), channels.matrix.T[hits.argmax(axis=1)]
+        ks = channels.output_domain.indices_of(observations)
+        found, cols = ks >= 0, channels.matrix.T[ks]
         checked = n if channels.d_in == d else 0
     else:
         checked = next((i for i, ch in enumerate(channels) if ch.d_in != d), n)

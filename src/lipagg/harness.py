@@ -24,9 +24,19 @@ keep-or-resample channel's as a (d-1, d) step table plus a (d-1, N) or
 boundaries below each draw sums d-1 contiguous rows.  ``sample_rows``
 still receives the (trials x N, d-1) transpose view.  A run allocates one
 workspace sized for a chunk (draws, boundary block, comparison mask,
-counts, index arrays, gathered table values and g rows), and every chunk
-rewrites it in place, so the chunk loop allocates nothing that grows with
-N or the chunk; the last, shorter chunk uses prefixes of the same buffers.
+counts, index arrays and gathered table values), and every chunk rewrites
+it in place, so the chunk loop allocates nothing that grows with N or the
+chunk; the last, shorter chunk uses prefixes of the same buffers.
+
+Aggregation (:class:`_Aggregation`): the estimate of a task with local
+function g is offset + sum_i w_i E[g(X_i) | Y_i], and under a
+keep-or-resample channel that posterior mean depends only on the pair
+(user, output).  For a statistic of c <= 2 components each runner folds it,
+weights included, into one (N d, c) table, so a chunk's estimate is one
+gather and one BLAS sum.  A histogram over d >= 3 outputs, whose table
+would hold N d^2 floats, sums the gathered kept weights per (trial, output)
+cell instead, and so does its true statistic: no (trials, N, d) block is
+built.
 
 Empirical error is measured against the sampled statistic of each trial,
 not its expectation.  Populations ingested from files keep their real
@@ -75,6 +85,7 @@ from .mechanisms import (
 
 STREAM_LAYOUT = 3
 _BLOCK = 1 << 16  # user-values drawn per chunk of trials
+_FOLD_WIDTH = 2  # widest statistic whose posterior means are tabulated per (user, output)
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -171,11 +182,14 @@ class _Workspace:
             "bounds": ((d - 1, m, n), float),  # boundary-major CDF block
             "x": ((m, n), np.intp),  # true values
             "y": ((m, n), np.intp),  # published outputs
-            "at": ((m, n), np.intp),  # flat (user, output) table offsets
-            "kept": ((m, n), float),
-            "redrawn": ((m, n), float),
-            "gathered": ((m, n, c), float),  # g[x], then g[y]
+            "at": ((m, n), np.intp),  # flat (user, output) or (trial, output) offsets
+            "trial_at": ((m, 1), np.intp),  # flat offset d t of each trial's cells
         }
+        if c <= _FOLD_WIDTH:
+            shapes["gathered"] = ((m, n, c), float)  # g[x], then posterior means
+        else:
+            shapes["kept"] = ((m, n), float)  # weights, then kept weights
+            shapes["redrawn"] = ((m, n), float)
         if flat is None:  # one allocation, cut into 64-byte-aligned pieces
             nbytes = {k: -(-math.prod(s) * np.dtype(t).itemsize // 64) * 64
                       for k, (s, t) in shapes.items()}
@@ -183,6 +197,7 @@ class _Workspace:
             for k, (_, t) in shapes.items():
                 flat[k] = block[at:at + nbytes[k]].view(t)
                 at += nbytes[k]
+            flat["trial_at"][:m] = d * np.arange(m)  # a prefix keeps its values
         self.flat = flat
         for k, (s, _) in shapes.items():
             setattr(self, k, self.flat[k][:math.prod(s)].reshape(s))
@@ -193,23 +208,84 @@ class _Workspace:
         return _Workspace(m, self.n, self.d, self.c, self.flat)
 
 
+class _Aggregation:
+    """The task's linear form offset + sum_i w_i g(X_i) over one run's
+    population, applied to a chunk of trials; built once per run and shared
+    by every runner.
+
+    After output a_k from a keep-or-resample channel, user i's posterior
+    mean of g is kept_ik g_k + redrawn_ik mu_i, with mu_i = priors[i] @ g
+    (``KeepResample.posterior``).  When g has c <= ``_FOLD_WIDTH`` columns a
+    runner's table is post[i d + k] = w_i (kept_ik g_k + redrawn_ik mu_i),
+    (N d, c), and a chunk's estimate is offset + ones @ post[rows + y].
+    Wider g (a histogram over d >= 3 outputs; the folded table would hold
+    N d^2 floats) keeps the weighted kept and redrawn tables, (N, d): the
+    gathered kept weights are summed per (trial, output) cell, which then
+    meets g, and the redrawn weights meet mu.  Its statistic sums the
+    weights per (trial, true value) cell the same way."""
+
+    def __init__(self, form: TaskForm, priors: np.ndarray):
+        n, d = priors.shape
+        self.form = form
+        self.g = form.g.reshape(d, -1)  # one column per statistic component
+        self.folded = self.g.shape[1] <= _FOLD_WIDTH
+        self.mu = priors @ self.g
+        self.rows = np.arange(n) * d  # flat offset of each user's table row
+        self.ones = np.ones(n)
+
+    def tables(self, kept: np.ndarray, redrawn: np.ndarray) -> tuple:
+        """A runner's posterior tables from its (N, d) posterior weights."""
+        w = self.form.weights[:, None]
+        if not self.folded:
+            return w * kept, w * redrawn
+        post = kept[..., None] * self.g
+        post += redrawn[..., None] * self.mu[:, None, :]
+        post *= w[..., None]
+        return (post.reshape(-1, self.g.shape[1]),)
+
+    def _cells(self, at: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(trials, c): the weights summed per (trial, output) cell, times g."""
+        m, d = at.shape[0], self.g.shape[0]
+        return np.bincount(at.ravel(), weights.ravel(), m * d).reshape(m, d) @ self.g
+
+    def statistic(self, ws: _Workspace) -> np.ndarray:
+        """(trials, c): the task's value at the true values in ``ws.x``."""
+        if self.folded:
+            return self.form.total(np.take(self.g, ws.x, axis=0, out=ws.gathered, mode="clip"))
+        np.add(ws.x, ws.trial_at, out=ws.at)
+        np.copyto(ws.kept, self.form.weights)
+        return self.form.offset + self._cells(ws.at, ws.kept)
+
+    def estimate(self, tables: tuple, ws: _Workspace) -> np.ndarray:
+        """(trials, c): the posterior-mean estimate after the outputs in
+        ``ws.y``, from a runner's :meth:`tables`."""
+        np.add(self.rows, ws.y, out=ws.at)
+        if self.folded:
+            return self.form.offset + self.ones @ np.take(
+                tables[0], ws.at, axis=0, out=ws.gathered, mode="clip")
+        np.take(tables[0], ws.at, out=ws.kept, mode="clip")
+        np.take(tables[1], ws.at, out=ws.redrawn, mode="clip")
+        np.add(ws.y, ws.trial_at, out=ws.at)
+        return self.form.offset + self._cells(ws.at, ws.kept) + ws.redrawn @ self.mu
+
+
 class _FamilyRunner:
     """Per-(family, eps) sampler and estimator for a chunk of trials.
 
-    A keep-or-resample family keeps the task's weighted posterior tables,
-    (N, d) and indexed by (user, observed output): the estimate after
-    outputs y is offset + sum_i w_i (kept[i, y_i] g(y_i) + redrawn[i, y_i] mu_i)
-    with mu_i = priors[i] @ g.  Unary encoding draws only the per-bucket
-    counts of set bits (:func:`mechanisms.oue_counts`)."""
+    A keep-or-resample family samples from its (d-1, d) step table plus
+    tail and keeps its posterior tables from :meth:`_Aggregation.tables`,
+    indexed by (user, observed output); symmetric-rr keeps none, since it
+    counts ones.  Unary encoding draws only the per-bucket counts of set
+    bits (:func:`mechanisms.oue_counts`)."""
 
     def __init__(self, family: MechanismFamily, eps: float, population: Population,
-                 task: AggregationTask, form: TaskForm, fixed_idx):
-        check_family_task(family, task, population.domain)
+                 agg: _Aggregation, fixed_idx):
         self.family = family
         self.eps = eps
+        self.agg = agg
+        self.g = agg.g
         priors = population.priors
-        n, d = priors.shape
-        self.g = form.g.reshape(d, -1)  # one column per statistic component
+        d = priors.shape[1]
         if family is MechanismFamily.OUE:
             self.oue = oue_channel(d, eps)
             return
@@ -221,20 +297,17 @@ class _FamilyRunner:
         tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
         self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)  # (d-1, N) or (d-1, 1)
         kept, redrawn = ch.posterior(priors)
-        self.rows = np.arange(n) * d  # flat offset of each user's table row
         if fixed_idx is not None and ch.keep > 0.0:
             # a kept value whose output marginal is 0 has no posterior
-            lost = np.nonzero((kept + redrawn).take(self.rows + fixed_idx) == 0.0)[0]
+            lost = np.nonzero((kept + redrawn).take(agg.rows + fixed_idx) == 0.0)[0]
             if lost.size:
                 i = int(lost[0])
                 raise UnreachableOutputError(
                     f"user {population.user_ids[i]}: value "
                     f"{population.domain.values[fixed_idx[i]]} has zero probability "
                     f"under its prior but is published with probability {ch.keep}")
-        self.offset = form.offset
-        self.kept = form.weights[:, None] * kept
-        self.redrawn = form.weights[:, None] * redrawn
-        self.mu = priors @ self.g
+        if family is not MechanismFamily.SYMMETRIC_RR:
+            self.tables = agg.tables(kept, redrawn)
 
     def estimate(self, ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
         """Perturb the chunk of true values in ``ws.x``, (trials, N), reading
@@ -243,7 +316,7 @@ class _FamilyRunner:
         m, n = ws.x.shape
         d = self.g.shape[0]
         if self.family is MechanismFamily.OUE:
-            np.add(ws.x, d * np.arange(m)[:, None], out=ws.at)
+            np.add(ws.x, ws.trial_at, out=ws.at)
             hot = np.bincount(ws.at.ravel(), minlength=m * d).reshape(m, d)
             return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
         np.take(self.steps, ws.x, axis=1, out=ws.bounds, mode="clip")
@@ -253,13 +326,7 @@ class _FamilyRunner:
         if self.family is MechanismFamily.SYMMETRIC_RR:
             count = context_free_estimate(ws.y, self.eps)
             return n * self.g[0] + (self.g[1] - self.g[0]) * count[:, None]
-        np.add(self.rows, ws.y, out=ws.at)
-        np.take(self.kept, ws.at, out=ws.kept, mode="clip")
-        np.take(self.redrawn, ws.at, out=ws.redrawn, mode="clip")
-        gy = np.take(self.g, ws.y, axis=0, out=ws.gathered, mode="clip")
-        return (self.offset
-                + (ws.kept[:, None, :] @ gy)[:, 0]
-                + ws.redrawn @ self.mu)
+        return self.agg.estimate(self.tables, ws)
 
 
 def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
@@ -279,19 +346,25 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     form = task_form(task, pop)
     fixed_idx = None
     if config.fixed_values is not None:
-        fixed_idx = np.array([domain.index_of(v) for v in config.fixed_values])
+        fixed_idx = domain.indices_of(config.fixed_values)
         if np.any(fixed_idx < 0):
             raise ValueError("fixed values must lie in the population domain")
+    for fam in config.families:
+        check_family_task(fam, task, domain)
+    # the closed forms run before the runners exist, so their (N, d)
+    # temporaries are freed before the runner tables are built
+    closed = {} if fixed_idx is not None else {
+        (fam, eps): closed_form_total_mse(fam, pop, task, eps)
+        for fam in config.families for eps in config.eps_grid}
 
-    runners = [(_FamilyRunner(fam, eps, pop, task, form, fixed_idx),
-                _rng(config.seed, 2, fi, ei))
+    agg = _Aggregation(form, pop.priors)
+    runners = [(_FamilyRunner(fam, eps, pop, agg, fixed_idx), _rng(config.seed, 2, fi, ei))
                for fi, fam in enumerate(config.families)
                for ei, eps in enumerate(config.eps_grid)]
     truth_rng = _rng(config.seed, 1)
-    g = form.g.reshape(d, -1)
 
     chunk = min(trials, max(1, _BLOCK // (n * d)))
-    ws = _Workspace(chunk, n, d, g.shape[1])
+    ws = _Workspace(chunk, n, d, agg.g.shape[1])
     if fixed_idx is None:
         # sample_rows' boundaries for the true values, boundary-major and
         # repeated for each trial of a chunk; a shorter chunk reads a prefix
@@ -308,7 +381,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if fixed_idx is None:
             np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
                                         buffers=ws.sample).reshape(m, n))
-        stat = form.total(np.take(g, ws.x, axis=0, out=ws.gathered, mode="clip"))
+        stat = agg.statistic(ws)
         for r, (runner, rng) in enumerate(runners):
             err = runner.estimate(ws, rng) - stat
             sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)
@@ -320,7 +393,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
                              metric=math.sqrt(float(np.mean(errs)) / n), trials=trials,
                              mse_stderr=spread / (n * math.sqrt(trials))))
         if fixed_idx is None:
-            total = closed_form_total_mse(runner.family, pop, task, runner.eps)
+            total = closed[runner.family, runner.eps]
             rows.append(CurveRow(epsilon=runner.eps, family=runner.family.value,
                                  metric=math.sqrt(total / n), trials=0))
 

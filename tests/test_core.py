@@ -98,6 +98,16 @@ def test_domain_invariants():
     assert Domain.binary().index_of(3.0) == -1
 
 
+def test_indices_of_agrees_with_index_of_value_by_value():
+    # NaN matches nothing, -0.0 matches 0.0, and values are distinct (a
+    # domain cannot hold both 0.0 and -0.0), so the first match is the match
+    dom = Domain([0.0, 1.0, 2.5, -3.0])
+    values = np.array([2.5, -0.0, 0.0, np.nan, 7.0, -3.0, 1.0, np.inf, -np.inf])
+    got = dom.indices_of(values)
+    assert got.tolist() == [dom.index_of(v) for v in values] == [2, 0, 0, -1, -1, 3, 1, -1, -1]
+    assert dom.indices_of(np.array([])).shape == (0,)
+
+
 def test_prior_invariants():
     with pytest.raises(ValueError):
         Prior([0.5, 0.6])

@@ -410,6 +410,26 @@ def test_fixed_value_outside_prior_support_is_unreachable():
     assert math.isfinite(run_experiment(ldp).rows[0].metric)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0])
+def test_fixed_values_map_to_domain_indices_or_raise(bad):
+    """-0.0 is the domain value 0.0 (rows equal to those of 0.0); NaN and
+    any value outside the domain raise the same ValueError."""
+    pop = Population(Domain.binary(), np.tile([0.4, 0.6], (20, 1)))
+    values = np.tile([0.0, 1.0], 10)
+
+    def run(fixed):
+        return run_experiment(ExperimentConfig(
+            task=Survey(1.0), families=("opt-mimo-lip",), eps_grid=(1.0,), trials=30,
+            seed=2, population=pop, fixed_values=fixed)).rows
+
+    signed = np.where(values == 0.0, -0.0, values)
+    assert np.signbit(signed).sum() == 10
+    assert run(signed) == run(values)
+    values[7] = bad
+    with pytest.raises(ValueError, match="fixed values must lie in the population domain"):
+        run(values)
+
+
 # ---------------------------------------------------------------------------
 # config validation, standard errors, chunked streams
 # ---------------------------------------------------------------------------
@@ -670,7 +690,8 @@ def test_symmetric_rr_estimate_equals_the_context_free_estimator():
     ws = harness._Workspace(trials, n, 2, 1)
     ws.x[...] = np.random.Generator(np.random.Philox(2)).integers(0, 2, size=(trials, n))
     for eps in (0.1, 1.0, 5.0):
-        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop, task, form, None)
+        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop,
+                                       harness._Aggregation(form, pop.priors), None)
         est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)))
         count = context_free_estimate(ws.y.astype(float), eps)
         assert np.array_equal(est, n * runner.g[0] + (runner.g[1] - runner.g[0]) * count[:, None])
@@ -699,19 +720,14 @@ def _dense_channels(family, pop, eps):
     return opt_mimo_ldp(dom.size, eps, dom)
 
 
-def test_chunked_rows_match_a_per_trial_reference_loop(monkeypatch):
-    """Replays the recorded draws trial by trial through the reference
-    estimators (``estimators.estimate`` on the dense channels,
-    ``context_free_estimate`` and ``oue_count_estimate`` on one trial) and
-    rebuilds every Monte-Carlo row; the chunked run agrees to 1e-9
-    relative (the dense channels are renormalized, so the posteriors
-    differ from the keep-or-resample ones in the last bits)."""
-    binary = generate_population(9, "local-uniform", seed=8)
-    ternary = generate_population(9, "local-uniform", seed=8, domain=Domain.of_size(3))
-    cases = ((binary, WeightedSum(np.linspace(1.0, 3.0, 9), np.ones(9)),
-              ("opt-binary-lip", "opt-binary-ldp")),
-             (binary, Survey(1.0), ("opt-mimo-lip", "symmetric-rr")),
-             (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
+def _replay_rows(monkeypatch, cases):
+    """Replays the recorded draws of each (population, task, families) case
+    trial by trial through the reference estimators (``estimators.estimate``
+    on the dense channels, ``context_free_estimate`` and
+    ``oue_count_estimate`` on one trial) and checks every Monte-Carlo row
+    against the rebuilt one to 1e-9 relative (the dense channels are
+    renormalized, so the posteriors differ from the keep-or-resample ones
+    in the last bits)."""
     trials, grid = 25, (0.5, 2.0)
     for pop, task, families in cases:
         n, d = pop.priors.shape
@@ -738,3 +754,53 @@ def test_chunked_rows_match_a_per_trial_reference_loop(monkeypatch):
                 sq.append(np.sum((np.asarray(est) - stat) ** 2))
             assert rows[(fam, eps)] == pytest.approx(math.sqrt(np.mean(sq) / n), rel=1e-9)
 
+
+def test_chunked_rows_match_a_per_trial_reference_loop(monkeypatch):
+    """Weighted sums and surveys (one-column posterior-mean tables) and a
+    3-ary histogram (summed per (trial, output) cell) against the
+    per-trial reference loop of :func:`_replay_rows`."""
+    binary = generate_population(9, "local-uniform", seed=8)
+    ternary = generate_population(9, "local-uniform", seed=8, domain=Domain.of_size(3))
+    _replay_rows(monkeypatch, (
+        (binary, WeightedSum(np.linspace(1.0, 3.0, 9), np.ones(9)),
+         ("opt-binary-lip", "opt-binary-ldp")),
+        (binary, Survey(1.0), ("opt-mimo-lip", "symmetric-rr")),
+        (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue"))))
+
+
+def test_two_column_tables_and_summation_match_a_per_trial_reference_loop(monkeypatch):
+    """The binary histogram (a two-column (N d, 2) posterior-mean table) and
+    summation (weights 1/N folded into the table) against the per-trial
+    reference loop of :func:`_replay_rows`."""
+    binary = generate_population(9, "local-uniform", seed=8)
+    ternary = generate_population(9, "local-uniform", seed=8, domain=Domain.of_size(3))
+    _replay_rows(monkeypatch, (
+        (binary, Histogram(), ("opt-binary-lip", "opt-binary-ldp", "opt-mimo-lip", "oue")),
+        (binary, Summation(), ("opt-binary-lip", "opt-mimo-ldp")),
+        (ternary, Summation(), ("opt-mimo-lip", "opt-mimo-ldp"))))
+
+
+@pytest.mark.parametrize("d, task", [(2, Survey(1.0)), (2, Histogram()), (5, Histogram())])
+def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
+    """A statistic of c <= 2 components leaves a keep-or-resample runner one
+    (N d, c) posterior-mean table and no other posterior table; a histogram
+    over d >= 3 outputs keeps (N, d) kept and redrawn tables, and neither
+    its runners nor any workspace piece hold m N d or N d d values."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    n, m = 40, 3
+    pop = generate_population(n, "local-uniform", seed=5, domain=Domain.of_size(d))
+    agg = harness._Aggregation(task_form(task, pop), pop.priors)
+    c = agg.g.shape[1]
+    ws = harness._Workspace(m, n, d, c)
+    sizes = [piece.size for piece in ws.flat.values()]
+    for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
+        runner = harness._FamilyRunner(fam, 1.0, pop, agg, None)
+        own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
+        assert own == {"g", "steps", "tail"}
+        tables = [t.shape for t in runner.tables]
+        assert tables == ([(n * d, c)] if c <= 2 else [(n, d), (n, d)])
+        sizes += [t.size for t in runner.tables]
+    if c > 2:  # the largest piece is the (d-1, m, N) boundary block
+        assert max(sizes) < min(m * n * d, n * d * d)
