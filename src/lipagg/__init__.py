@@ -5,13 +5,11 @@ Monte-Carlo harness emitting utility-privacy tradeoff curves."""
 from .analysis import (
     CurveRow,
     TradeoffCurve,
-    mae,
-    mse_binary,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
     mse_histogram,
-    mse_mimo,
     mse_survey,
+    posterior_mean_mse,
     tradeoff_curve,
 )
 from .cip import (
@@ -43,7 +41,6 @@ from .estimators import (
     context_free_estimate,
     estimate,
     oue_count_estimate,
-    oue_histogram_estimate,
     posterior,
 )
 from .harness import (
@@ -67,10 +64,7 @@ from .mechanisms import (
     opt_mimo_lip,
     oue_channel,
     oue_counts,
-    oue_perturb,
     perturb,
-    perturb_indices,
-    symmetric_rr,
 )
 from .notions import PrivacyAudit, audit, measure_ldp, measure_lip, measure_mip
 from .oracles import (

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     AggregationTask,
     Channel,
-    Domain,
     Population,
     Prior,
     check_distinct,
@@ -24,27 +23,20 @@ from .core import (
     posterior_ratio,
     task_form,
 )
-from .errors import DimensionMismatchError, ZeroEpsilonError
+from .errors import ZeroEpsilonError
 from .mechanisms import MechanismFamily, check_family_task, optimal_channel
 
 
-def _posterior_mean_mse(q: Channel, p: np.ndarray, g) -> float:
-    """E|g(X) - E[g(X)|Y]|^2 for the local function g, shape (d,) or (d, m):
-    the squared gap to the posterior mean summed over the joint p[m] q[m][k],
-    a sum of nonnegative terms; outputs of zero mass contribute nothing."""
+def posterior_mean_mse(q: Channel, p: np.ndarray, g) -> float:
+    """Per-user E|g(X) - E[g(X)|Y]|^2 for channel ``q``, prior vector ``p``
+    and the local function g, shape (d,) or (d, m): the squared gap to the
+    posterior mean summed over the joint p[m] q[m][k], a sum of nonnegative
+    terms; outputs of zero mass contribute nothing."""
+    post = posterior_ratio(q.matrix, p)[2]
     g = np.reshape(g, (q.d_in, -1))
-    means = posterior_ratio(q.matrix, p)[2].T @ g  # means[k] = E[g(X) | Y = a_k]
+    means = post.T @ g  # means[k] = E[g(X) | Y = a_k]
     gap2 = np.sum((g[:, None, :] - means[None, :, :]) ** 2, axis=-1)
     return float(np.sum(p[:, None] * q.matrix * gap2))
-
-
-def mse_binary(q: Channel, p1: float) -> float:
-    """Per-user MSE of the posterior-mean estimator for a binary channel;
-    when an output never fires the estimator is constant and the MSE is
-    the prior variance p1 (1-p1)."""
-    if q.d_in != 2 or q.d_out != 2:
-        raise DimensionMismatchError("binary channel required")
-    return _posterior_mean_mse(q, np.array([1.0 - p1, p1]), [0.0, 1.0])
 
 
 def mse_binary_lip_opt(p1: float, eps: float) -> float:
@@ -70,43 +62,14 @@ def mse_binary_ldp_opt(p1: float, eps: float) -> float:
     return var * u / ((p1 + (1.0 - p1) * u) * (1.0 - p1 + p1 * u))
 
 
-def _check_square(q: Channel, p: Prior) -> None:
-    if q.d_in != q.d_out:
-        raise DimensionMismatchError("square channel required")
-    if p.size != q.d_in:
-        raise DimensionMismatchError("prior size must match channel size")
-
-
-def mse_mimo(q: Channel, p: Prior, domain: Domain | None = None) -> float:
-    """Per-user MSE of the posterior-mean value estimator on a square channel."""
-    _check_square(q, p)
-    domain = domain or q.input_domain
-    if domain.size != q.d_in:
-        raise DimensionMismatchError("domain size must match channel size")
-    return _posterior_mean_mse(q, p.p, domain.values)
-
-
 def mse_survey(q: Channel, p: Prior, target_index: int) -> float:
     """Per-user MSE of estimating the indicator of one domain value."""
-    return _posterior_mean_mse(q, p.p, np.arange(p.size) == target_index)
+    return posterior_mean_mse(q, p.p, np.arange(p.size) == target_index)
 
 
 def mse_histogram(q: Channel, p: Prior) -> float:
     """Per-user histogram MSE: sum over categories of the indicator MSEs."""
-    _check_square(q, p)
-    return _posterior_mean_mse(q, p.p, np.eye(p.size))
-
-
-def mae(q: Channel, p: Prior, domain: Domain | None = None) -> float:
-    """Mean absolute perturbation E|X - Y| = sum |a_m - a_k| p[m] q[m][k]."""
-    if p.size != q.d_in:
-        raise DimensionMismatchError("prior size must match channel input")
-    a_in = (domain or q.input_domain).values
-    a_out = (domain or q.output_domain).values
-    if a_in.shape[0] != q.d_in or a_out.shape[0] != q.d_out:
-        raise DimensionMismatchError("domain size must match channel shape")
-    gap = np.abs(a_in[:, None] - a_out[None, :])
-    return float(np.sum(p.p[:, None] * q.matrix * gap))
+    return posterior_mean_mse(q, p.p, np.eye(p.size))
 
 
 @dataclass(frozen=True)

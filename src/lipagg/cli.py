@@ -46,12 +46,12 @@ from .harness import (
 )
 from .mechanisms import (
     MechanismFamily,
+    check_family_task,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
     oue_channel,
-    symmetric_rr,
 )
 from .notions import audit as audit_channel
 
@@ -114,30 +114,33 @@ def _prior(args) -> Prior:
     return Prior(_numbers("--prior", args.prior))
 
 
-def _binary_p1(prior: Prior) -> float:
-    if prior.size != 2:
-        raise ValidationError(f"opt-binary-lip needs a binary prior, got {prior.size} entries")
-    return float(prior.p[1])
-
-
 # Each family: what it reads besides --eps (the prior from --p1 or --prior, the
 # width from --d in `derive` and the prior's size in `audit`, or nothing), its channel.
 _FAMILIES = {
-    "opt-binary-lip": ("prior", lambda eps, prior: opt_binary_lip(_binary_p1(prior), eps)),
+    "opt-binary-lip": ("prior", lambda eps, prior: opt_binary_lip(float(prior.p[1]), eps)),
     "opt-mimo-lip": ("prior", lambda eps, prior: opt_mimo_lip(prior, eps)),
     "opt-mimo-ldp": ("width", lambda eps, d: opt_mimo_ldp(d, eps)),
     "opt-binary-ldp": (None, lambda eps, _: opt_binary_ldp(eps)),
-    "symmetric-rr": (None, lambda eps, _: symmetric_rr(eps)),
+    "symmetric-rr": (None, lambda eps, _: opt_binary_ldp(eps)),
     "oue": (None, lambda eps, _: oue_channel(2, eps).bit_channel()),  # the same for any d
 }
 
 
 def _family(args):
+    """--family's reads and a builder of its channel at --eps from what it
+    reads; ``check_family_task`` holds a binary family to a binary prior."""
     if args.family not in _FAMILIES:
         raise ValidationError(f"--family takes one of {', '.join(_FAMILIES)}")
     if args.eps is None:
         raise ValidationError(f"--family {args.family} needs --eps")
-    return _FAMILIES[args.family]
+    reads, build = _FAMILIES[args.family]
+
+    def channel(source) -> Channel:
+        if reads == "prior":
+            domain = Domain.of_size(source.size)
+            check_family_task(MechanismFamily.from_tag(args.family), None, domain)
+        return build(args.eps, source)
+    return reads, channel
 
 
 def _cmd_mechanism(args) -> int:
@@ -147,7 +150,7 @@ def _cmd_mechanism(args) -> int:
             raise ValidationError(f"--family {args.family} does not read --{flag}")
     if reads == "width" and args.d is None:
         raise ValidationError(f"--family {args.family} needs --d")
-    ch = build(args.eps, _prior(args) if reads == "prior" else args.d)
+    ch = build(_prior(args) if reads == "prior" else args.d)
     if args.format == "json":
         _emit({"family": args.family, "eps": args.eps, "matrix": ch.matrix.tolist()}, args)
     else:
@@ -159,7 +162,7 @@ def _cmd_audit(args) -> int:
     prior = _prior(args)  # audited against, and read by a context-aware --family
     if args.channel_file is None:
         reads, build = _family(args)
-        ch = build(args.eps, prior.size if reads == "width" else prior)
+        ch = build(prior.size if reads == "width" else prior)
     elif args.family is not None or args.eps is not None:
         raise ValidationError("audit takes --channel-file, or --family and --eps")
     else:

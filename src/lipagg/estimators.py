@@ -139,10 +139,3 @@ def oue_count_estimate(counts, n: int, eps: float) -> np.ndarray:
     flip = flip_probability(eps)
     return (np.asarray(counts, dtype=float) - n * flip) / (0.5 - flip)
 
-
-def oue_histogram_estimate(reports, d: int, n: int, eps: float) -> np.ndarray:
-    """:func:`oue_count_estimate` of the (n, d) perturbed reports' column sums."""
-    r = np.asarray(reports)
-    if r.ndim != 2 or r.shape != (n, d):
-        raise DimensionMismatchError(f"reports must have shape ({n}, {d})")
-    return oue_count_estimate(r.sum(axis=0), n, eps)

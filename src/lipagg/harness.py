@@ -274,9 +274,9 @@ class _FamilyRunner:
 
     A keep-or-resample family samples from its (d-1, d) step table plus
     tail and keeps its posterior tables from :meth:`_Aggregation.tables`,
-    indexed by (user, observed output); symmetric-rr keeps none, since it
-    counts ones.  Unary encoding draws only the per-bucket counts of set
-    bits (:func:`mechanisms.oue_counts`)."""
+    indexed by (user, observed output); symmetric-rr keeps none and checks
+    no fixed value's posterior, since it counts ones.  Unary encoding draws
+    only the per-bucket counts of set bits (:func:`mechanisms.oue_counts`)."""
 
     def __init__(self, family: MechanismFamily, eps: float, population: Population,
                  agg: _Aggregation, fixed_idx):
@@ -296,6 +296,8 @@ class _FamilyRunner:
         self.steps = np.tril(np.full((d - 1, d), ch.keep))
         tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
         self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)  # (d-1, N) or (d-1, 1)
+        if family is MechanismFamily.SYMMETRIC_RR:
+            return  # the count estimator reads no posterior
         kept, redrawn = ch.posterior(priors)
         if fixed_idx is not None and ch.keep > 0.0:
             # a kept value whose output marginal is 0 has no posterior
@@ -306,8 +308,7 @@ class _FamilyRunner:
                     f"user {population.user_ids[i]}: value "
                     f"{population.domain.values[fixed_idx[i]]} has zero probability "
                     f"under its prior but is published with probability {ch.keep}")
-        if family is not MechanismFamily.SYMMETRIC_RR:
-            self.tables = agg.tables(kept, redrawn)
+        self.tables = agg.tables(kept, redrawn)
 
     def estimate(self, ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
         """Perturb the chunk of true values in ``ws.x``, (trials, N), reading

@@ -13,15 +13,15 @@ Derivations; all budgets are on the natural-log scale:
 * unary-encoding bit perturbation with keep probability 1/2 and flip-up
   probability 1/(e^eps + 1).
 
-Every entry is evaluated from e^-eps, so no finite budget overflows.  Rows
-are renormalized after construction to absorb float rounding so every
-derived channel passes ``validate_channel`` exactly.
-
 All four optima keep the true value with probability a and otherwise
 publish a draw from a fixed r: a = 1 - e^-eps and r = the prior
 (context-aware), a = (e^eps - 1)/(e^eps + d - 1) and r uniform
-(context-free).  The harness and the closed-form errors use that form
-(:func:`optimal_channel`); the dense constructors stay the reference.
+(context-free).  :func:`optimal_channel` returns that form, evaluated from
+e^-eps so no finite budget overflows; the harness and the closed-form
+errors read it directly, and the dense ``opt_*`` channels are its
+:meth:`KeepResample.matrix`, the one formula for every entry.  The tests
+re-derive each entry from the e^eps expressions above, by explicit loops in
+``tests/conftest.py``, as the independent reference.
 """
 
 import enum
@@ -38,9 +38,13 @@ from .errors import ValueNotInDomainError, ZeroEpsilonError
 class MechanismFamily(enum.Enum):
     """Perturbation families compared throughout the package.
 
-    SYMMETRIC_RR shares the OPT_BINARY_LDP matrix but is paired with the
-    prior-unaware count estimator rather than the posterior-mean one; OUE
-    is only valid for histogram-style tasks.
+    Every family but OUE is a keep-or-resample channel
+    (:func:`optimal_channel`), whose dense matrix is
+    :meth:`KeepResample.matrix`; ``tests/conftest.py`` re-derives it entry
+    by entry as the independent reference.  SYMMETRIC_RR shares the
+    OPT_BINARY_LDP channel but is paired with the prior-unaware count
+    estimator rather than the posterior-mean one; OUE is only valid for
+    histogram-style tasks.
     """
 
     OPT_BINARY_LIP = "opt-binary-lip"
@@ -67,9 +71,10 @@ _BINARY_FAMILIES = (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_L
 
 
 def check_family_task(family: MechanismFamily, task, domain: Domain) -> None:
-    """Raise ``ValueError`` unless ``family`` answers ``task`` on ``domain``."""
+    """Raise ``ValueError`` unless ``family`` answers ``task`` on ``domain``;
+    a ``task`` of None checks the domain alone."""
     only = ONLY_TASK.get(family)
-    if only is not None and not isinstance(task, only):
+    if only is not None and task is not None and not isinstance(task, only):
         raise ValueError(f"{family.value} does not answer "
                          f"{type(task).__name__.lower()} tasks")
     if family in _BINARY_FAMILIES and not np.array_equal(domain.values, [0.0, 1.0]):
@@ -100,6 +105,19 @@ class KeepResample:
         return tuple(np.divide(w, lam, out=np.zeros(lam.shape), where=lam > 0.0)
                      for w in (kept, redrawn))
 
+    def matrix(self) -> np.ndarray:
+        """The dense channel: redraw r[k] off the diagonal and
+        1 - redraw (1 - r[m]) on it, rows renormalized to absorb rounding so
+        that it passes ``validate_channel``; (d, d) for a shared ``resample``,
+        (N, d, d) for per-user ones.  A zero r[k] leaves column k empty off
+        the diagonal, and row k (which never fires) stays stochastic."""
+        r = self.resample
+        d = r.shape[-1]
+        m = np.repeat((self.redraw * r)[..., None, :], d, axis=-2)
+        diagonal = np.arange(d)
+        m[..., diagonal, diagonal] = 1.0 - self.redraw * (1.0 - r)
+        return m / m.sum(axis=-1, keepdims=True)
+
 
 def optimal_channel(family: MechanismFamily, eps: float,
                     priors: np.ndarray) -> KeepResample:
@@ -129,16 +147,12 @@ class OUEChannel:
 
     def bit_channel(self) -> Channel:
         """Each bit's 2x2 channel: rows are a 0 bit and a 1 bit."""
-        return _binary_channel(self.flip_up_prob, 1.0 - self.keep_prob)
+        return _validated(np.array([[1.0 - self.flip_up_prob, self.flip_up_prob],
+                                    [1.0 - self.keep_prob, self.keep_prob]]))
 
 
-def _renormalize(matrix: np.ndarray) -> np.ndarray:
-    return matrix / matrix.sum(axis=1, keepdims=True)
-
-
-def _binary_channel(q0: float, q1: float) -> Channel:
-    ch = Channel(np.array([[1.0 - q0, q0], [q1, 1.0 - q1]]),
-                 Domain.binary(), Domain.binary())
+def _validated(matrix: np.ndarray, domain: Domain | None = None) -> Channel:
+    ch = Channel(matrix, domain, domain)
     validate_channel(ch)
     return ch
 
@@ -171,75 +185,36 @@ def closed_form_lip_level(p_min: float, eps: float) -> float:
 
 
 def opt_binary_lip(p1: float, eps: float) -> Channel:
-    """Binary channel with q[0][1] = p1/e^eps and q[1][0] = (1-p1)/e^eps.
-
-    This is the mean-absolute-error-minimizing member of the symmetric
-    optimum pair; its output marginal equals the prior.  Its measured
-    context-aware level equals eps exactly when
-    min(p1, 1-p1) >= 1/(e^eps + 1) and 0 < p1 < 1; for priors more skewed
-    than that the construction overshoots its budget (see
-    :func:`closed_form_lip_level`).  Degenerate priors still yield a
-    valid channel.
-    """
-    eps = check_epsilon(eps)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    u = math.exp(-eps)
-    return _binary_channel(p1 * u, (1.0 - p1) * u)
+    """Binary context-aware optimum, q[0][1] = p1/e^eps and
+    q[1][0] = (1-p1)/e^eps: the member of the symmetric optimum pair that
+    also minimizes the mean absolute perturbation.  Like
+    :func:`opt_mimo_lip`, it meets its budget only when
+    min(p1, 1-p1) >= 1/(e^eps + 1), and degenerate priors still yield a
+    valid channel."""
+    prior = Prior.binary(p1).p
+    return _validated(optimal_channel(MechanismFamily.OPT_BINARY_LIP, eps, prior).matrix())
 
 
 def opt_binary_ldp(eps: float) -> Channel:
     """Symmetric binary channel with flip probability 1/(e^eps + 1)."""
-    flip = flip_probability(check_epsilon(eps))
-    return _binary_channel(flip, flip)
-
-
-def symmetric_rr(eps: float) -> Channel:
-    """Same matrix as ``opt_binary_ldp``; kept distinct because it pairs
-    with the prior-unaware count estimator."""
-    return opt_binary_ldp(eps)
+    uniform = np.full(2, 0.5)
+    return _validated(optimal_channel(MechanismFamily.OPT_BINARY_LDP, eps, uniform).matrix())
 
 
 def opt_mimo_lip(p: Prior, eps: float, domain: Domain | None = None) -> Channel:
-    """d-ary context-aware optimum for prior ``p``.
-
-    Zero-prior values are never emitted: their columns carry no
-    off-diagonal mass, and their rows (which can never fire) follow the
-    same formula restricted to the support so the matrix stays row
-    stochastic.  The output marginal equals the prior exactly, including
-    the zero entries.
-
-    As in the binary case, the measured context-aware level equals eps
-    only when every supported prior entry is at least 1/(e^eps + 1);
-    more skewed priors overshoot (see :func:`closed_form_lip_level`).
-    """
-    eps = check_epsilon(eps)
-    d = p.size
-    domain = domain or Domain.of_size(d)
-    if domain.size != d:
-        raise ValueError("domain size must match prior size")
-    u = math.exp(-eps)
-    # off-diagonal columns inherit the prior, so zero-prior columns get no mass
-    m = np.tile(p.p * u, (d, 1))
-    np.fill_diagonal(m, 1.0 - (1.0 - p.p) * u)
-    ch = Channel(_renormalize(m), domain, domain)
-    validate_channel(ch)
-    return ch
+    """d-ary context-aware optimum for prior ``p``; its output marginal
+    equals the prior, zero entries included, since zero-prior values are
+    never emitted.  The measured context-aware level equals eps only when
+    every supported prior entry is at least 1/(e^eps + 1); more skewed
+    priors overshoot (see :func:`closed_form_lip_level`)."""
+    return _validated(optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, p.p).matrix(), domain)
 
 
 def opt_mimo_ldp(d: int, eps: float, domain: Domain | None = None) -> Channel:
     """d-ary context-free optimum: keep with probability e^eps/(e^eps+d-1)."""
-    eps = check_epsilon(eps)
-    if d < 2:
-        raise ValueError("domain size must be at least 2")
-    domain = domain or Domain.of_size(d)
-    # e^eps/(e^eps + d - 1) and 1/(e^eps + d - 1), scaled by u = e^-eps
-    u = math.exp(-eps)
-    m = np.full((d, d), u / (1.0 + (d - 1) * u))
-    np.fill_diagonal(m, 1.0 / (1.0 + (d - 1) * u))
-    ch = Channel(_renormalize(m), domain, domain)
-    validate_channel(ch)
-    return ch
+    check_whole("domain size", d, 2)
+    uniform = np.full(d, 1.0 / d)
+    return _validated(optimal_channel(MechanismFamily.OPT_MIMO_LDP, eps, uniform).matrix(), domain)
 
 
 def oue_channel(d: int, eps: float) -> OUEChannel:
@@ -247,8 +222,7 @@ def oue_channel(d: int, eps: float) -> OUEChannel:
     eps = check_epsilon(eps)
     if eps == 0.0:
         raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
-    if d < 2:
-        raise ValueError("domain size must be at least 2")
+    check_whole("domain size", d, 2)
     return OUEChannel(d=d, keep_prob=0.5, flip_up_prob=flip_probability(eps))
 
 
@@ -298,30 +272,6 @@ def perturb(q: Channel, x: float, rng) -> float:
         raise ValueNotInDomainError(f"value {x} not in the input domain")
     k = sample_rows(np.cumsum(q.matrix[[idx], :-1], axis=1), _coerce_rng(rng))[0]
     return float(q.output_domain.values[k])
-
-
-def perturb_indices(q: Channel, x_idx: np.ndarray, rng) -> np.ndarray:
-    """Vector form of :func:`perturb` over input indices, returning output
-    indices (in :func:`sample_rows`' unsigned count type); one uniform draw
-    per entry, in order."""
-    bounds = np.cumsum(q.matrix[:, :-1], axis=1).T  # boundary-major (d-1, d)
-    return sample_rows(bounds.take(np.asarray(x_idx, dtype=int), axis=1).T, _coerce_rng(rng))
-
-
-def oue_perturb(oue: OUEChannel, x_idx: np.ndarray, rng) -> np.ndarray:
-    """One-hot encode each input index and perturb every bit independently.
-
-    Returns an (n, d) 0/1 array; draws one uniform per bit, row-major.
-    """
-    rng = _coerce_rng(rng)
-    x_idx = np.asarray(x_idx, dtype=int)
-    n = x_idx.shape[0]
-    u = rng.random((n, oue.d))
-    bits = u < oue.flip_up_prob
-    hot = np.zeros((n, oue.d), dtype=bool)
-    hot[np.arange(n), x_idx] = True
-    bits[hot] = u[hot] < oue.keep_prob
-    return bits.astype(np.int8)
 
 
 def oue_counts(oue: OUEChannel, hot: np.ndarray, rng) -> np.ndarray:

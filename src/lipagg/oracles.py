@@ -18,19 +18,9 @@ import math
 
 import numpy as np
 
-from .core import Prior, check_epsilon
+from .analysis import posterior_mean_mse
+from .core import Channel, Prior, check_epsilon
 from .errors import DimensionMismatchError, NoFeasiblePointError
-
-
-def _value_mse(Q, p, g):
-    """Enumerated E|g(X) - E[g(X)|Y]|^2 for channel Q and g of shape (d,)
-    or (d, m), one column of g per scalar function."""
-    g = g.reshape(p.shape[0], -1)
-    lam = p @ Q
-    t = (p[:, None] * g).T @ Q
-    xhat = np.divide(t, lam, out=np.zeros_like(t), where=lam > 0.0)
-    gap2 = np.sum((g[:, :, None] - xhat[None, :, :]) ** 2, axis=1)
-    return float(np.sum(p[:, None] * Q * gap2))
 
 
 def _box_vertices(p, u, s):
@@ -84,7 +74,7 @@ def _split_optimum(p: Prior, eps: float, g) -> tuple[float, np.ndarray]:
     Q = np.zeros((d, max(d, keep.shape[0])))
     Q[:, :keep.shape[0]] = w[keep]
     Q[sup, :keep.shape[0]] = (w[keep, None] * ratio[keep]).T
-    return _value_mse(Q, pv, g), Q
+    return posterior_mean_mse(Channel(Q), pv, g), Q
 
 
 def _values(p: Prior, values) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lipagg import Channel, Domain, Prior
+from lipagg.mechanisms import _coerce_rng, sample_rows
 
 
 def random_channel(rng, d_in, d_out=None, concentration=1.0) -> Channel:
@@ -50,6 +51,67 @@ def enum_histogram_mse(matrix, pvec):
         indicator = [1.0 if m == k else 0.0 for m in range(d)]
         total += enum_value_mse(matrix, pvec, indicator)
     return total
+
+
+def enum_mae(matrix, pvec, values_in, values_out=None):
+    """Mean absolute perturbation E|X - Y| = sum |a_m - a_k| p[m] q[m][k],
+    by explicit loops; the output values default to the input values."""
+    values_out = values_in if values_out is None else values_out
+    total = 0.0
+    for m in range(matrix.shape[0]):
+        for k in range(matrix.shape[1]):
+            total += abs(values_in[m] - values_out[k]) * pvec[m] * matrix[m][k]
+    return total
+
+
+def enum_optimum(family, pvec, eps):
+    """The closed-form optimum of ``family`` (a tag or a member) for prior
+    ``pvec`` at budget ``eps``, entry by entry from the e^eps expressions:
+
+    * opt-binary-lip: q[0][1] = p1/e^eps, q[1][0] = (1-p1)/e^eps;
+    * opt-binary-ldp: flip probability 1/(e^eps + 1);
+    * opt-mimo-lip: q[m][m] = 1 - (1-p[m])/e^eps, q[m][k] = p[k]/e^eps;
+    * opt-mimo-ldp: q[m][m] = e^eps/(e^eps + d - 1), q[m][k] = 1/(e^eps + d - 1).
+    """
+    tag = getattr(family, "value", family)
+    e = math.exp(eps)
+    d = len(pvec)
+    if tag == "opt-binary-lip":
+        p1 = pvec[1]
+        return np.array([[1.0 - p1 / e, p1 / e], [(1.0 - p1) / e, 1.0 - (1.0 - p1) / e]])
+    if tag == "opt-binary-ldp":
+        flip = 1.0 / (e + 1.0)
+        return np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
+    matrix = np.empty((d, d))
+    for m in range(d):
+        for k in range(d):
+            if tag == "opt-mimo-lip":
+                matrix[m][k] = 1.0 - (1.0 - pvec[m]) / e if m == k else pvec[k] / e
+            else:
+                matrix[m][k] = (e if m == k else 1.0) / (e + d - 1)
+    return matrix
+
+
+def perturb_indices(q, x_idx, rng):
+    """Vector form of ``perturb`` over input indices, returning output
+    indices: the same boundaries and the same one uniform draw per entry,
+    in order, so it must match ``perturb`` draw for draw."""
+    bounds = np.cumsum(q.matrix[:, :-1], axis=1).T  # boundary-major (d-1, d)
+    return sample_rows(bounds.take(np.asarray(x_idx, dtype=int), axis=1).T, _coerce_rng(rng))
+
+
+def oue_perturb(oue, x_idx, rng):
+    """One-hot encode each input index and perturb every bit independently,
+    one uniform per bit, row-major: the bit-level reference for the
+    per-bucket counts the harness draws.  Returns an (n, d) 0/1 array."""
+    x_idx = np.asarray(x_idx, dtype=int)
+    n = x_idx.shape[0]
+    u = rng.random((n, oue.d))
+    bits = u < oue.flip_up_prob
+    hot = np.zeros((n, oue.d), dtype=bool)
+    hot[np.arange(n), x_idx] = True
+    bits[hot] = u[hot] < oue.keep_prob
+    return bits.astype(np.int8)
 
 
 def enum_output_marginal(matrix, pvec):

@@ -39,13 +39,13 @@ from lipagg import (
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
     mse_histogram,
-    mse_mimo,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
     output_distribution,
     output_range_oracle,
+    posterior_mean_mse,
     posterior_means_in_band,
     run_experiment,
 )
@@ -99,13 +99,13 @@ def test_criterion_02_mimo_closed_form_optimality():
         for k in range(5):
             p = Prior(floor + (1.0 - 3 * floor) * rng.dirichlet(np.ones(3)))
             oracle = mimo_mse_oracle(p, eps)
-            closed = mse_mimo(opt_mimo_lip(p, eps), p)
+            closed = posterior_mean_mse(opt_mimo_lip(p, eps), p.p, np.arange(p.size))
             worst = max(worst, abs(oracle - closed))
     gap_ok = True
     for k in range(5):
         p = Prior(rng.dirichlet(np.ones(3)))
         oracle = mimo_mse_oracle(p, 0.5)
-        closed = mse_mimo(opt_mimo_lip(p, 0.5), p)
+        closed = posterior_mean_mse(opt_mimo_lip(p, 0.5), p.p, np.arange(p.size))
         gap_ok &= oracle > closed + 1e-4
     dt = time.time() - t0
     _report("2", worst <= 1e-4 and gap_ok and dt < 300.0,
@@ -354,18 +354,19 @@ def test_criterion_14b_wide_domain_orderings():
     pop = generate_population(500, "local-uniform", seed=2, domain=dom)
     ok = True
     for eps in (1.0, 2.0, 3.0):
-        lip = sum(mse_mimo(opt_mimo_lip(pop.prior(i), eps, dom), pop.prior(i), dom)
-                  for i in range(500))
-        ldp = sum(mse_mimo(opt_mimo_ldp(5, eps, dom), pop.prior(i), dom)
+        lip = sum(posterior_mean_mse(opt_mimo_lip(pop.prior(i), eps, dom), pop.priors[i],
+                                     dom.values) for i in range(500))
+        ldp = sum(posterior_mean_mse(opt_mimo_ldp(5, eps, dom), pop.priors[i], dom.values)
                   for i in range(500))
         ok &= lip < ldp
         if eps <= 2.0:
             lip_half = sum(
-                mse_mimo(opt_mimo_lip(pop.prior(i), eps / 2.0, dom), pop.prior(i), dom)
+                posterior_mean_mse(opt_mimo_lip(pop.prior(i), eps / 2.0, dom), pop.priors[i],
+                                   dom.values)
                 for i in range(500))
             ok &= lip_half < ldp
     wide = Domain.of_size(20)
     uniform = Prior(np.full(20, 0.05))
-    ok &= mse_mimo(opt_mimo_ldp(20, 1.0, wide), uniform, wide) > \
-        mse_mimo(opt_mimo_lip(uniform, 0.5, wide), uniform, wide)
+    ok &= posterior_mean_mse(opt_mimo_ldp(20, 1.0, wide), uniform.p, wide.values) > \
+        posterior_mean_mse(opt_mimo_lip(uniform, 0.5, wide), uniform.p, wide.values)
     _report("14b", ok, "wide-domain orderings with local priors")

@@ -14,17 +14,14 @@ from lipagg import (
     Summation,
     Survey,
     WeightedSum,
-    mae,
-    mse_binary,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
     mse_histogram,
-    mse_mimo,
     mse_survey,
     opt_binary_ldp,
     opt_binary_lip,
-    opt_mimo_ldp,
     opt_mimo_lip,
+    posterior_mean_mse,
     run_experiment,
     tradeoff_curve,
 )
@@ -32,22 +29,27 @@ from lipagg.analysis import closed_form_total_mse
 from lipagg.errors import ZeroEpsilonError
 from lipagg.mechanisms import MechanismFamily
 
-from conftest import enum_histogram_mse, enum_value_mse, random_channel, random_prior
+from conftest import (enum_histogram_mse, enum_mae, enum_optimum, enum_value_mse,
+                      random_channel, random_prior)
+
+
+def _binary_mse(q, p1):
+    return posterior_mean_mse(q, np.array([1.0 - p1, p1]), [0.0, 1.0])
 
 
 def test_mse_binary_identity_and_constant():
-    assert mse_binary(Channel(np.eye(2)), 0.3) == pytest.approx(0.0, abs=1e-15)
+    assert _binary_mse(Channel(np.eye(2)), 0.3) == pytest.approx(0.0, abs=1e-15)
     const = Channel(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert mse_binary(const, 0.3) == pytest.approx(0.21, abs=1e-15)
+    assert _binary_mse(const, 0.3) == pytest.approx(0.21, abs=1e-15)
     degenerate = Channel(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    assert mse_binary(degenerate, 0.3) == pytest.approx(0.21, abs=1e-15)
+    assert _binary_mse(degenerate, 0.3) == pytest.approx(0.21, abs=1e-15)
 
 
 def test_mse_binary_optimal_channel_closed_form(rng):
     for _ in range(10):
         p1 = float(rng.uniform(0.02, 0.98))
         eps = float(rng.uniform(0.0, 4.0))
-        got = mse_binary(opt_binary_lip(p1, eps), p1)
+        got = _binary_mse(opt_binary_lip(p1, eps), p1)
         assert got == pytest.approx(mse_binary_lip_opt(p1, eps), abs=1e-12)
 
 
@@ -56,14 +58,14 @@ def test_mse_binary_matches_enumeration(rng):
         ch = random_channel(rng, 2)
         p1 = float(rng.uniform(0.0, 1.0))
         want = enum_value_mse(ch.matrix, [1 - p1, p1], [0.0, 1.0])
-        assert mse_binary(ch, p1) == pytest.approx(want, abs=1e-10)
+        assert _binary_mse(ch, p1) == pytest.approx(want, abs=1e-10)
 
 
 def test_mse_binary_ldp_formula():
     assert mse_binary_ldp_opt(0.3, 0.0) == pytest.approx(0.21, abs=1e-12)
     for p1 in (0.5, 0.2, 0.85):
         for eps in (0.3, 1.0, 2.5):
-            direct = mse_binary(opt_binary_ldp(eps), p1)
+            direct = _binary_mse(opt_binary_ldp(eps), p1)
             assert mse_binary_ldp_opt(p1, eps) == pytest.approx(direct, abs=1e-12)
 
 
@@ -93,10 +95,10 @@ def test_dominance_grid_equality_only_at_zero():
 def test_mse_mimo_identity_and_constant(rng):
     dom = Domain.of_size(3)
     p = random_prior(rng, 3)
-    assert mse_mimo(Channel(np.eye(3)), p, dom) == pytest.approx(0.0, abs=1e-12)
+    assert posterior_mean_mse(Channel(np.eye(3)), p.p, dom.values) == pytest.approx(0.0, abs=1e-12)
     const = Channel(np.tile(p.p, (3, 1)))
     var = float(np.dot(p.p, dom.values ** 2) - np.dot(p.p, dom.values) ** 2)
-    assert mse_mimo(const, p, dom) == pytest.approx(var, abs=1e-12)
+    assert posterior_mean_mse(const, p.p, dom.values) == pytest.approx(var, abs=1e-12)
 
 
 def test_mse_mimo_matches_enumeration(rng):
@@ -105,7 +107,7 @@ def test_mse_mimo_matches_enumeration(rng):
             ch = random_channel(rng, d)
             p = random_prior(rng, d)
             want = enum_value_mse(ch.matrix, p.p, list(range(d)))
-            assert mse_mimo(ch, p) == pytest.approx(want, abs=1e-10)
+            assert posterior_mean_mse(ch, p.p, np.arange(d)) == pytest.approx(want, abs=1e-10)
 
 
 def test_mse_mimo_worked_channel_against_enumeration():
@@ -113,7 +115,7 @@ def test_mse_mimo_worked_channel_against_enumeration():
     p = Prior([0.1, 0.2, 0.7])
     ch = opt_mimo_lip(p, 1.0, dom)
     want = enum_value_mse(ch.matrix, p.p, [1.0, 2.0, 3.0])
-    assert mse_mimo(ch, p, dom) == pytest.approx(want, abs=1e-10)
+    assert posterior_mean_mse(ch, p.p, dom.values) == pytest.approx(want, abs=1e-10)
 
 
 def test_mse_histogram_identity_and_constant(rng):
@@ -134,16 +136,16 @@ def test_mse_histogram_matches_enumeration(rng):
 
 
 def test_mae_values():
-    assert mae(Channel(np.eye(3)), Prior([0.2, 0.3, 0.5])) == pytest.approx(0.0, abs=1e-15)
-    half = Channel(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert mae(half, Prior.binary(0.3)) == pytest.approx(0.5, abs=1e-15)
+    assert enum_mae(np.eye(3), [0.2, 0.3, 0.5], [0.0, 1.0, 2.0]) == pytest.approx(0.0, abs=1e-15)
+    half = np.array([[0.5, 0.5], [0.5, 0.5]])
+    assert enum_mae(half, [0.7, 0.3], [0.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_equal_mse_at_zero_budget_and_mimo_reduction():
     for p1 in (0.1, 0.5, 0.8):
         assert mse_binary_lip_opt(p1, 0.0) == pytest.approx(mse_binary_ldp_opt(p1, 0.0), abs=1e-12)
     p = Prior.binary(0.35)
-    assert mse_mimo(opt_mimo_lip(p, 1.3), p, Domain.binary()) == pytest.approx(
+    assert posterior_mean_mse(opt_mimo_lip(p, 1.3), p.p, [0.0, 1.0]) == pytest.approx(
         mse_binary_lip_opt(0.35, 1.3), abs=1e-12)
 
 
@@ -219,13 +221,7 @@ _OPT_FAMILIES = (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
 
 
 def _dense_channel(family, prior, eps, domain):
-    if family is MechanismFamily.OPT_BINARY_LIP:
-        return opt_binary_lip(float(prior.p[1]), eps)
-    if family is MechanismFamily.OPT_BINARY_LDP:
-        return opt_binary_ldp(eps)
-    if family is MechanismFamily.OPT_MIMO_LIP:
-        return opt_mimo_lip(prior, eps, domain)
-    return opt_mimo_ldp(domain.size, eps, domain)
+    return Channel(enum_optimum(family, prior.p, eps), domain, domain)
 
 
 @st.composite
@@ -256,8 +252,8 @@ def _closed_form_case(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_closed_form_case())
 def test_closed_form_total_matches_dense_reference(case):
-    # the sum over users of the dense per-user MSE on the public opt_*
-    # channel; each dense term is a difference of O(1) quantities, so it
+    # the sum over users of the dense per-user MSE on the optimum enumerated
+    # from its e^eps expressions; each dense term is a difference of O(1) quantities, so it
     # carries an absolute rounding error near 1e-15, covered by abs=1e-12
     family, pop, task, eps = case
     dom, n = pop.domain, pop.n_users
@@ -270,8 +266,8 @@ def test_closed_form_total_matches_dense_reference(case):
         elif isinstance(task, Histogram):
             want += mse_histogram(ch, prior)
         elif isinstance(task, Summation):
-            want += mse_mimo(ch, prior, dom) / n ** 2
+            want += posterior_mean_mse(ch, prior.p, dom.values) / n ** 2
         else:
-            want += task.coefficients[i] ** 2 * mse_mimo(ch, prior, dom)
+            want += task.coefficients[i] ** 2 * posterior_mean_mse(ch, prior.p, dom.values)
     got = closed_form_total_mse(family, pop, task, eps)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

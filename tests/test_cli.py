@@ -562,6 +562,16 @@ def test_derive_and_audit_map_any_flags_to_an_exit_code(tmp_path_factory, family
         assert err.getvalue().count("\n") == (code != 0), argv
 
 
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["report"].lip_eps == pytest.approx(1.0, abs=1e-12)
+    assert names["y"] in (0.0, 1.0)
+
+
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")

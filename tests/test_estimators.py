@@ -15,14 +15,14 @@ from lipagg import (
     context_free_estimate,
     estimate,
     opt_binary_lip,
+    oue_channel,
     oue_count_estimate,
-    oue_histogram_estimate,
     posterior,
 )
 from lipagg.errors import UnreachableOutputError, ZeroEpsilonError
 from lipagg.mechanisms import sample_rows
 
-from conftest import enum_joint, enum_value_mse, random_channel, random_prior
+from conftest import enum_joint, enum_value_mse, oue_perturb, random_channel, random_prior
 
 
 def test_posterior_identity_channel():
@@ -225,7 +225,7 @@ def test_context_free_unbiased_monte_carlo():
 
 
 def test_oue_estimate_arithmetic():
-    got = oue_histogram_estimate(np.zeros((100, 4), dtype=int), 4, 100, math.log(3.0))
+    got = oue_count_estimate(np.zeros((100, 4), dtype=int).sum(axis=0), 100, math.log(3.0))
     assert np.allclose(got, -100.0, atol=1e-9)
 
 
@@ -235,12 +235,11 @@ def test_oue_estimate_unbiased():
     d, n, eps, trials = 4, 400, 6.0, 4000
     xs = np.tile(np.arange(d), n // d)
     s_true = np.bincount(xs, minlength=d).astype(float)
-    from lipagg import oue_channel, oue_perturb
     ch = oue_channel(d, eps)
     gen = np.random.Generator(np.random.Philox(31))
     acc = np.zeros(d)
     for _ in range(trials):
-        acc += oue_histogram_estimate(oue_perturb(ch, xs, gen), d, n, eps)
+        acc += oue_count_estimate(oue_perturb(ch, xs, gen).sum(axis=0), n, eps)
     est = acc / trials
     sigma = math.sqrt(s_true.max() / trials) * 1.2
     assert np.max(np.abs(est - s_true)) <= 4 * sigma
@@ -253,8 +252,5 @@ def test_stacked_trials_estimate_row_by_row():
     assert stacked.shape == (5,)
     assert np.array_equal(stacked, [context_free_estimate(row, 1.2) for row in obs])
     assert isinstance(context_free_estimate(obs[0], 1.2), float)
-    reports = (rng.random((40, 4)) < 0.4).astype(np.int8)
-    assert np.array_equal(oue_histogram_estimate(reports, 4, 40, 1.2),
-                          oue_count_estimate(reports.sum(axis=0), 40, 1.2))
     with pytest.raises(ZeroEpsilonError):
         oue_count_estimate(np.zeros(4), 40, 0.0)

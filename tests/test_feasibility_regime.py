@@ -22,10 +22,10 @@ from lipagg import (
     measure_lip,
     mimo_mse_oracle,
     mse_binary_lip_opt,
-    mse_mimo,
     opt_binary_lip,
     opt_mimo_lip,
     output_distribution,
+    posterior_mean_mse,
 )
 
 
@@ -83,7 +83,7 @@ def test_mimo_constrained_optimum_beats_closed_form_outside_regime():
     ]
     for p, eps, gap in cases:
         oracle = mimo_mse_oracle(p, eps)
-        closed = mse_mimo(opt_mimo_lip(p, eps), p)
+        closed = posterior_mean_mse(opt_mimo_lip(p, eps), p.p, np.arange(p.size))
         assert oracle > closed + gap
 
 

@@ -28,12 +28,12 @@ from lipagg import (
     load_population,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
-    mse_mimo,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
     oue_count_estimate,
+    posterior_mean_mse,
     run_experiment,
     save_population,
     tradeoff_curve,
@@ -204,15 +204,15 @@ def test_mimo_orderings_large_population():
     dom = Domain.of_size(5)
     pop = generate_population(500, "local-uniform", seed=2, domain=dom)
     for eps in (1.0, 2.0, 3.0):
-        lip = sum(mse_mimo(opt_mimo_lip(pop.prior(i), eps, dom), pop.prior(i), dom)
-                  for i in range(500))
-        ldp = sum(mse_mimo(opt_mimo_ldp(5, eps, dom), pop.prior(i), dom)
+        lip = sum(posterior_mean_mse(opt_mimo_lip(pop.prior(i), eps, dom), pop.priors[i],
+                                     dom.values) for i in range(500))
+        ldp = sum(posterior_mean_mse(opt_mimo_ldp(5, eps, dom), pop.priors[i], dom.values)
                   for i in range(500))
         assert lip < ldp
     for eps in (1.0, 2.0):
-        lip_half = sum(mse_mimo(opt_mimo_lip(pop.prior(i), eps / 2, dom), pop.prior(i), dom)
-                       for i in range(500))
-        ldp = sum(mse_mimo(opt_mimo_ldp(5, eps, dom), pop.prior(i), dom)
+        lip_half = sum(posterior_mean_mse(opt_mimo_lip(pop.prior(i), eps / 2, dom), pop.priors[i],
+                                          dom.values) for i in range(500))
+        ldp = sum(posterior_mean_mse(opt_mimo_ldp(5, eps, dom), pop.priors[i], dom.values)
                   for i in range(500))
         assert lip_half < ldp
 
@@ -220,13 +220,13 @@ def test_mimo_orderings_large_population():
 def test_wider_domain_amplifies_context_advantage():
     dom = Domain.of_size(20)
     uniform = Prior(np.full(20, 0.05))
-    ldp = mse_mimo(opt_mimo_ldp(20, 1.0, dom), uniform, dom)
-    lip_half = mse_mimo(opt_mimo_lip(uniform, 0.5, dom), uniform, dom)
+    ldp = posterior_mean_mse(opt_mimo_ldp(20, 1.0, dom), uniform.p, dom.values)
+    lip_half = posterior_mean_mse(opt_mimo_lip(uniform, 0.5, dom), uniform.p, dom.values)
     assert ldp > lip_half
     small = Domain.binary()
     u2 = Prior.binary(0.5)
-    assert mse_mimo(opt_mimo_ldp(2, 1.0, small), u2, small) < \
-        mse_mimo(opt_mimo_lip(u2, 0.5, small), u2, small)
+    assert posterior_mean_mse(opt_mimo_ldp(2, 1.0, small), u2.p, small.values) < \
+        posterior_mean_mse(opt_mimo_lip(u2, 0.5, small), u2.p, small.values)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +408,21 @@ def test_fixed_value_outside_prior_support_is_unreachable():
     ldp = ExperimentConfig(task=Survey(1.0), families=("opt-mimo-ldp",), eps_grid=(2.0,),
                            trials=5, seed=0, population=pop, fixed_values=np.ones(10))
     assert math.isfinite(run_experiment(ldp).rows[0].metric)
+
+
+def test_symmetric_rr_runs_a_fixed_value_outside_prior_support_at_any_budget():
+    """The count estimator reads no posterior, so a zero-prior fixed value
+    is no more unreachable at eps = 800 (where the redraw mass underflows
+    and the channel keeps every value) than at eps = 5."""
+    pop = Population(Domain.binary(), np.tile([1.0, 0.0], (10, 1)))
+
+    def run(eps):
+        return run_experiment(ExperimentConfig(
+            task=Survey(1.0), families=("symmetric-rr",), eps_grid=(eps,), trials=20,
+            seed=3, population=pop, fixed_values=np.ones(10))).to_csv()
+
+    assert run(5.0) == "epsilon,family,metric,trials\n5.0,symmetric-rr,0.02145180036449793,20\n"
+    assert run(800.0) == "epsilon,family,metric,trials\n800.0,symmetric-rr,0.0,20\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0])

@@ -10,28 +10,27 @@ from lipagg import (
     Prior,
     budget_feasible_prior_floor,
     closed_form_lip_level,
-    mae,
-    mse_binary,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
-    mse_mimo,
     opt_binary_ldp,
     opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
     oue_channel,
     oue_counts,
-    oue_perturb,
     output_distribution,
     perturb,
-    perturb_indices,
-    symmetric_rr,
+    posterior_mean_mse,
     validate_channel,
 )
 from lipagg.errors import ValueNotInDomainError, ZeroEpsilonError
-from lipagg.mechanisms import sample_rows
+from lipagg.mechanisms import MechanismFamily, optimal_channel, sample_rows
 
-from conftest import random_prior
+from conftest import enum_mae, enum_optimum, oue_perturb, perturb_indices, random_prior
+
+
+def _binary_mse(q, p1):
+    return posterior_mean_mse(q, np.array([1.0 - p1, p1]), [0.0, 1.0])
 
 
 def test_binary_lip_formula_values():
@@ -48,7 +47,35 @@ def test_binary_lip_zero_budget_full_randomization():
 def test_binary_ldp_values():
     assert opt_binary_ldp(0.0).matrix[0, 1] == pytest.approx(0.5, abs=1e-15)
     assert opt_binary_ldp(math.log(3.0)).matrix[0, 1] == pytest.approx(0.25, abs=1e-12)
-    assert np.allclose(symmetric_rr(math.log(3.0)).matrix, opt_binary_ldp(math.log(3.0)).matrix)
+    rr = optimal_channel(MechanismFamily.SYMMETRIC_RR, math.log(3.0), np.full(2, 0.5))
+    assert np.allclose(rr.matrix(), opt_binary_ldp(math.log(3.0)).matrix)
+
+
+_OPTIMUM_PRIORS = {
+    "binary": ([0.7, 0.3], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.999, 0.001]),
+    "d-ary": ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.1, 0.0, 0.0, 0.9], [1.0, 0.0, 0.0],
+              [0.05, 0.15, 0.2, 0.25, 0.35]),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.0, 5.0, 50.0])
+@pytest.mark.parametrize("family", ["opt-binary-lip", "opt-binary-ldp",
+                                    "opt-mimo-lip", "opt-mimo-ldp"])
+def test_keep_resample_matrix_matches_the_enumerated_optimum(family, eps):
+    """``KeepResample.matrix()`` is each optimum's one dense formula; the
+    reference re-derives every entry from the e^eps expressions, over
+    priors with zero entries and p1 in {0, 1}.  A stack of per-user
+    resample distributions gives the stack of per-user matrices."""
+    priors = _OPTIMUM_PRIORS["binary" if "binary" in family else "d-ary"]
+    fam = MechanismFamily.from_tag(family)
+    for pvec in priors:
+        got = optimal_channel(fam, eps, np.array(pvec)).matrix()
+        assert np.max(np.abs(got - enum_optimum(family, pvec, eps))) <= 1e-12, pvec
+        validate_channel(Channel(got))
+    if fam is MechanismFamily.OPT_MIMO_LIP:
+        stack = np.array(priors[:2] + ([0.3, 0.3, 0.4],))
+        got = optimal_channel(fam, eps, stack).matrix()
+        assert np.array_equal(got, [optimal_channel(fam, eps, p).matrix() for p in stack])
 
 
 def test_mimo_lip_worked_example():
@@ -79,7 +106,7 @@ def test_mimo_lip_reduces_to_binary_at_d2():
         mimo = opt_mimo_lip(Prior.binary(p1), eps)
         bib = opt_binary_lip(p1, eps)
         assert np.allclose(mimo.matrix, bib.matrix, atol=1e-12)
-        assert mse_mimo(mimo, Prior.binary(p1), Domain.binary()) == pytest.approx(
+        assert posterior_mean_mse(mimo, Prior.binary(p1).p, [0.0, 1.0]) == pytest.approx(
             mse_binary_lip_opt(p1, eps), abs=1e-12)
 
 
@@ -114,7 +141,7 @@ def test_degenerate_prior_valid_channel_and_zero_mse():
     for p1 in (0.0, 1.0):
         ch = opt_binary_lip(p1, 1.0)
         validate_channel(ch)
-        assert mse_binary(ch, p1) == pytest.approx(0.0, abs=1e-15)
+        assert _binary_mse(ch, p1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_all_derived_channels_validate(rng):
@@ -134,8 +161,8 @@ def test_closed_form_mse_monotone_in_eps():
         now = [
             mse_binary_lip_opt(0.3, eps),
             mse_binary_ldp_opt(0.3, eps),
-            mse_mimo(opt_mimo_lip(p, eps), p, dom),
-            mse_mimo(opt_mimo_ldp(3, eps), p, dom),
+            posterior_mean_mse(opt_mimo_lip(p, eps), p.p, dom.values),
+            posterior_mean_mse(opt_mimo_ldp(3, eps), p.p, dom.values),
         ]
         for a, b in zip(now, prev):
             assert a <= b + 1e-12
@@ -149,9 +176,9 @@ def test_symmetric_twin_same_mse_larger_mae():
     twin = Channel(np.array([[p1 / e, 1 - p1 / e],
                              [1 - (1 - p1) / e, (1 - p1) / e]]))
     validate_channel(twin)
-    assert mse_binary(twin, p1) == pytest.approx(mse_binary(primary, p1), abs=1e-12)
-    prior = Prior.binary(p1)
-    assert mae(primary, prior) < mae(twin, prior) - 1e-6
+    assert _binary_mse(twin, p1) == pytest.approx(_binary_mse(primary, p1), abs=1e-12)
+    prior, values = [1.0 - p1, p1], [0.0, 1.0]
+    assert enum_mae(primary.matrix, prior, values) < enum_mae(twin.matrix, prior, values) - 1e-6
 
 
 def test_huge_budget_reaches_limits_without_overflow():

@@ -13,9 +13,9 @@ from lipagg import (
     mimo_mse_oracle,
     mse_binary_lip_opt,
     mse_histogram,
-    mse_mimo,
     opt_mimo_lip,
     output_range_oracle,
+    posterior_mean_mse,
 )
 from lipagg.errors import DimensionMismatchError
 from lipagg.oracles import _split_optimum
@@ -47,7 +47,7 @@ def test_binary_oracle_finds_a_constraint_corner():
 def test_mimo_oracle_matches_closed_form_in_regime():
     p = Prior([0.3, 0.3, 0.4])
     got = mimo_mse_oracle(p, 1.0)
-    want = mse_mimo(opt_mimo_lip(p, 1.0), p)
+    want = posterior_mean_mse(opt_mimo_lip(p, 1.0), p.p, np.arange(p.size))
     assert got == pytest.approx(want, abs=1e-4)
 
 
