@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Prior, check_epsilon
+from .core import Prior, check_epsilon, check_whole
 from .errors import NoFeasiblePointError
 from .mechanisms import opt_mimo_lip
 
@@ -56,6 +56,28 @@ _MAX_SWEEPS = 40
 _FRACTIONS = (1.0, 0.5, 0.25)  # shares of a source column's mass a move may carry, in (0, 1]
 
 
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(S = k) for k = 0..n, S ~ Binomial(n, p): scipy.stats.binom.pmf,
+    bit for bit, from scipy.special alone (on scipy 1.17, 66 modules against
+    scipy.stats's 490, and about 46 MiB less).  binom.pmf is scipy.special's
+    private pmf ufunc clipped to [0, 1]; the clip matters, since at n = 1,
+    p = 1e-300 the ufunc returns 1.0000000000000318.  An older scipy without
+    that private ufunc in scipy.special gets the distribution itself."""
+    from scipy import special  # loaded on first use, off lipagg's import path
+    k = np.arange(n + 1)
+    try:
+        pmf = special._ufuncs._binom_pmf
+    except AttributeError:
+        from scipy.stats import binom
+        pmf = binom.pmf
+    try:
+        return np.clip(pmf(k, n, p), 0, 1)
+    except OverflowError:  # the pmf overflows for p within ~100x of DBL_MIN
+        # binom.logpmf's formula, term for term
+        return np.exp(special.gammaln(n + 1) - (special.gammaln(k + 1) + special.gammaln(n - k + 1))
+                      + special.xlogy(k, p) + special.xlog1py(n - k, -p))
+
+
 @dataclass(frozen=True, eq=False)
 class CipInstance:
     n_users: int
@@ -64,18 +86,15 @@ class CipInstance:
     s_prior: np.ndarray = field(init=False)
 
     def __init__(self, n_users: int, p1: float, eps: float):
-        if not 1 <= n_users <= 200:
+        check_whole("N", n_users, 1)
+        if n_users > 200:
             raise ValueError("desk-scale search supports 1 <= N <= 200")
         if not 0.0 <= p1 <= 1.0:
             raise ValueError("p1 must lie in [0, 1]")
         object.__setattr__(self, "n_users", int(n_users))
         object.__setattr__(self, "p1", float(p1))
         object.__setattr__(self, "eps", check_epsilon(eps))
-        from scipy.stats import binom  # loaded on first use: only cip code needs scipy.stats
-        try:
-            prior = binom.pmf(np.arange(n_users + 1), n_users, p1)
-        except OverflowError:  # scipy's pmf overflows for p1 within ~100x of DBL_MIN
-            prior = np.exp(binom.logpmf(np.arange(n_users + 1), n_users, p1))
+        prior = _binomial_pmf(self.n_users, self.p1)
         prior.setflags(write=False)
         object.__setattr__(self, "s_prior", prior)
 
@@ -114,16 +133,18 @@ def cip_mse_lower_bound(instance: CipInstance) -> float:
 class CipSearchResult:
     """The best mechanism found, with what the search did to find it:
     ``starts`` tried (all made band-feasible), how many of them needed a
-    blend toward the constant mechanism, the sweeps each start ran, and how
-    many (start, step, source) candidates with an in-band move out got a
-    block of gains (``sources_scored``) or were dropped by their gain bound
-    (``sources_pruned``)."""
+    blend toward the constant mechanism, the sweeps each start ran, whether
+    each start converged (a sweep with no move) rather than hit the sweep
+    cap, and how many (start, step, source) candidates with an in-band move
+    out got a block of gains (``sources_scored``) or were dropped by their
+    gain bound (``sources_pruned``)."""
     mechanism: np.ndarray
     mse: float
     estimator_variance: float
     starts: int = 0
     starts_blended: int = 0
     sweeps: tuple = ()
+    converged: tuple = ()
     sources_scored: int = 0
     sources_pruned: int = 0
 
@@ -226,8 +247,9 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     follow alone: the fractions stay sequential, and after a move the column
     sums w = prior @ Q and t = (prior s) @ Q are recomputed, not updated.
     Returns the final stack, the objective and the number of sweeps run per
-    start, and how many (start, step, source) candidates passed the band
-    test and were scored or pruned.
+    start, how many (start, step, source) candidates passed the band test
+    and were scored or pruned, and per start whether it converged (its last
+    sweep made no move) rather than stopped at max_sweeps.
     """
     q = Q  # the stack of starts still ascending
     n_starts, _, m = q.shape
@@ -248,6 +270,7 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     cut = improve_tol - _GAIN_SLACK * max(1.0, float(pt @ svals))
     lo, hi = lower - tol, upper + tol
     sweeps = np.zeros(n_starts, dtype=int)
+    converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)  # the global index of each stacked start
     scored = pruned = 0
 
@@ -314,6 +337,7 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
                 moved |= go
         if not moved.all():
             stop = ~moved
+            converged[active[stop]] = True
             Q[active[stop]], out_stats[:, active[stop]] = q[stop], stats[:, stop]
             active, q, stats = active[moved], q[moved], stats[:, moved]
             if active.size == 0:
@@ -322,7 +346,7 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
         Q[active] = q
     out_stats[:, active] = stats
     values = [_objective(w, t) for w, t in zip(out_stats[0], out_stats[1])]
-    return Q, values, sweeps.tolist(), scored, pruned
+    return Q, values, sweeps.tolist(), scored, pruned, converged.tolist()
 
 
 def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> CipSearchResult:
@@ -342,12 +366,13 @@ def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> Ci
     starts, blended = _feasible_starts(instance, output_size, seed)
     starts = np.stack(starts)  # ascended in place, a group at a time
     group = max(1, _LOCKSTEP_CELLS // output_size ** 2)
-    values, sweeps, scored, pruned = [], [], 0, 0
+    values, sweeps, converged, scored, pruned = [], [], [], 0, 0
     for i in range(0, len(starts), group):
-        _, v, n, sc, pr = _ascend(starts[i:i + group], instance.s_prior, svals,
-                                  band.lower, band.upper, tol)
+        _, v, n, sc, pr, c = _ascend(starts[i:i + group], instance.s_prior, svals,
+                                     band.lower, band.upper, tol)
         values += v
         sweeps += n
+        converged += c
         scored += sc
         pruned += pr
     best = int(np.argmax(values))  # the first best start, as a serial scan keeps
@@ -357,5 +382,6 @@ def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> Ci
                            mse=max(0.0, instance.variance - var_est),
                            estimator_variance=var_est,
                            starts=len(starts), starts_blended=blended,
-                           sweeps=tuple(sweeps), sources_scored=scored,
+                           sweeps=tuple(sweeps), converged=tuple(converged),
+                           sources_scored=scored,
                            sources_pruned=pruned)

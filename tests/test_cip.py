@@ -59,6 +59,51 @@ def test_prior_is_binomial():
     assert tiny[1] == pytest.approx(2.2250738585072014e-308, rel=1e-9, abs=0)
 
 
+def _scipy_binomial(n, p1):
+    from scipy.stats import binom
+    k = np.arange(n + 1)
+    try:
+        return binom.pmf(k, n, p1)
+    except OverflowError:  # p1 within ~100x of DBL_MIN
+        return np.exp(binom.logpmf(k, n, p1))
+
+
+_P1_EDGES = (0.0, 1.0, 1 - 1e-16, 1e-300, 1e-308, 2e-308, 1.1125369292536007e-308)
+_P1_DRAWN = tuple(np.random.default_rng(20261019).uniform(size=4)) + tuple(
+    10.0 ** np.random.default_rng(20261020).uniform(-300.0, 0.0, size=4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 51, 200])
+def test_prior_is_scipys_binomial_bit_for_bit(n):
+    for p1 in _P1_EDGES + _P1_DRAWN:
+        assert np.array_equal(CipInstance(n, p1, 0.0).s_prior, _scipy_binomial(n, p1)), p1
+
+
+def test_prior_falls_back_to_scipy_stats_without_the_private_pmf_ufunc(monkeypatch):
+    # an older scipy may lack scipy.special._ufuncs._binom_pmf; there the
+    # pmf comes from scipy.stats.binom, which then holds its own copy
+    import scipy.special._ufuncs as ufuncs
+    from scipy.stats import binom
+
+    cases = [(n, p1) for n in (1, 50, 200) for p1 in (0.3, 1e-300, 2e-308)]
+    before = [CipInstance(n, p1, 0.0).s_prior for n, p1 in cases]
+    pmf, calls = ufuncs._binom_pmf, []
+    monkeypatch.setattr(type(binom), "_pmf", lambda self, *a: calls.append(a) or pmf(*a))
+    monkeypatch.delattr(ufuncs, "_binom_pmf")
+    for (n, p1), prior in zip(cases, before):
+        assert np.array_equal(CipInstance(n, p1, 0.0).s_prior, prior), (n, p1)
+    assert calls
+
+
+def test_instance_checks_n_and_builds_the_prior_from_the_stored_values():
+    for bad in (5.5, 5.0, True, "5", 0, 201):
+        with pytest.raises(ValueError):
+            CipInstance(bad, 0.3, 1.0)
+    inst = CipInstance(np.int64(5), np.float32(0.3), 1.0)
+    assert type(inst.n_users) is int and type(inst.p1) is float
+    assert np.array_equal(inst.s_prior, CipInstance(5, float(np.float32(0.3)), 1.0).s_prior)
+
+
 def test_seed_mechanism_band_feasible():
     for p1 in (0.1, 0.3, 0.5):
         for eps in (0.5, 1.0, 2.0):
@@ -128,6 +173,9 @@ def test_search_reports_starts_and_sweeps():
     res = cip_search(inst, output_size=21, seed=0)
     assert res.starts == 7  # constant, threshold, context-aware seed, 4 random
     assert len(res.sweeps) == 7 and all(1 <= v <= 40 for v in res.sweeps)
+    # a start stopped short of the cap only by a sweep with no move
+    assert len(res.converged) == 7
+    assert all(c for c, v in zip(res.converged, res.sweeps) if v < 40)
     starts, _ = _feasible_starts(inst, 21, 0)
     band = cip_band(inst)
     capped = _ascend(np.stack(starts), inst.s_prior, np.arange(21.0), band.lower, band.upper,

@@ -248,6 +248,16 @@ def test_cip_cli_reports_a_vacuous_bound(capsys):
     assert blob["bound_gap"] > 0.0
 
 
+def test_cip_cli_counts_the_starts_stopped_by_the_sweep_cap(capsys):
+    # seed 1: the context-aware seed start converges on exactly its 40th
+    # sweep, the threshold start on its 3rd, and five are still moving
+    assert run_cli("cip", "--n", "50", "--p1", "0.3", "--eps", "1", "--seed", "1",
+                   "--format", "json") == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert (blob["starts"], blob["max_sweeps_used"], blob["starts_capped"]) == (7, 40, 5)
+    assert blob["achieved_mse"] == 0.000997175350477164
+
+
 def test_missing_config_exit_2(tmp_path):
     assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -455,6 +465,19 @@ for argv in (["mechanism", "derive", "--family", "opt-mimo-lip", "--prior", "0.2
              ["simulate", "--config", {str(cfg)!r}]):
     assert cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cip_cli_loads_no_scipy_stats():
+    """``cip`` takes its binomial prior from ``scipy.special`` alone."""
+    script = """
+import sys
+import lipagg.cli as cli
+assert cli.main(["cip", "--n", "20", "--p1", "0.3", "--eps", "1"]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize"))))
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
