@@ -33,14 +33,9 @@ import numpy as np
 
 from .core import Prior, check_epsilon, check_whole
 from .errors import NoFeasiblePointError
-from .mechanisms import opt_mimo_lip
+from .mechanisms import _coerce_rng, opt_mimo_lip
 
 _BAND_TOL = 1e-9
-# (start, source, destination) cells one lockstep ascent may stack, which
-# caps a step's block of gains.  Stacking shares each step's fixed costs: at
-# m = 51 seven starts ascend 3.8x faster together than one at a time, at
-# m = 201 no faster (3 sweeps: 2.8 s against 2.7 s, 2-core Xeon)
-_LOCKSTEP_CELLS = 1 << 16
 # Rounding allowance on a source's gain bound, in units of max(1, E[S^2]).
 # Each t^2/w term is at most E[S^2] (Cauchy-Schwarz within a column:
 # (sum p q s)^2 / sum p q <= sum p q s^2).  A gain and its bound share the
@@ -89,8 +84,8 @@ class CipInstance:
         check_whole("N", n_users, 1)
         if n_users > 200:
             raise ValueError("desk-scale search supports 1 <= N <= 200")
-        if not 0.0 <= p1 <= 1.0:
-            raise ValueError("p1 must lie in [0, 1]")
+        if isinstance(p1, bool) or not 0.0 <= p1 <= 1.0:
+            raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
         object.__setattr__(self, "n_users", int(n_users))
         object.__setattr__(self, "p1", float(p1))
         object.__setattr__(self, "eps", check_epsilon(eps))
@@ -149,12 +144,6 @@ class CipSearchResult:
     sources_pruned: int = 0
 
 
-def _column_stats(Q, prior, svals):
-    w = prior @ Q
-    t = (prior * svals) @ Q
-    return w, t
-
-
 def _objective(w, t):
     mask = w > 0.0
     return float(np.sum(t[mask] ** 2 / w[mask]))
@@ -165,14 +154,6 @@ def _term(w, t):
     return np.divide(t * t, w, out=np.zeros_like(w), where=w > 0.0)
 
 
-def _band_ok(w, t, lower, upper, tol):
-    mask = w > 0.0
-    if not mask.any():
-        return True
-    means = t[mask] / w[mask]
-    return bool(np.all(means >= lower - tol) and np.all(means <= upper + tol))
-
-
 def posterior_means_in_band(Q, instance: CipInstance) -> bool:
     """Whether Q is a mechanism, to within _BAND_TOL, whose every reachable
     output has its posterior mean in the band."""
@@ -180,9 +161,13 @@ def posterior_means_in_band(Q, instance: CipInstance) -> bool:
     if not (np.all(Q >= -_BAND_TOL) and np.all(np.abs(Q.sum(axis=1) - 1.0) <= _BAND_TOL)):
         return False
     band = cip_band(instance)
-    svals = np.arange(instance.n_users + 1, dtype=float)
-    w, t = _column_stats(Q, instance.s_prior, svals)
-    return _band_ok(w, t, band.lower, band.upper, _BAND_TOL * max(1.0, instance.n_users))
+    tol = _BAND_TOL * max(1.0, instance.n_users)
+    prior = instance.s_prior
+    w = prior @ Q
+    t = (prior * np.arange(instance.n_users + 1, dtype=float)) @ Q
+    mask = w > 0.0
+    means = t[mask] / w[mask]
+    return bool(np.all(means >= band.lower - tol) and np.all(means <= band.upper + tol))
 
 
 def lip_seed_mechanism(instance: CipInstance) -> np.ndarray:
@@ -202,11 +187,9 @@ def _threshold_start(prior, svals, m):
 def _feasible_starts(instance: CipInstance, m: int, seed: int):
     """The search's starts, each blended toward the constant mechanism
     until band-feasible, and how many needed a blend."""
-    band = cip_band(instance)
     prior = instance.s_prior
     svals = np.arange(instance.n_users + 1, dtype=float)
-    tol = _BAND_TOL * max(1.0, instance.n_users)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _coerce_rng(seed)
 
     const = np.full((svals.shape[0], m), 1.0 / m)
     starts = [const, _threshold_start(prior, svals, m)]
@@ -219,8 +202,7 @@ def _feasible_starts(instance: CipInstance, m: int, seed: int):
     for Q in starts:
         for blend in (0.0, 0.25, 0.5, 0.75, 1.0):
             cand = (1.0 - blend) * Q + blend * const
-            w, t = _column_stats(cand, prior, svals)
-            if _band_ok(w, t, band.lower, band.upper, tol):
+            if posterior_means_in_band(cand, instance):
                 feasible.append(cand)
                 blended += blend > 0.0
                 break
@@ -242,8 +224,9 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     is at most t_minus^2/w_minus - t_j^2/w_j + dm_j s^2 (plus _GAIN_SLACK
     for rounding).  Only the in-band sources whose bound reaches improve_tol
     get a block of gains over every destination; the others cannot win, so
-    leaving them out changes no move.  A start leaves the stack after a
-    sweep with no move.  Every start follows exactly the trajectory it would
+    leaving them out changes no move.  A start converges after a sweep with
+    no move: it keeps its place in the stack, but none of its sources is a
+    candidate again.  Every start follows exactly the trajectory it would
     follow alone: the fractions stay sequential, and after a move the column
     sums w = prior @ Q and t = (prior s) @ Q are recomputed, not updated.
     Returns the final stack, the objective and the number of sweeps run per
@@ -251,8 +234,7 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     and were scored or pruned, and per start whether it converged (its last
     sweep made no move) rather than stopped at max_sweeps.
     """
-    q = Q  # the stack of starts still ascending
-    n_starts, _, m = q.shape
+    n_starts, _, m = Q.shape
     # room for a block over every source of every start, cut to each step's
     # live rows: the destinations' w_plus and t_plus, the gains, the mask
     cells = n_starts * m * m
@@ -262,36 +244,33 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     # w, t and t^2/w of every column of every start; a block gathers its
     # destinations' w and t in one take
     stats = np.empty((3, n_starts, m))
-    stats[0], stats[1] = prior @ q, pt @ q
+    stats[0], stats[1] = prior @ Q, pt @ Q
     stats[2] = _term(stats[0], stats[1])
-    out_stats = np.empty_like(stats)
     improve_tol = 1e-12 * np.maximum(1.0, [_objective(w, t) for w, t in zip(stats[0], stats[1])])
     # a source whose bound lies below cut cannot reach improve_tol
     cut = improve_tol - _GAIN_SLACK * max(1.0, float(pt @ svals))
     lo, hi = lower - tol, upper + tol
     sweeps = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
-    active = np.arange(n_starts)  # the global index of each stacked start
     scored = pruned = 0
 
     for _ in range(max_sweeps):
-        sweeps[active] += 1
-        a = active.size
-        moved = np.zeros(a, dtype=bool)
-        tol_a, cut_a = improve_tol[active], cut[active, None]
+        sweeps[~converged] += 1
+        moved = np.zeros(n_starts, dtype=bool)
         for s in np.flatnonzero(prior > 0.0):
             for frac in _FRACTIONS:
-                delta = frac * q[:, s]  # mass leaving each source column
+                delta = frac * Q[:, s]  # mass leaving each source column
                 dm = prior[s] * delta
                 dms = dm * svals[s]
                 w, t, tw = stats
                 w_minus = w - dm
                 t_minus = t - dms
                 tm = _term(w_minus, t_minus)
-                # sources with mass whose mean stays in the band
-                src_ok = (dm > 0.0) & ((w_minus <= 0.0) | (
+                # sources with mass whose mean stays in the band, in the
+                # starts still ascending
+                src_ok = ~converged[:, None] & (dm > 0.0) & ((w_minus <= 0.0) | (
                     (t_minus >= lo * w_minus) & (t_minus <= hi * w_minus)))
-                live = src_ok & (tm - tw + dm * (svals[s] * svals[s]) >= cut_a)
+                live = src_ok & (tm - tw + dm * (svals[s] * svals[s]) >= cut[:, None])
                 f = np.flatnonzero(live)  # (start, source) pairs in row-major order
                 pruned += int(np.count_nonzero(src_ok)) - f.size
                 scored += f.size
@@ -318,34 +297,27 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
                 gain -= np.take(tw, si, axis=0, mode="clip", out=t_plus)  # t_k^2 / w_k
                 np.putmask(gain, off, -np.inf)
                 to = gain.argmax(axis=1)
-                best = np.full(a * m, -np.inf)
+                best = np.full(n_starts * m, -np.inf)
                 best[f] = gain[pairs, to]
-                best = best.reshape(a, m)
+                best = best.reshape(n_starts, m)
                 j_best = best.argmax(axis=1)
-                go = best[np.arange(a), j_best] > tol_a
+                go = best[np.arange(n_starts), j_best] > improve_tol
                 if not go.any():
                     continue
                 ids = np.flatnonzero(go)
                 jj = j_best[ids]
                 kk = to[np.searchsorted(f, ids * m + jj)]
                 mass = delta[ids, jj]
-                q[ids, s, jj] -= mass
-                q[ids, s, kk] += mass
+                Q[ids, s, jj] -= mass
+                Q[ids, s, kk] += mass
                 # an unmoved start's sums come out as they were
-                stats[0], stats[1] = prior @ q, pt @ q
+                stats[0], stats[1] = prior @ Q, pt @ Q
                 stats[2] = _term(stats[0], stats[1])
                 moved |= go
-        if not moved.all():
-            stop = ~moved
-            converged[active[stop]] = True
-            Q[active[stop]], out_stats[:, active[stop]] = q[stop], stats[:, stop]
-            active, q, stats = active[moved], q[moved], stats[:, moved]
-            if active.size == 0:
-                break
-    if q is not Q:  # the stack was cut down to a copy
-        Q[active] = q
-    out_stats[:, active] = stats
-    values = [_objective(w, t) for w, t in zip(out_stats[0], out_stats[1])]
+        converged |= ~moved
+        if converged.all():
+            break
+    values = [_objective(w, t) for w, t in zip(stats[0], stats[1])]
     return Q, values, sweeps.tolist(), scored, pruned, converged.tolist()
 
 
@@ -353,28 +325,20 @@ def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> Ci
     """Best mechanism found by multi-start coordinate ascent.
 
     ``output_size`` may be anything from 2 to N+1; passing N+1 puts the
-    always-feasible context-aware seed in the start set.  Infeasible
+    always-feasible context-aware seed in the start set.  ``seed`` is an
+    integer of at least 0 that names the random starts.  Infeasible
     starts are blended toward the constant mechanism until feasible; the
     constant mechanism itself is always a valid start, so the search
     cannot come up empty.
     """
-    if not 2 <= output_size <= instance.n_users + 1:
+    check_whole("output_size", output_size, 2)
+    if output_size > instance.n_users + 1:
         raise ValueError("output_size must lie in {2, ..., N+1}")
     band = cip_band(instance)
-    svals = np.arange(instance.n_users + 1, dtype=float)
-    tol = _BAND_TOL * max(1.0, instance.n_users)
     starts, blended = _feasible_starts(instance, output_size, seed)
-    starts = np.stack(starts)  # ascended in place, a group at a time
-    group = max(1, _LOCKSTEP_CELLS // output_size ** 2)
-    values, sweeps, converged, scored, pruned = [], [], [], 0, 0
-    for i in range(0, len(starts), group):
-        _, v, n, sc, pr, c = _ascend(starts[i:i + group], instance.s_prior, svals,
-                                     band.lower, band.upper, tol)
-        values += v
-        sweeps += n
-        converged += c
-        scored += sc
-        pruned += pr
+    starts, values, sweeps, scored, pruned, converged = _ascend(
+        np.stack(starts), instance.s_prior, np.arange(instance.n_users + 1, dtype=float),
+        band.lower, band.upper, _BAND_TOL * max(1.0, instance.n_users))
     best = int(np.argmax(values))  # the first best start, as a serial scan keeps
 
     var_est = max(0.0, values[best] - instance.mean ** 2)

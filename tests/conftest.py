@@ -247,17 +247,22 @@ def dense_gain(w, t, dm, sv, lower, upper, tol):
     return gain
 
 
-def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps, on_step=None):
+def serial_ascent_with_sweeps(Q, prior, svals, lower, upper, tol, fractions, max_sweeps,
+                              on_step=None):
     """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint,
     one start at a time: the definitional reference for ``cip._ascend``,
     which runs every start in lockstep and must match it bit for bit.
     ``on_step(s, w, t, dm, gain)``, if given, sees every step's column sums,
-    moved masses and dense gain before the move."""
+    moved masses and dense gain before the move.  Returns the ascended
+    start, its objective, the sweeps it ran and whether its last sweep
+    moved nothing (it converged rather than stopped at ``max_sweeps``)."""
     Q = Q.copy()
     w, t = _column_stats(Q, prior, svals)
     improve_tol = 1e-12 * max(1.0, _objective(w, t))
 
+    sweeps, moved = 0, True
     for _ in range(max_sweeps):
+        sweeps += 1
         moved = False
         for s in range(Q.shape[0]):
             if prior[s] <= 0.0:
@@ -280,7 +285,15 @@ def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps, on_
                     moved = True
         if not moved:
             break
-    return Q, _objective(w, t)
+    return Q, _objective(w, t), sweeps, not moved
+
+
+def serial_ascent(*args, **kwargs):
+    """The ascended start and its objective from
+    :func:`serial_ascent_with_sweeps`: the pair that
+    ``test_lockstep_search_matches_serial_reference`` unpacks, whose source
+    stays as it is because hypothesis seeds its examples from it."""
+    return serial_ascent_with_sweeps(*args, **kwargs)[:2]
 
 
 @pytest.fixture

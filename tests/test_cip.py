@@ -19,7 +19,7 @@ from lipagg import cip
 from lipagg.cip import _BAND_TOL, _ascend, _feasible_starts
 from lipagg.core import Channel
 
-from conftest import serial_ascent
+from conftest import serial_ascent, serial_ascent_with_sweeps
 
 
 def test_band_examples():
@@ -81,15 +81,17 @@ def test_prior_is_scipys_binomial_bit_for_bit(n):
 
 def test_prior_falls_back_to_scipy_stats_without_the_private_pmf_ufunc(monkeypatch):
     # an older scipy may lack scipy.special._ufuncs._binom_pmf; there the
-    # pmf comes from scipy.stats.binom, which then holds its own copy
+    # pmf comes from scipy.stats.binom, which then holds its own copy (a
+    # scipy that lacks it already runs the fallback; binom is only counted)
     import scipy.special._ufuncs as ufuncs
     from scipy.stats import binom
 
     cases = [(n, p1) for n in (1, 50, 200) for p1 in (0.3, 1e-300, 2e-308)]
     before = [CipInstance(n, p1, 0.0).s_prior for n, p1 in cases]
-    pmf, calls = ufuncs._binom_pmf, []
-    monkeypatch.setattr(type(binom), "_pmf", lambda self, *a: calls.append(a) or pmf(*a))
-    monkeypatch.delattr(ufuncs, "_binom_pmf")
+    ufunc, calls = getattr(ufuncs, "_binom_pmf", None), []
+    pmf = type(binom)._pmf if ufunc is None else lambda self, *a: ufunc(*a)
+    monkeypatch.setattr(type(binom), "_pmf", lambda self, *a: calls.append(a) or pmf(self, *a))
+    monkeypatch.delattr(ufuncs, "_binom_pmf", raising=False)
     for (n, p1), prior in zip(cases, before):
         assert np.array_equal(CipInstance(n, p1, 0.0).s_prior, prior), (n, p1)
     assert calls
@@ -157,8 +159,19 @@ def test_search_validates_arguments():
     inst = CipInstance(20, 0.4, 1.0)
     with pytest.raises(ValueError):
         cip_search(inst, output_size=1)
+    with pytest.raises(ValueError, match="output_size"):
+        cip_search(inst, output_size=3.0)
     with pytest.raises(ValueError):
         CipInstance(500, 0.4, 1.0)
+    with pytest.raises(ValueError, match="p1"):
+        CipInstance(5, True, 1.0)
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, "7"])
+def test_search_rejects_a_seed_that_is_not_a_whole_number(seed):
+    # None drew the random starts from OS entropy and True ran as seed 1
+    with pytest.raises(ValueError, match="seed"):
+        cip_search(CipInstance(5, 0.3, 1.0), output_size=3, seed=seed)
 
 
 def test_search_mse_is_never_negative():
@@ -187,17 +200,6 @@ def test_search_reports_starts_and_sweeps():
     assert (flat.starts, flat.starts_blended) == (6, 5)
 
 
-@pytest.mark.parametrize("per_group", [1, 2])
-def test_search_result_does_not_depend_on_start_grouping(monkeypatch, per_group):
-    # large output alphabets ascend a few starts at a time
-    inst = CipInstance(12, 0.3, 1.0)
-    whole = cip_search(inst, output_size=13, seed=5)
-    monkeypatch.setattr(cip, "_LOCKSTEP_CELLS", per_group * 13 ** 2)
-    split = cip_search(inst, output_size=13, seed=5)
-    assert split.mse == whole.mse and split.sweeps == whole.sweeps
-    assert np.array_equal(split.mechanism, whole.mechanism)
-
-
 @st.composite
 def _search_case(draw):
     n = draw(st.integers(1, 12))
@@ -209,16 +211,19 @@ def _search_case(draw):
 
 def _assert_search_matches_serial(n, p1, eps, m, seed):
     # the body of test_lockstep_search_matches_serial_reference, which keeps
-    # its own copy: hypothesis draws a derandomized test's examples from a
-    # digest of its source
+    # its own copy (hypothesis draws a derandomized test's examples from a
+    # digest of its source), plus each start's sweeps and convergence
     inst = CipInstance(n, p1, eps)
     band = cip_band(inst)
     svals = np.arange(n + 1, dtype=float)
     starts, blended = _feasible_starts(inst, m, seed)
-    best_q, best_v = None, -np.inf
+    best_q, best_v, sweeps, converged = None, -np.inf, [], []
     for q in starts:
-        cand, v = serial_ascent(q, inst.s_prior, svals, band.lower, band.upper,
-                                _BAND_TOL * max(1.0, n), (1.0, 0.5, 0.25), 40)
+        cand, v, used, done = serial_ascent_with_sweeps(
+            q, inst.s_prior, svals, band.lower, band.upper, _BAND_TOL * max(1.0, n),
+            (1.0, 0.5, 0.25), 40)
+        sweeps.append(used)
+        converged.append(done)
         if v > best_v:
             best_q, best_v = cand, v
     var_est = max(0.0, best_v - inst.mean ** 2)
@@ -228,6 +233,8 @@ def _assert_search_matches_serial(n, p1, eps, m, seed):
     assert res.estimator_variance == var_est
     assert res.mse == max(0.0, inst.variance - var_est)
     assert (res.starts, res.starts_blended) == (len(starts), blended)
+    assert res.sweeps == tuple(sweeps)
+    assert res.converged == tuple(converged)
     return res
 
 
@@ -259,6 +266,34 @@ def test_pruned_search_matches_serial_reference_where_pruning_bites(n, m, seed):
     # at these sizes the gain bound drops a large share of the sources
     res = _assert_search_matches_serial(n, 0.3, 1.0, m, seed)
     assert res.sources_pruned > res.sources_scored / 4
+
+
+@pytest.mark.parametrize("n, p1, eps, m, seed", [
+    (12, 0.5, 1.0, 13, 1),  # sweeps (14, 7, 17, 26, 18, 13, 17)
+    (12, 0.8, 1.0, 3, 1),  # one start converges on its first sweep
+    (20, 0.8, 2.0, 10, 1),  # sweeps (12, 3, 11, 11, 10, 11)
+])
+def test_each_start_stops_where_it_would_alone(n, p1, eps, m, seed):
+    # the stack keeps a converged start in place; its sweep count and the
+    # other starts' trajectories are those of a serial ascent
+    res = _assert_search_matches_serial(n, p1, eps, m, seed)
+    assert len(set(res.sweeps)) >= 3
+
+
+def test_capped_lockstep_ascent_matches_serial_start_by_start():
+    # at a 14-sweep cap three starts have converged and four are still moving
+    inst = CipInstance(12, 0.5, 1.0)
+    band = cip_band(inst)
+    svals, tol = np.arange(13.0), _BAND_TOL * 12
+    starts, _ = _feasible_starts(inst, 13, 1)
+    stack, values, sweeps, _, _, converged = _ascend(
+        np.stack(starts), inst.s_prior, svals, band.lower, band.upper, tol, max_sweeps=14)
+    assert sum(converged) == 3
+    for i, q in enumerate(starts):
+        ref_q, ref_v, ref_sweeps, ref_done = serial_ascent_with_sweeps(
+            q, inst.s_prior, svals, band.lower, band.upper, tol, (1.0, 0.5, 0.25), 14)
+        assert np.array_equal(stack[i], ref_q), i
+        assert (values[i], sweeps[i], converged[i]) == (ref_v, ref_sweeps, ref_done), i
 
 
 @st.composite
