@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Prior, check_epsilon, check_whole
+from .core import Prior, check_epsilon, check_real, check_whole
 from .errors import NoFeasiblePointError
 from .mechanisms import _coerce_rng, opt_mimo_lip
 
@@ -84,7 +84,7 @@ class CipInstance:
         check_whole("N", n_users, 1)
         if n_users > 200:
             raise ValueError("desk-scale search supports 1 <= N <= 200")
-        if isinstance(p1, bool) or not 0.0 <= p1 <= 1.0:
+        if not 0.0 <= check_real("p1", p1) <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
         object.__setattr__(self, "n_users", int(n_users))
         object.__setattr__(self, "p1", float(p1))

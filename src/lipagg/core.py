@@ -141,20 +141,24 @@ class Channel:
 def validate_channel(q: Channel) -> None:
     """Check the channel invariants, reporting the first violated row.
 
-    Raises ``NegativeEntryError`` for an entry outside [0, 1] (before its
-    row's sum) and ``RowSumMismatchError`` for a row whose sum deviates
-    from 1 by more than 1e-12.
+    Raises ``NegativeEntryError`` for an entry that is not within [0, 1],
+    NaN included (before its row's sum), and ``RowSumMismatchError`` for a
+    row whose sum deviates from 1 by more than 1e-12.  A valid channel
+    costs one min, max and row-sum pass; the error is located only on
+    failure.
     """
     m = q.matrix
-    out_of_range = (m < 0.0) | (m > 1.0)
     sums = m.sum(axis=1)
-    bad = np.nonzero(out_of_range.any(axis=1) | (np.abs(sums - 1.0) > PROB_TOL))[0]
-    if bad.size:
-        i = int(bad[0])
-        if out_of_range[i].any():
-            j = int(np.argmax(out_of_range[i]))
-            raise NegativeEntryError(i, j, float(m[i, j]))
-        raise RowSumMismatchError(i, float(sums[i]))
+    off = np.abs(sums - 1.0)
+    # every test reads "within", so a NaN fails it
+    if m.min() >= 0.0 and m.max() <= 1.0 and off.max() <= PROB_TOL:
+        return
+    out_of_range = ~((m >= 0.0) & (m <= 1.0))
+    i = int(np.argmax(out_of_range.any(axis=1) | ~(off <= PROB_TOL)))
+    if out_of_range[i].any():
+        j = int(np.argmax(out_of_range[i]))
+        raise NegativeEntryError(i, j, float(m[i, j]))
+    raise RowSumMismatchError(i, float(sums[i]))
 
 
 def posterior_ratio(q: np.ndarray, p: np.ndarray, *,
@@ -171,10 +175,13 @@ def posterior_ratio(q: np.ndarray, p: np.ndarray, *,
             f"prior size {p.shape[-1]} != channel input size {q.shape[-2]}")
     lam = (p[..., None, :] @ q)[..., 0, :]
     col = lam[..., None, :]
+    reached = col > 0.0
     tables = (q, p[..., None] * q) if posterior else (q,)
     with np.errstate(over="ignore"):
+        if reached.all():  # no zero column, so no masked divide
+            return lam, *[t / col for t in tables]
         return lam, *[np.divide(t, col, out=np.zeros(np.broadcast(t, col).shape),
-                                where=col > 0.0) for t in tables]
+                                where=reached) for t in tables]
 
 
 def output_distribution(q: Channel, p: Prior) -> np.ndarray:
@@ -217,7 +224,14 @@ class Population:
         return self.priors.shape[0]
 
     def prior(self, i: int) -> Prior:
-        return Prior(self.priors[i])
+        """User i's prior: a read-only view of its row, whose entries and
+        sum were checked when the population was built."""
+        row = self.priors[i]
+        if row.ndim != 1:  # a slice, a mask or a bool picks no single row
+            raise ValueError("prior must be a vector")
+        prior = object.__new__(Prior)
+        object.__setattr__(prior, "p", row)
+        return prior
 
 
 @dataclass(frozen=True)
@@ -338,7 +352,8 @@ def check_whole(name: str, value, low: int) -> None:
 
 
 def check_real(name: str, value) -> float:
-    """Numbers read from files are reals, not bools, strings or nulls; raise
+    """Numbers read from files, and numeric parameters such as a CIP
+    instance's p1, are reals, not bools, strings or nulls; raise
     ``ValidationError`` naming ``name`` otherwise, rather than coerce."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")

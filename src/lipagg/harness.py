@@ -18,15 +18,17 @@ layout.
 
 Inverse-CDF sampling (:func:`mechanisms.sample_rows`) reads the d-1
 interior CDF boundaries of every user-trial.  They are laid out
-boundary-major: the true values' boundaries as a (d-1, N) table, a
-keep-or-resample channel's as a (d-1, d) step table plus a (d-1, N) or
-(d-1, 1) tail, and a chunk's block as (d-1, trials x N), so counting the
-boundaries below each draw sums d-1 contiguous rows.  ``sample_rows``
-still receives the (trials x N, d-1) transpose view.  A run allocates one
-workspace sized for a chunk (draws, boundary block, comparison mask,
-counts, index arrays and gathered table values), and every chunk rewrites
-it in place, so the chunk loop allocates nothing that grows with N or the
-chunk; the last, shorter chunk uses prefixes of the same buffers.
+boundary-major: the true values' boundaries as a (d-1, N) table and a
+chunk's block as (d-1, trials x N), so counting the boundaries below each
+draw sums d-1 contiguous rows.  A keep-or-resample channel's boundary k
+for true value x is keep [k >= x] plus a tail, redraw times the resample
+CDF at k, (d-1, N) or (d-1, 1); the 0/1 block [k >= x] is filled once per
+chunk and shared by every runner.  ``sample_rows`` still receives the
+(trials x N, d-1) transpose view.  A run allocates one workspace sized for
+a chunk (draws, boundary blocks, comparison mask, counts, index arrays and
+gathered table values), and every chunk rewrites it in place, so the
+chunk loop allocates nothing that grows with N or the chunk; the last,
+shorter chunk uses prefixes of the same buffers.
 
 Aggregation (:class:`_Aggregation`): the estimate of a task with local
 function g is offset + sum_i w_i E[g(X_i) | Y_i], and under a
@@ -180,6 +182,7 @@ class _Workspace:
             "less": ((d - 1, m * n), bool),  # boundary-major comparison mask
             "counts": ((m * n,), np.min_scalar_type(d - 1)),  # sampled indices
             "bounds": ((d - 1, m, n), float),  # boundary-major CDF block
+            "above": ((d - 1, m, n), float),  # [k >= x] as 0.0 / 1.0, for every runner
             "x": ((m, n), np.intp),  # true values
             "y": ((m, n), np.intp),  # published outputs
             "at": ((m, n), np.intp),  # flat (user, output) or (trial, output) offsets
@@ -272,11 +275,13 @@ class _Aggregation:
 class _FamilyRunner:
     """Per-(family, eps) sampler and estimator for a chunk of trials.
 
-    A keep-or-resample family samples from its (d-1, d) step table plus
-    tail and keeps its posterior tables from :meth:`_Aggregation.tables`,
-    indexed by (user, observed output); symmetric-rr keeps none and checks
-    no fixed value's posterior, since it counts ones.  Unary encoding draws
-    only the per-bucket counts of set bits (:func:`mechanisms.oue_counts`)."""
+    A keep-or-resample family samples from the boundaries keep [k >= x] +
+    tail, scaling the workspace's shared ``above`` block and adding its own
+    (d-1, N) or (d-1, 1) tail, and keeps its posterior tables from
+    :meth:`_Aggregation.tables`, indexed by (user, observed output);
+    symmetric-rr keeps none and checks no fixed value's posterior, since it
+    counts ones.  Unary encoding draws only the per-bucket counts of set
+    bits (:func:`mechanisms.oue_counts`)."""
 
     def __init__(self, family: MechanismFamily, eps: float, population: Population,
                  agg: _Aggregation, fixed_idx):
@@ -291,9 +296,9 @@ class _FamilyRunner:
             return
         ch = optimal_channel(family, eps, priors)
         # CDF of the output given true value x at outputs k < d-1 (the
-        # boundaries sample_rows reads), boundary-major: steps[:, x] + tail,
-        # the kept mass keep [k >= x] over the redraw mass redraw cumsum(r)_k
-        self.steps = np.tril(np.full((d - 1, d), ch.keep))
+        # boundaries sample_rows reads), boundary-major: the kept mass
+        # keep [k >= x] over the redraw mass redraw cumsum(r)_k
+        self.keep = ch.keep
         tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
         self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)  # (d-1, N) or (d-1, 1)
         if family is MechanismFamily.SYMMETRIC_RR:
@@ -320,7 +325,10 @@ class _FamilyRunner:
             np.add(ws.x, ws.trial_at, out=ws.at)
             hot = np.bincount(ws.at.ravel(), minlength=m * d).reshape(m, d)
             return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
-        np.take(self.steps, ws.x, axis=1, out=ws.bounds, mode="clip")
+        # keep * 1.0 = keep, keep * 0.0 = 0.0 and 0.0 + tail = tail: the
+        # same bits as a gather from a (d-1, d) table of keep [k >= x]; a
+        # bool block would be cast through a buffer allocated per call
+        np.multiply(ws.above, self.keep, out=ws.bounds)
         np.add(ws.bounds, self.tail[:, None, :], out=ws.bounds)
         np.copyto(ws.y, sample_rows(ws.bounds.reshape(d - 1, m * n).T, rng,
                                     buffers=ws.sample).reshape(m, n))
@@ -373,6 +381,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         truth_cdf[...] = np.cumsum(pop.priors[:, :-1], axis=1).T[:, None, :]
     else:
         ws.x[...] = fixed_idx
+    boundary = np.arange(d - 1)[:, None, None]  # k, to fill ws.above = [k >= x]
     # squared error of every trial, summed over the statistic's components
     sq_err = np.zeros((len(runners), trials))
     for t0 in range(0, trials, chunk):
@@ -382,6 +391,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if fixed_idx is None:
             np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
                                         buffers=ws.sample).reshape(m, n))
+        np.greater_equal(boundary, ws.x, out=ws.above)
         stat = agg.statistic(ws)
         for r, (runner, rng) in enumerate(runners):
             err = runner.estimate(ws, rng) - stat

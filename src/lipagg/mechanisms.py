@@ -113,10 +113,13 @@ class KeepResample:
         the diagonal, and row k (which never fires) stays stochastic."""
         r = self.resample
         d = r.shape[-1]
-        m = np.repeat((self.redraw * r)[..., None, :], d, axis=-2)
-        diagonal = np.arange(d)
-        m[..., diagonal, diagonal] = 1.0 - self.redraw * (1.0 - r)
-        return m / m.sum(axis=-1, keepdims=True)
+        m = np.empty(r.shape[:-1] + (d, d))
+        np.multiply(self.redraw, r[..., None, :], out=m)
+        diagonal = m.reshape(r.shape[:-1] + (d * d,))[..., ::d + 1]  # a view
+        np.subtract(1.0, r, out=diagonal)
+        np.multiply(self.redraw, diagonal, out=diagonal)
+        np.subtract(1.0, diagonal, out=diagonal)
+        return np.divide(m, m.sum(axis=-1, keepdims=True), out=m)
 
 
 def optimal_channel(family: MechanismFamily, eps: float,

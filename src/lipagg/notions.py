@@ -36,10 +36,12 @@ class PrivacyAudit:
 def measure_ldp(q: Channel) -> float:
     """Largest log-likelihood ratio between any two rows; +inf when some
     output is possible under one input but impossible under another."""
-    m = q.matrix[:, np.any(q.matrix > 0.0, axis=0)]  # outputs some input emits
-    if not np.all(m > 0.0):
-        return math.inf
-    hi, lo = m.max(axis=0), m.min(axis=0)
+    hi, lo = q.matrix.max(axis=0), q.matrix.min(axis=0)
+    if not lo.min() > 0.0:  # some input never emits some output
+        emitted = hi > 0.0  # outputs some input emits
+        if not (lo[emitted] > 0.0).all():
+            return math.inf
+        hi, lo = hi[emitted], lo[emitted]
     with np.errstate(over="ignore"):
         level = float(np.log(hi / lo).max(initial=0.0))
     # hi / lo overflows only through a subnormal entry, whose column then has
@@ -47,28 +49,32 @@ def measure_ldp(q: Channel) -> float:
     return level if level < math.inf else float((np.log(hi) - np.log(lo)).max())
 
 
-def _log_ratio(q: Channel, p: Prior):
-    """The output marginal lam and ln(q[x][y] / lam[y]) (0 where lam is 0,
-    -inf where q is 0).  Where the ratio overflows, which needs lam below
+def _log_ratio(q: Channel, p: Prior) -> np.ndarray:
+    """ln(q[x][y] / lam[y]) for the output marginal lam: 0 where lam is 0,
+    so an output that cannot occur adds nothing to a maximum, and -inf
+    where q is 0.  Where the ratio overflows, which needs lam below
     q / DBL_MAX and so a prior entry below 1/DBL_MAX, it is ln q - ln lam."""
-    lam, ratio = posterior_ratio(q.matrix, p.p, posterior=False)
+    lam, logs = posterior_ratio(q.matrix, p.p, posterior=False)
     with np.errstate(divide="ignore"):
-        logs = np.log(ratio)
+        np.log(logs, out=logs, where=lam > 0.0)  # the ratio is 0 where lam is 0
     over = logs == math.inf
     if over.any():
         logs[over] = (np.log(q.matrix[over])
                       - np.log(np.broadcast_to(lam, logs.shape)[over]))
-    return lam, logs
+    return logs
 
 
-def _lip(p: Prior, lam, logs) -> float:
-    return float(np.abs(logs[np.ix_(p.p > 0.0, lam > 0.0)]).max(initial=0.0))
+def _lip(p: Prior, logs: np.ndarray) -> float:
+    # rows of inputs that occur; outputs that cannot occur read 0 in logs
+    return float(np.abs(logs[p.p > 0.0]).max(initial=0.0))
 
 
-def _mip(q: Channel, p: Prior, logs) -> float:
+def _mip(q: Channel, p: Prior, logs: np.ndarray) -> float:
     joint = p.p[:, None] * q.matrix
     mask = joint > 0.0
-    return max(0.0, float(np.sum(joint[mask] * logs[mask])))
+    terms = joint[mask]
+    terms *= logs[mask]
+    return max(0.0, float(terms.sum()))
 
 
 def measure_lip(q: Channel, p: Prior) -> float:
@@ -77,12 +83,12 @@ def measure_lip(q: Channel, p: Prior) -> float:
     Returns +inf when q[x][y] = 0 for a reachable pair (observing y rules
     x out entirely).
     """
-    return _lip(p, *_log_ratio(q, p))
+    return _lip(p, _log_ratio(q, p))
 
 
 def measure_mip(q: Channel, p: Prior) -> float:
     """Mutual information I(X; Y) in nats; zero-probability terms contribute 0."""
-    return _mip(q, p, _log_ratio(q, p)[1])
+    return _mip(q, p, _log_ratio(q, p))
 
 
 def audit(q: Channel, p: Prior) -> PrivacyAudit:
@@ -93,8 +99,8 @@ def audit(q: Channel, p: Prior) -> PrivacyAudit:
     lip <= ldp, ldp <= 2*lip (full-support prior) or I(X;Y) <= lip.
     """
     ldp = measure_ldp(q)
-    lam, logs = _log_ratio(q, p)
-    lip = _lip(p, lam, logs)
+    logs = _log_ratio(q, p)
+    lip = _lip(p, logs)
     mip = _mip(q, p, logs)
     if math.isfinite(ldp) and math.isfinite(lip):
         # ldp also compares the rows of zero-prior inputs, which lip leaves out

@@ -167,6 +167,13 @@ def test_search_validates_arguments():
         CipInstance(5, True, 1.0)
 
 
+@pytest.mark.parametrize("p1", ["0.3", None, [0.3], math.nan, -0.1, 1.5], ids=repr)
+def test_instance_rejects_a_p1_that_is_not_a_probability(p1):
+    # a string or None once failed the range comparison with a TypeError
+    with pytest.raises(ValueError, match="p1"):
+        CipInstance(5, p1, 1.0)
+
+
 @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "7"])
 def test_search_rejects_a_seed_that_is_not_a_whole_number(seed):
     # None drew the random starts from OS entropy and True ran as seed 1

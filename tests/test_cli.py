@@ -331,6 +331,16 @@ def test_infinite_budget_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path / "curve.csv"))
 
 
+def test_nan_channel_file_exit_2(tmp_path, capsys):
+    # a NaN entry once passed validation and was audited
+    ch = tmp_path / "nan.csv"
+    ch.write_text("0.5,0.5\nnan,0.5\n")
+    assert run_cli("audit", "--prior", "0.5,0.5", "--channel-file", str(ch)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "channel entry [1][0] = nan outside [0, 1]" in captured.err
+
+
 def test_nan_prior_exit_2(tmp_path, capsys):
     assert run_cli("mechanism", "derive", "--family", "opt-mimo-lip", "--eps", "1",
                    "--prior", "nan,0.5,0.5") == 2

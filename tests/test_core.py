@@ -43,6 +43,16 @@ def test_validate_reports_the_first_bad_row():
     assert (err.value.row, err.value.row_sum) == (1, pytest.approx(0.9))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_an_entry_that_is_not_a_number_in_range(bad):
+    # NaN < 0 and NaN > 1 are both False: only "not within [0, 1]" catches it
+    ch = Channel(np.array([[0.5, 0.5], [bad, 0.5]]))
+    with pytest.raises(NegativeEntryError) as err:
+        validate_channel(ch)
+    assert (err.value.row, err.value.col) == (1, 0)
+    assert math.isnan(err.value.value) if math.isnan(bad) else err.value.value == bad
+
+
 def test_output_distribution_identity():
     lam = output_distribution(Channel(np.eye(2)), Prior([0.3, 0.7]))
     assert np.allclose(lam, [0.3, 0.7], atol=1e-15)
@@ -124,6 +134,21 @@ def test_population_invariants():
     assert pop.n_users == 2
     assert pop.user_ids == ("a", "b")
     assert np.allclose(pop.prior(1).p, [0.1, 0.9])
+
+
+def test_population_prior_is_a_read_only_view_of_its_row():
+    priors = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [0.6, 0.4, 0.0]])
+    pop = Population(Domain.of_size(3), priors)
+    for i in (0, 1, 2, -1, np.int64(1)):
+        p = pop.prior(i).p
+        assert np.array_equal(p, priors[i])
+        assert np.shares_memory(p, pop.priors)
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 0.5
+    for not_one_row in (slice(0, 2), True, [0]):
+        with pytest.raises(ValueError, match="vector"):
+            pop.prior(not_one_row)
 
 
 def test_nan_priors_are_rejected():

@@ -813,9 +813,9 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
         runner = harness._FamilyRunner(fam, 1.0, pop, agg, None)
         own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
-        assert own == {"g", "steps", "tail"}
+        assert own == {"g", "tail"}
         tables = [t.shape for t in runner.tables]
         assert tables == ([(n * d, c)] if c <= 2 else [(n, d), (n, d)])
         sizes += [t.size for t in runner.tables]
-    if c > 2:  # the largest piece is the (d-1, m, N) boundary block
+    if c > 2:  # the largest pieces are the (d-1, m, N) boundary blocks
         assert max(sizes) < min(m * n * d, n * d * d)

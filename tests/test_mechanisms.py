@@ -26,7 +26,8 @@ from lipagg import (
 from lipagg.errors import ValueNotInDomainError, ZeroEpsilonError
 from lipagg.mechanisms import MechanismFamily, optimal_channel, sample_rows
 
-from conftest import enum_mae, enum_optimum, oue_perturb, perturb_indices, random_prior
+from conftest import (enum_mae, enum_optimum, oue_perturb, perturb_indices, random_prior,
+                      repeat_keep_resample_matrix)
 
 
 def _binary_mse(q, p1):
@@ -76,6 +77,23 @@ def test_keep_resample_matrix_matches_the_enumerated_optimum(family, eps):
         stack = np.array(priors[:2] + ([0.3, 0.3, 0.4],))
         got = optimal_channel(fam, eps, stack).matrix()
         assert np.array_equal(got, [optimal_channel(fam, eps, p).matrix() for p in stack])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 50.0])
+def test_keep_resample_matrix_is_bit_identical_to_the_repeat_formula(eps):
+    """The in-place fill of ``matrix()`` gives the bytes of the ``np.repeat``
+    formula in conftest, for shared and per-user resample rows, zero
+    entries included."""
+    rng = np.random.default_rng(17)
+    priors = rng.dirichlet(np.full(6, 0.4), size=30)
+    priors[::4, 2] = 0.0
+    priors /= priors.sum(axis=1, keepdims=True)
+    priors[5] = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
+        per_user = optimal_channel(fam, eps, priors)
+        shared = [optimal_channel(fam, eps, p) for p in priors[:8]]
+        for ch in [per_user] + shared:
+            assert np.array_equal(ch.matrix(), repeat_keep_resample_matrix(ch))
 
 
 def test_mimo_lip_worked_example():
