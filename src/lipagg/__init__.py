@@ -36,7 +36,6 @@ from .core import (
     validate_channel,
 )
 from .estimators import (
-    AggregateEstimate,
     PerUserPosterior,
     context_free_estimate,
     estimate,

@@ -321,16 +321,18 @@ def _ascend(Q, prior, svals, lower, upper, tol, max_sweeps=_MAX_SWEEPS):
     return Q, values, sweeps.tolist(), scored, pruned, converged.tolist()
 
 
-def cip_search(instance: CipInstance, output_size: int = 2, seed: int = 0) -> CipSearchResult:
+def cip_search(instance: CipInstance, output_size: int | None = None,
+               seed: int = 0) -> CipSearchResult:
     """Best mechanism found by multi-start coordinate ascent.
 
-    ``output_size`` may be anything from 2 to N+1; passing N+1 puts the
-    always-feasible context-aware seed in the start set.  ``seed`` is an
-    integer of at least 0 that names the random starts.  Infeasible
-    starts are blended toward the constant mechanism until feasible; the
-    constant mechanism itself is always a valid start, so the search
-    cannot come up empty.
+    ``output_size`` may be anything from 2 to N+1, and None (the default)
+    means N+1, the only size whose starts include the always-feasible
+    context-aware seed.  ``seed`` is an integer of at least 0 that names
+    the random starts.  Infeasible starts are blended toward the constant
+    mechanism until feasible; the constant mechanism itself is always a
+    valid start, so the search cannot come up empty.
     """
+    output_size = instance.n_users + 1 if output_size is None else output_size
     check_whole("output_size", output_size, 2)
     if output_size > instance.n_users + 1:
         raise ValueError("output_size must lie in {2, ..., N+1}")

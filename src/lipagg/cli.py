@@ -117,28 +117,26 @@ def _prior(args) -> Prior:
 # Each family: what it reads besides --eps (the prior from --p1 or --prior, the
 # width from --d in `derive` and the prior's size in `audit`, or nothing), its channel.
 _FAMILIES = {
-    "opt-binary-lip": ("prior", lambda eps, prior: opt_binary_lip(float(prior.p[1]), eps)),
-    "opt-mimo-lip": ("prior", lambda eps, prior: opt_mimo_lip(prior, eps)),
-    "opt-mimo-ldp": ("width", lambda eps, d: opt_mimo_ldp(d, eps)),
-    "opt-binary-ldp": (None, lambda eps, _: opt_binary_ldp(eps)),
-    "symmetric-rr": (None, lambda eps, _: opt_binary_ldp(eps)),
-    "oue": (None, lambda eps, _: oue_channel(2, eps).bit_channel()),  # the same for any d
+    MechanismFamily.OPT_BINARY_LIP: ("prior", lambda eps, p: opt_binary_lip(float(p.p[1]), eps)),
+    MechanismFamily.OPT_MIMO_LIP: ("prior", lambda eps, prior: opt_mimo_lip(prior, eps)),
+    MechanismFamily.OPT_MIMO_LDP: ("width", lambda eps, d: opt_mimo_ldp(d, eps)),
+    MechanismFamily.OPT_BINARY_LDP: (None, lambda eps, _: opt_binary_ldp(eps)),
+    MechanismFamily.SYMMETRIC_RR: (None, lambda eps, _: opt_binary_ldp(eps)),
+    MechanismFamily.OUE: (None, lambda eps, _: oue_channel(2, eps).bit_channel()),  # for any d
 }
 
 
 def _family(args):
     """--family's reads and a builder of its channel at --eps from what it
     reads; ``check_family_task`` holds a binary family to a binary prior."""
-    if args.family not in _FAMILIES:
-        raise ValidationError(f"--family takes one of {', '.join(_FAMILIES)}")
+    family = MechanismFamily.from_tag(args.family)
     if args.eps is None:
         raise ValidationError(f"--family {args.family} needs --eps")
-    reads, build = _FAMILIES[args.family]
+    reads, build = _FAMILIES[family]
 
     def channel(source) -> Channel:
         if reads == "prior":
-            domain = Domain.of_size(source.size)
-            check_family_task(MechanismFamily.from_tag(args.family), None, domain)
+            check_family_task(family, None, Domain.of_size(source.size))
         return build(args.eps, source)
     return reads, channel
 
@@ -160,10 +158,10 @@ def _cmd_mechanism(args) -> int:
 
 def _cmd_audit(args) -> int:
     prior = _prior(args)  # audited against, and read by a context-aware --family
-    if args.channel_file is None:
+    if args.channel_file is None and args.family is not None:
         reads, build = _family(args)
         ch = build(prior.size if reads == "width" else prior)
-    elif args.family is not None or args.eps is not None:
+    elif args.channel_file is None or args.family is not None or args.eps is not None:
         raise ValidationError("audit takes --channel-file, or --family and --eps")
     else:
         with warnings.catch_warnings():
@@ -317,8 +315,7 @@ def _cmd_cip(args) -> int:
     inst = CipInstance(args.n, args.p1, args.eps)
     band = cip_band(inst)
     bound = cip_mse_lower_bound(inst)
-    output_size = inst.n_users + 1 if args.output_size is None else args.output_size
-    result = cip_search(inst, output_size=output_size, seed=args.seed)
+    result = cip_search(inst, output_size=args.output_size, seed=args.seed)
     blob = {
         "band_lower": band.lower,
         "band_upper": band.upper,

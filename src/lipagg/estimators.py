@@ -38,14 +38,6 @@ class PerUserPosterior:
     point_estimate: float
 
 
-@dataclass(frozen=True, eq=False)
-class AggregateEstimate:
-    """Scalar estimate for survey/summation/weighted-sum, or a length-d
-    vector for histogram."""
-
-    value: float | np.ndarray
-
-
 def posterior(q: Channel, p: Prior, y: float) -> PerUserPosterior:
     """Bayes posterior Pr(X = a_m | Y = y) = p[m] q[m][y] / lambda[y]."""
     k = q.output_domain.index_of(y)
@@ -60,8 +52,9 @@ def posterior(q: Channel, p: Prior, y: float) -> PerUserPosterior:
 
 
 def estimate(task: AggregationTask, population: Population,
-             channels, observations) -> AggregateEstimate:
-    """Aggregate posterior-mean estimate from one observation per user.
+             channels, observations) -> float | np.ndarray:
+    """Aggregate posterior-mean estimate from one observation per user: a
+    float, or a length-d array for a histogram.
 
     ``channels`` is either one channel per user or a single channel shared
     by all users.  Observations are domain values.  An observation with
@@ -99,7 +92,7 @@ def estimate(task: AggregationTask, population: Population,
     if checked < n:
         raise DimensionMismatchError(
             f"channel for user {checked} does not match the population domain")
-    return AggregateEstimate(form.total(posts[:, :, 0] @ form.g))
+    return form.total(posts[:, :, 0] @ form.g)
 
 
 def context_free_estimate(observations, eps: float) -> float | np.ndarray:

@@ -7,10 +7,14 @@ runner, and reads each in trial-major order: user after user within a
 trial, trial after trial.  Trials are processed in chunks of about
 ``_BLOCK`` user-values.  ``Generator.random`` takes one 64-bit word per
 double, in order, so a stream split into consecutive reads gives the same
-doubles, the chunk size changes no draw and no result, and a test checks
-this, unary-encoding binomials included.  Within a trial the true values
-are drawn once and shared by every family under comparison (common random
-numbers), then each family perturbs them on its own stream.
+doubles: the chunk size changes no draw, and a test checks this,
+unary-encoding binomials included.  It can move the last digits of a row:
+a histogram over d >= 3 outputs sums a chunk's redrawn weights against mu
+as one (trials, N) @ (N, d) product, in an order that depends on the
+chunk.  A config always gets the same chunk, so its bytes are
+reproducible.  Within a trial the true values are drawn once and shared
+by every family under comparison (common random numbers), then each
+family perturbs them on its own stream.
 ``STREAM_LAYOUT`` numbers this layout and is recorded in the curve
 metadata.  Synthetic populations are inputs, not part of the layout: they
 keep their own Philox stream, so a seed names the same users under every
@@ -136,8 +140,11 @@ class ExperimentConfig:
 
     Families and budgets must be nonempty and distinct; trials and seed
     must be integers (bools are rejected), so a config never runs a
-    truncated or empty experiment without saying so.  Families are stored
-    as ``MechanismFamily`` members and budgets as floats."""
+    truncated or empty experiment without saying so.  Every family must
+    answer the task on the population's domain, and fixed values must lie
+    in that domain, so a config that constructs is a run that starts.
+    Families are stored as ``MechanismFamily`` members and budgets as
+    floats."""
 
     task: AggregationTask
     families: tuple
@@ -153,10 +160,14 @@ class ExperimentConfig:
         for name, convert in (("families", MechanismFamily.from_tag), ("eps_grid", check_epsilon)):
             object.__setattr__(self, name, check_distinct(name, getattr(self, name), convert))
         task_form(self.task, self.population)
-        n = self.population.n_users
-        if self.fixed_values is not None and np.shape(self.fixed_values) != (n,):
-            raise DimensionMismatchError(
-                f"{np.size(self.fixed_values)} fixed values for {n} users")
+        n, domain = self.population.n_users, self.population.domain
+        fixed = self.fixed_values
+        if fixed is not None and np.shape(fixed) != (n,):
+            raise DimensionMismatchError(f"{np.size(fixed)} fixed values for {n} users")
+        if fixed is not None and np.any(domain.indices_of(fixed) < 0):
+            raise ValueError("fixed values must lie in the population domain")
+        for fam in self.families:
+            check_family_task(fam, self.task, domain)
 
 
 class _Workspace:
@@ -353,13 +364,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     n, d = pop.n_users, domain.size
     trials = config.trials
     form = task_form(task, pop)
-    fixed_idx = None
-    if config.fixed_values is not None:
-        fixed_idx = domain.indices_of(config.fixed_values)
-        if np.any(fixed_idx < 0):
-            raise ValueError("fixed values must lie in the population domain")
-    for fam in config.families:
-        check_family_task(fam, task, domain)
+    fixed_idx = None if config.fixed_values is None else domain.indices_of(config.fixed_values)
     # the closed forms run before the runners exist, so their (N, d)
     # temporaries are freed before the runner tables are built
     closed = {} if fixed_idx is not None else {

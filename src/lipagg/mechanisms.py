@@ -59,7 +59,8 @@ class MechanismFamily(enum.Enum):
         for fam in MechanismFamily:
             if tag in (fam, fam.value):  # a member is its own tag
                 return fam
-        raise ValueError(f"unknown mechanism family {tag!r}")
+        raise ValueError(f"unknown mechanism family {tag!r}, not one of "
+                         f"{', '.join(fam.value for fam in MechanismFamily)}")
 
 
 # Family x task compatibility: the prior-unaware estimators answer one task

@@ -339,3 +339,13 @@ def test_every_allowed_gain_is_within_its_source_bound(case):
     for q in starts[:2] + [sparse]:
         serial_ascent(q, prior, svals, band.lower, band.upper, _BAND_TOL * max(1.0, n),
                       (1.0, 0.5, 0.25), 3, on_step=check)
+
+
+def test_search_defaults_to_n_plus_one_outputs_and_rejects_more():
+    inst = CipInstance(6, 0.3, 1.0)
+    default, full = cip_search(inst, seed=2), cip_search(inst, output_size=7, seed=2)
+    assert default.mechanism.shape == (7, 7)
+    assert np.array_equal(default.mechanism, full.mechanism) and default.mse == full.mse
+    with pytest.raises(ValueError) as info:
+        cip_search(inst, output_size=8)
+    assert type(info.value) is ValueError

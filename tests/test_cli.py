@@ -689,3 +689,37 @@ def test_curve_maps_any_flags_to_an_exit_code(tmp_path_factory, base, edits):
             assert lines[0] == "epsilon,family,metric,trials", argv
             pairs = [tuple(line.split(",")[:2]) for line in lines[1:]]
         assert pairs and len(set(pairs)) == len(pairs), argv
+
+
+_SIX_TAGS = "opt-binary-lip, opt-binary-ldp, opt-mimo-lip, opt-mimo-ldp, symmetric-rr, oue"
+_CONFIG = {"families": ["opt-binary-lip"], "eps_grid": [1.0], "trials": 5,
+           "population": {"n": 5, "prior_mode": "local-uniform"}}
+
+
+@pytest.mark.parametrize("files, argv, says", [
+    ({"pop.json": "[1, 2]"}, "analyze curve --families opt-binary-lip --eps-grid 1"
+     " --population pop.json", "is not a population file"),
+    ({"pop.json": json.dumps({"domain": [0.0, 1.0], "users": [1, 2]})},
+     "analyze curve --families opt-binary-lip --eps-grid 1 --population pop.json",
+     "is not a population file"),
+    ({"cfg.json": json.dumps({**_CONFIG, "population": {"file": 3}})},
+     "simulate --config cfg.json", "population file must be a path"),
+    ({"cfg.json": json.dumps({**_CONFIG, "out": 3})}, "simulate --config cfg.json",
+     "out must be a path"),
+    ({"one.csv": "city\nrome\nrome\n"}, "ingest --input one.csv --mode categorical"
+     " --column city", "fewer than 2 categories"),
+    ({}, "mechanism derive --family bogus --eps 1", _SIX_TAGS),
+    ({"cfg.json": json.dumps({**_CONFIG, "families": ["bogus"]})},
+     "simulate --config cfg.json", _SIX_TAGS),
+    ({}, "analyze curve --families bogus --eps-grid 1 --p1 0.3", _SIX_TAGS),
+], ids=["population-list", "users-not-objects", "population-file-number", "out-number",
+        "one-category", "derive-family", "simulate-family", "curve-family"])
+def test_malformed_files_and_family_tags_exit_2(tmp_path, monkeypatch, capsys, files, argv,
+                                                says):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*shlex.split(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -236,3 +236,24 @@ def test_flip_probability_matches_scipy_bit_for_bit():
         assert flip_probability(709.79) == flip_probability(800.0) == 0.0
     assert np.array_equal(got, expit(-grid))
     assert isinstance(flip_probability(1.0), float)
+
+
+_ONE_USER = Population(Domain.binary(), [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Prior([[0.5, 0.5]]), ValueError),
+    (lambda: Channel(np.array([0.5, 0.5])), ValueError),
+    (lambda: Channel(np.eye(2), Domain.of_size(3)), DimensionMismatchError),
+    (lambda: Channel(np.eye(2), None, Domain.of_size(3)), DimensionMismatchError),
+    (lambda: Population(Domain.binary(), [0.5, 0.5]), ValueError),
+    (lambda: Population(Domain.binary(), np.empty((0, 2))), ValueError),
+    (lambda: Population(Domain.binary(), [[0.5, 0.5]] * 3, ["a", "b"]), ValueError),
+    (lambda: WeightedSum([1.0, 2.0], [0.0]), ValueError),
+    (lambda: task_form("survey", _ONE_USER), TypeError),
+], ids=["2d-prior", "1d-channel", "input-domain", "output-domain", "1d-population",
+        "empty-population", "user-ids", "weighted-sum-lengths", "unknown-task"])
+def test_malformed_inputs_raise_their_typed_error(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error

@@ -19,7 +19,7 @@ from lipagg import (
     oue_count_estimate,
     posterior,
 )
-from lipagg.errors import UnreachableOutputError, ZeroEpsilonError
+from lipagg.errors import DimensionMismatchError, UnreachableOutputError, ZeroEpsilonError
 from lipagg.mechanisms import sample_rows
 
 from conftest import enum_joint, enum_value_mse, oue_perturb, random_channel, random_prior
@@ -69,11 +69,11 @@ def test_estimate_identity_channels_recover_statistic():
     pop = _population([0.2, 0.5, 0.9])
     ident = Channel(np.eye(2))
     obs = [1.0, 0.0, 1.0]
-    assert estimate(Survey(1.0), pop, ident, obs).value == pytest.approx(2.0, abs=1e-12)
-    assert estimate(Summation(), pop, ident, obs).value == pytest.approx(2 / 3, abs=1e-12)
+    assert estimate(Survey(1.0), pop, ident, obs) == pytest.approx(2.0, abs=1e-12)
+    assert estimate(Summation(), pop, ident, obs) == pytest.approx(2 / 3, abs=1e-12)
     task = WeightedSum([2.0, 3.0, 4.0], [1.0, 1.0, 1.0])
-    assert estimate(task, pop, ident, obs).value == pytest.approx(2 + 4 + 3, abs=1e-12)
-    hist = estimate(Histogram(), pop, ident, obs).value
+    assert estimate(task, pop, ident, obs) == pytest.approx(2 + 4 + 3, abs=1e-12)
+    hist = estimate(Histogram(), pop, ident, obs)
     assert np.allclose(hist, [1.0, 2.0], atol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_estimate_constant_channels_collapse_to_prior():
     pop = _population([0.2, 0.5, 0.9])
     const = Channel(np.array([[0.5, 0.5], [0.5, 0.5]]))
     for obs in ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0]):
-        got = estimate(Survey(1.0), pop, const, obs).value
+        got = estimate(Survey(1.0), pop, const, obs)
         assert got == pytest.approx(0.2 + 0.5 + 0.9, abs=1e-12)
 
 
@@ -95,12 +95,12 @@ def test_estimate_matches_hand_enumeration():
         k = int(y)
         joint = [(1 - p) * ch.matrix[0, k], p * ch.matrix[1, k]]
         expected += joint[1] / sum(joint)
-    got = estimate(Survey(1.0), pop, chans, obs).value
+    got = estimate(Survey(1.0), pop, chans, obs)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def _aggregate(task, pop, chans, ys):
-    return estimate(task, pop, chans, [float(y) for y in ys]).value
+    return estimate(task, pop, chans, [float(y) for y in ys])
 
 
 def _task_case(kind, dom, n):
@@ -178,7 +178,7 @@ def test_histogram_estimate_sums_to_n(rng):
     pop = Population(dom, pvecs)
     chans = [random_channel(rng, d, concentration=3.0) for _ in range(n)]
     obs = [float(dom.values[int(rng.integers(d))]) for _ in range(n)]
-    hist = estimate(Histogram(), pop, chans, obs).value
+    hist = estimate(Histogram(), pop, chans, obs)
     assert hist.sum() == pytest.approx(n, abs=1e-9)
     assert np.all(hist >= -1e-12)
 
@@ -254,3 +254,29 @@ def test_stacked_trials_estimate_row_by_row():
     assert isinstance(context_free_estimate(obs[0], 1.2), float)
     with pytest.raises(ZeroEpsilonError):
         oue_count_estimate(np.zeros(4), 40, 0.0)
+
+
+_TWO_USERS = Population(Domain.binary(), [[0.5, 0.5], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: posterior(Channel(np.eye(2)), Prior([0.5, 0.5]), 2.0), UnreachableOutputError),
+    (lambda: estimate(Survey(1.0), _TWO_USERS, [Channel(np.eye(2))], [0.0, 1.0]),
+     DimensionMismatchError),
+    (lambda: estimate(Survey(1.0), _TWO_USERS, Channel(np.eye(2)), [[0.0, 1.0]]),
+     DimensionMismatchError),
+    (lambda: estimate(Survey(1.0), _TWO_USERS, [Channel(np.eye(2)), Channel(np.eye(3))],
+                      [0.0, 1.0]), DimensionMismatchError),
+], ids=["output-outside-domain", "channel-count", "observation-shape", "later-channel-size"])
+def test_mismatched_estimator_inputs_raise_their_typed_error(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_estimate_returns_the_statistic_itself():
+    ident = Channel(np.eye(2))
+    survey = estimate(Survey(1.0), _TWO_USERS, ident, [1.0, 1.0])
+    assert isinstance(survey, float) and survey == 2.0
+    hist = estimate(Histogram(), _TWO_USERS, ident, [0.0, 1.0])
+    assert isinstance(hist, np.ndarray) and np.array_equal(hist, [1.0, 1.0])

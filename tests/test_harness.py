@@ -756,7 +756,7 @@ def _replay_rows(monkeypatch, cases):
         for k, (fam, eps) in enumerate((f, e) for f in families for e in grid):
             sq = []
             for t in range(trials):
-                stat = estimate(task, pop, exact, values[truth[t]]).value
+                stat = estimate(task, pop, exact, values[truth[t]])
                 if fam == "oue":
                     est = oue_count_estimate(draws[1 + k][t], n, eps)
                 else:
@@ -765,7 +765,7 @@ def _replay_rows(monkeypatch, cases):
                         est = context_free_estimate(y, eps)
                     else:
                         est = estimate(task, pop, _dense_channels(fam, pop, eps),
-                                       values[y]).value
+                                       values[y])
                 sq.append(np.sum((np.asarray(est) - stat) ** 2))
             assert rows[(fam, eps)] == pytest.approx(math.sqrt(np.mean(sq) / n), rel=1e-9)
 
@@ -819,3 +819,49 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
         sizes += [t.size for t in runner.tables]
     if c > 2:  # the largest pieces are the (d-1, m, N) boundary blocks
         assert max(sizes) < min(m * n * d, n * d * d)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(mode="bogus"),
+    dict(mode="categorical", column="c", prior_source="bogus"),
+    dict(mode="binarize", column="c", threshold=math.inf),
+    dict(mode="binarize", column="c", threshold=math.nan),
+    dict(mode="grid", lat_col="a", lon_col="b", grid_rows=1, grid_cols=1,
+         bbox=(0.0, 1.0, 0.0, 1.0)),
+], ids=["mode", "prior-source", "inf-threshold", "nan-threshold", "one-cell-grid"])
+def test_malformed_ingest_specs_raise_value_error(fields):
+    with pytest.raises(ValueError) as info:
+        IngestSpec(**fields)
+    assert type(info.value) is ValueError
+
+
+def test_ingest_of_a_file_with_no_header_row_raises_empty_input(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(EmptyInputError, match="no header row"):
+        ingest(str(empty), IngestSpec(mode="categorical", column="c"))
+
+
+@pytest.mark.parametrize("prior_source, user_col", [("global", None),
+                                                    ("per-user-history", "user")])
+def test_categorical_strings_sort_and_an_empty_cell_is_its_own_category(
+        tmp_path, prior_source, user_col):
+    cities = tmp_path / "cities.csv"
+    cities.write_text("user,city\nu1,paris\nu2,rome\nu3,paris\nu4,\n")
+    res = ingest(str(cities), IngestSpec(mode="categorical", column="city",
+                                         prior_source=prior_source, user_col=user_col))
+    assert res.labels == ("", "paris", "rome")
+    assert np.array_equal(res.statistic, [1.0, 2.0, 1.0])
+    assert np.array_equal(res.values, [1.0, 2.0, 1.0, 0.0])
+
+
+def test_a_config_that_constructs_is_a_run_that_starts():
+    pop = generate_population(5, "global", p1=0.3)
+    with pytest.raises(ValueError, match="does not answer") as info:
+        ExperimentConfig(task=Survey(1.0), families=("oue",), eps_grid=(1.0,), trials=1,
+                         seed=0, population=pop)
+    assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="fixed values must lie in the population domain"):
+        ExperimentConfig(task=Survey(1.0), families=("opt-binary-lip",), eps_grid=(1.0,),
+                         trials=1, seed=0, population=pop,
+                         fixed_values=np.array([0.0, 1.0, 2.0, 0.0, 1.0]))

@@ -378,3 +378,20 @@ def test_oue_counts_match_the_binomial_moments():
     assert np.all(np.abs(counts.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / trials))
     assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) <= 5.0 * var_se)
 
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: optimal_channel(MechanismFamily.OUE, 1.0, np.array([[0.5, 0.5]])),
+     "unary encoding is not a keep-or-resample channel"),
+    (lambda: MechanismFamily.from_tag("bogus"), "'bogus', not one of opt-binary-lip, "
+     "opt-binary-ldp, opt-mimo-lip, opt-mimo-ldp, symmetric-rr, oue$"),
+], ids=["unary-encoding-channel", "unknown-tag"])
+def test_unsupported_mechanism_requests_raise_value_error(call, says):
+    with pytest.raises(ValueError, match=says) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 3.0, 800.0])
+def test_closed_form_lip_level_of_a_zero_prior_entry_is_the_budget(eps):
+    assert closed_form_lip_level(0.0, eps) == eps

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lipagg import (
     Channel,
+    MechanismFamily,
     Prior,
     audit,
     budget_feasible_prior_floor,
@@ -213,7 +214,7 @@ def test_audit_equals_the_three_measures_for_every_family():
     checked, overflowed = 0, 0
     for name, (reads, build) in _FAMILIES.items():
         for p in priors:
-            if name == "opt-binary-lip" and p.size != 2:
+            if name is MechanismFamily.OPT_BINARY_LIP and p.size != 2:
                 continue
             for eps in (0.1, 1.0, 5.0, 40.0):
                 ch = build(eps, p.size if reads == "width" else p)

@@ -163,3 +163,13 @@ def test_mis_sized_values_name_both_sizes():
 def test_output_range_between_one_and_d_is_rejected():
     with pytest.raises(ValueError):
         output_range_oracle(3, 2, Prior([0.2, 0.3, 0.5]), 1.0)
+
+
+@pytest.mark.parametrize("d, f, prior", [
+    (3, 3, Prior([0.5, 0.5])),  # a prior of the wrong size
+    (3, 2, Prior([0.2, 0.3, 0.5])),  # 1 < f < d
+], ids=["prior-size", "output-size-between"])
+def test_output_range_oracle_rejects_what_it_does_not_cover(d, f, prior):
+    with pytest.raises(ValueError) as info:
+        output_range_oracle(d, f, prior, 1.0)
+    assert type(info.value) is ValueError
