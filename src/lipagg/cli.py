@@ -315,7 +315,7 @@ def _cmd_cip(args) -> int:
     inst = CipInstance(args.n, args.p1, args.eps)
     band = cip_band(inst)
     bound = cip_mse_lower_bound(inst)
-    result = cip_search(inst, output_size=args.output_size, seed=args.seed)
+    result = cip_search(inst)
     blob = {
         "band_lower": band.lower,
         "band_upper": band.upper,
@@ -324,17 +324,9 @@ def _cmd_cip(args) -> int:
         "sqrt_avg_mse": math.sqrt(result.mse / inst.n_users),
     }
     if args.format == "json":
-        # what the search did; a positive bound_gap says the certified
-        # bound is not tight there (it is often vacuous, 0.0), and
-        # pruned_share is the share of candidate sources whose gain bound
-        # spared them a row of gains; starts_capped counts the starts still
-        # moving when the sweep cap stopped them
-        candidates = result.sources_scored + result.sources_pruned
-        blob.update(starts=result.starts, starts_blended=result.starts_blended,
-                    max_sweeps_used=max(result.sweeps),
-                    starts_capped=result.converged.count(False),
-                    bound_gap=result.mse - bound,
-                    pruned_share=result.sources_pruned / candidates if candidates else 0.0)
+        # a positive bound_gap says the certified bound is not tight there
+        # (it is often vacuous, 0.0); atoms counts the outputs in use
+        blob.update(atoms=result.atoms, bound_gap=result.mse - bound)
     _emit(blob, args)
     return 0
 
@@ -420,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     cip.add_argument("--n", type=int, required=True)
     cip.add_argument("--p1", type=float, required=True)
     cip.add_argument("--eps", type=float, required=True)
-    cip.add_argument("--output-size", type=int, default=None)
-    cip.add_argument("--seed", type=int, default=0)
     _add_common(cip)
     cip.set_defaults(func=_cmd_cip)
 

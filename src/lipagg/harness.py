@@ -492,7 +492,7 @@ def _read_columns(path: str, names: list[str]) -> list[list[str]]:
     missing cells read as empty)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
+        if not reader.fieldnames:  # None for an empty file, [] for a blank first line
             raise EmptyInputError(f"{path} has no header row")
         for col in names:
             if col not in reader.fieldnames:

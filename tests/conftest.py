@@ -260,22 +260,19 @@ def dense_gain(w, t, dm, sv, lower, upper, tol):
     return gain
 
 
-def serial_ascent_with_sweeps(Q, prior, svals, lower, upper, tol, fractions, max_sweeps,
-                              on_step=None):
-    """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint,
-    one start at a time: the definitional reference for ``cip._ascend``,
-    which runs every start in lockstep and must match it bit for bit.
-    ``on_step(s, w, t, dm, gain)``, if given, sees every step's column sums,
-    moved masses and dense gain before the move.  Returns the ascended
-    start, its objective, the sweeps it ran and whether its last sweep
-    moved nothing (it converged rather than stopped at ``max_sweeps``)."""
+def serial_ascent(Q, prior, svals, lower, upper, tol, fractions, max_sweeps):
+    """Greedy mass-exchange ascent on Var(E[S|Y]) under the band constraint:
+    each (row s, fraction) step moves that fraction of one column's mass in
+    row s to the column of largest gain, if the gain clears 1e-12 relative,
+    until a sweep moves nothing or ``max_sweeps`` sweeps have run.  A
+    heuristic comparator: every mechanism it returns is band-feasible, so
+    the CIP optimum may not do worse.  Returns the ascended start and its
+    objective E[E[S|Y]^2]."""
     Q = Q.copy()
     w, t = _column_stats(Q, prior, svals)
     improve_tol = 1e-12 * max(1.0, _objective(w, t))
 
-    sweeps, moved = 0, True
     for _ in range(max_sweeps):
-        sweeps += 1
         moved = False
         for s in range(Q.shape[0]):
             if prior[s] <= 0.0:
@@ -284,11 +281,7 @@ def serial_ascent_with_sweeps(Q, prior, svals, lower, upper, tol, fractions, max
                 delta = frac * Q[s]  # mass leaving each source column
                 if not np.any(delta > 0.0):
                     continue
-                dm = prior[s] * delta
-                gain = dense_gain(w, t, dm, svals[s], lower, upper, tol)
-                if on_step is not None:
-                    on_step(s, w, t, dm, gain)
-
+                gain = dense_gain(w, t, prior[s] * delta, svals[s], lower, upper, tol)
                 j, k = np.unravel_index(np.argmax(gain), gain.shape)
                 if gain[j, k] > improve_tol:
                     moved_mass = delta[j]
@@ -298,15 +291,37 @@ def serial_ascent_with_sweeps(Q, prior, svals, lower, upper, tol, fractions, max
                     moved = True
         if not moved:
             break
-    return Q, _objective(w, t), sweeps, not moved
+    return Q, _objective(w, t)
 
 
-def serial_ascent(*args, **kwargs):
-    """The ascended start and its objective from
-    :func:`serial_ascent_with_sweeps`: the pair that
-    ``test_lockstep_search_matches_serial_reference`` unpacks, whose source
-    stays as it is because hypothesis seeds its examples from it."""
-    return serial_ascent_with_sweeps(*args, **kwargs)[:2]
+def call_minorant(prior, mean, lower, upper):
+    """The greatest convex minorant of the points (lower, mean - lower),
+    (j, E(S - j)^+) for every integer j strictly inside (lower, upper), and
+    (upper, 0), where P(S = s) = prior[s]: the breakpoints and, at each,
+    the least of its own value and of the chords between a point on its left
+    and one on its right.  O(N^2) per breakpoint."""
+    xs = [lower] + [j for j in range(len(prior)) if lower < j < upper] + [upper]
+    ys = ([mean - lower]
+          + [sum(prior[s] * (s - j) for s in range(j + 1, len(prior))) for j in xs[1:-1]]
+          + [0.0])
+    xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    out = ys.copy()
+    for i, x in enumerate(xs):
+        a, b = np.flatnonzero(xs < x)[:, None], np.flatnonzero(xs > x)[None, :]
+        chords = ys[a] + (ys[b] - ys[a]) * (x - xs[a]) / (xs[b] - xs[a])
+        out[i] = min(ys[i], chords.min(initial=np.inf))
+    return xs, out
+
+
+def enum_mean_law(matrix, prior, svals):
+    """The law of the posterior mean E[S|Y] under ``matrix``: the mass and
+    the mean of each reachable output, by explicit loops."""
+    law = []
+    for k in range(matrix.shape[1]):
+        w = sum(prior[s] * matrix[s][k] for s in range(len(prior)))
+        if w > 0.0:
+            law.append((w, sum(prior[s] * matrix[s][k] * svals[s] for s in range(len(prior))) / w))
+    return law
 
 
 @pytest.fixture

@@ -15,11 +15,9 @@ from lipagg import (
     mse_binary_lip_opt,
     posterior_means_in_band,
 )
-from lipagg import cip
-from lipagg.cip import _BAND_TOL, _ascend, _feasible_starts
 from lipagg.core import Channel
 
-from conftest import serial_ascent, serial_ascent_with_sweeps
+from conftest import call_minorant, enum_mean_law, enum_value_mse, serial_ascent
 
 
 def test_band_examples():
@@ -188,157 +186,105 @@ def test_search_mse_is_never_negative():
     assert res.mse == 0.0
 
 
-def test_search_reports_starts_and_sweeps():
-    inst = CipInstance(20, 0.3, 1.0)
-    res = cip_search(inst, output_size=21, seed=0)
-    assert res.starts == 7  # constant, threshold, context-aware seed, 4 random
-    assert len(res.sweeps) == 7 and all(1 <= v <= 40 for v in res.sweeps)
-    # a start stopped short of the cap only by a sweep with no move
-    assert len(res.converged) == 7
-    assert all(c for c, v in zip(res.converged, res.sweeps) if v < 40)
-    starts, _ = _feasible_starts(inst, 21, 0)
+def _assert_exact_optimum(inst, res):
+    """``res`` is a mechanism whose posterior means lie in the band, whose
+    MSE and estimator variance are its enumerated ones, and whose law of
+    posterior means has the greatest convex minorant of S's call function
+    on the band as its call function."""
+    n, prior = inst.n_users, inst.s_prior
+    q, svals = res.mechanism, np.arange(n + 1, dtype=float)
+    assert q.min() >= 0.0 and np.abs(q.sum(axis=1) - 1.0).max() <= 1e-12
+    assert posterior_means_in_band(q, inst)
+    scale = 1e-12 * max(1.0, inst.variance)
+    assert abs(enum_value_mse(q, prior, svals) - res.mse) <= scale
+    law = enum_mean_law(q, prior, svals)
+    assert abs(sum(w * (m - inst.mean) ** 2 for w, m in law) - res.estimator_variance) <= scale
     band = cip_band(inst)
-    capped = _ascend(np.stack(starts), inst.s_prior, np.arange(21.0), band.lower, band.upper,
-                     _BAND_TOL * 20, max_sweeps=1)
-    assert capped[2] == [1] * 7
-    # at eps = 0 the band is the single point N*p1: only the constant start
-    # is feasible as drawn, the threshold and 4 random starts need a blend
-    flat = cip_search(CipInstance(20, 0.3, 0.0), output_size=4, seed=0)
-    assert (flat.starts, flat.starts_blended) == (6, 5)
+    xs, minorant = call_minorant(prior, inst.mean, band.lower, band.upper)
+    call = [sum(w * max(m - x, 0.0) for w, m in law) for x in xs]
+    assert np.allclose(call, minorant, rtol=0.0, atol=1e-12 * max(1.0, n))
 
 
 @st.composite
-def _search_case(draw):
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(2, n + 1))
-    eps = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0, 10.0]))
-    p1 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-    return n, p1, eps, m, draw(st.integers(0, 2 ** 63 - 1))
-
-
-def _assert_search_matches_serial(n, p1, eps, m, seed):
-    # the body of test_lockstep_search_matches_serial_reference, which keeps
-    # its own copy (hypothesis draws a derandomized test's examples from a
-    # digest of its source), plus each start's sweeps and convergence
-    inst = CipInstance(n, p1, eps)
-    band = cip_band(inst)
-    svals = np.arange(n + 1, dtype=float)
-    starts, blended = _feasible_starts(inst, m, seed)
-    best_q, best_v, sweeps, converged = None, -np.inf, [], []
-    for q in starts:
-        cand, v, used, done = serial_ascent_with_sweeps(
-            q, inst.s_prior, svals, band.lower, band.upper, _BAND_TOL * max(1.0, n),
-            (1.0, 0.5, 0.25), 40)
-        sweeps.append(used)
-        converged.append(done)
-        if v > best_v:
-            best_q, best_v = cand, v
-    var_est = max(0.0, best_v - inst.mean ** 2)
-
-    res = cip_search(inst, output_size=m, seed=seed)
-    assert np.array_equal(res.mechanism, best_q)
-    assert res.estimator_variance == var_est
-    assert res.mse == max(0.0, inst.variance - var_est)
-    assert (res.starts, res.starts_blended) == (len(starts), blended)
-    assert res.sweeps == tuple(sweeps)
-    assert res.converged == tuple(converged)
-    return res
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_search_case())
-def test_lockstep_search_matches_serial_reference(case):
-    n, p1, eps, m, seed = case
-    inst = CipInstance(n, p1, eps)
-    band = cip_band(inst)
-    svals = np.arange(n + 1, dtype=float)
-    starts, blended = _feasible_starts(inst, m, seed)
-    best_q, best_v = None, -np.inf
-    for q in starts:
-        cand, v = serial_ascent(q, inst.s_prior, svals, band.lower, band.upper,
-                                _BAND_TOL * max(1.0, n), (1.0, 0.5, 0.25), 40)
-        if v > best_v:
-            best_q, best_v = cand, v
-    var_est = max(0.0, best_v - inst.mean ** 2)
-
-    res = cip_search(inst, output_size=m, seed=seed)
-    assert np.array_equal(res.mechanism, best_q)
-    assert res.estimator_variance == var_est
-    assert res.mse == max(0.0, inst.variance - var_est)
-    assert (res.starts, res.starts_blended) == (len(starts), blended)
-
-
-@pytest.mark.parametrize("n, m, seed", [(30, 31, 0), (50, 11, 7)])
-def test_pruned_search_matches_serial_reference_where_pruning_bites(n, m, seed):
-    # at these sizes the gain bound drops a large share of the sources
-    res = _assert_search_matches_serial(n, 0.3, 1.0, m, seed)
-    assert res.sources_pruned > res.sources_scored / 4
-
-
-@pytest.mark.parametrize("n, p1, eps, m, seed", [
-    (12, 0.5, 1.0, 13, 1),  # sweeps (14, 7, 17, 26, 18, 13, 17)
-    (12, 0.8, 1.0, 3, 1),  # one start converges on its first sweep
-    (20, 0.8, 2.0, 10, 1),  # sweeps (12, 3, 11, 11, 10, 11)
-])
-def test_each_start_stops_where_it_would_alone(n, p1, eps, m, seed):
-    # the stack keeps a converged start in place; its sweep count and the
-    # other starts' trajectories are those of a serial ascent
-    res = _assert_search_matches_serial(n, p1, eps, m, seed)
-    assert len(set(res.sweeps)) >= 3
-
-
-def test_capped_lockstep_ascent_matches_serial_start_by_start():
-    # at a 14-sweep cap three starts have converged and four are still moving
-    inst = CipInstance(12, 0.5, 1.0)
-    band = cip_band(inst)
-    svals, tol = np.arange(13.0), _BAND_TOL * 12
-    starts, _ = _feasible_starts(inst, 13, 1)
-    stack, values, sweeps, _, _, converged = _ascend(
-        np.stack(starts), inst.s_prior, svals, band.lower, band.upper, tol, max_sweeps=14)
-    assert sum(converged) == 3
-    for i, q in enumerate(starts):
-        ref_q, ref_v, ref_sweeps, ref_done = serial_ascent_with_sweeps(
-            q, inst.s_prior, svals, band.lower, band.upper, tol, (1.0, 0.5, 0.25), 14)
-        assert np.array_equal(stack[i], ref_q), i
-        assert (values[i], sweeps[i], converged[i]) == (ref_v, ref_sweeps, ref_done), i
-
-
-@st.composite
-def _bound_case(draw):
-    n = draw(st.integers(1, 40))
-    m = draw(st.integers(2, n + 1))
+def _instance(draw, max_n):
+    n = draw(st.integers(1, max_n))
     # p1 = 0.18 at N = 40 puts Pr(S = N) near 1e-30
     p1 = draw(st.one_of(st.sampled_from([0.0, 1.0, 1e-6, 0.18]), st.floats(0.0, 1.0)))
-    eps = draw(st.sampled_from([0.0, 0.3, 1.0, 5.0]))
-    return n, p1, eps, m, draw(st.integers(0, 2 ** 63 - 1))
+    return CipInstance(n, p1, draw(st.sampled_from([0.0, 0.3, 1.0, 3.0, 10.0])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_bound_case())
-def test_every_allowed_gain_is_within_its_source_bound(case):
-    # the bound _ascend prunes by: a move out of column j gains at most
-    # t_minus^2/w_minus - t_j^2/w_j + dm_j s^2, plus the rounding allowance
-    n, p1, eps, m, seed = case
+@given(_instance(30))
+def test_optimum_call_function_is_the_greatest_convex_minorant(inst):
+    _assert_exact_optimum(inst, cip_search(inst))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_instance(12))
+def test_optimum_lies_between_the_bound_and_every_feasible_mechanism(inst):
+    # the seed and the heuristic ascent from the constant and seed starts
+    # are band-feasible, so none of them beats the optimum (the ascent keeps
+    # to the band itself: given posterior_means_in_band's tolerance, at N=1,
+    # p1=1e-6, eps=10 it beats the optimum by 2e-11 with a mean below L)
+    res = cip_search(inst)
+    n, prior = inst.n_users, inst.s_prior
+    svals, band = np.arange(n + 1, dtype=float), cip_band(inst)
+    tol = 1e-12 * max(1.0, inst.variance)
+    assert cip_mse_lower_bound(inst) <= res.mse + tol
+    seed = lip_seed_mechanism(inst)
+    assert res.mse <= enum_value_mse(seed, prior, svals) + tol
+    for start in (np.full((n + 1, n + 1), 1.0 / (n + 1)), seed):
+        q, _ = serial_ascent(start, prior, svals, band.lower, band.upper, 0.0,
+                             (1.0, 0.5, 0.25), 40)
+        assert res.mse <= enum_value_mse(q, prior, svals) + tol
+
+
+@pytest.mark.parametrize("n, p1, eps, atoms", [
+    (30, 0.3, 0.0, 1),  # the band is mu alone
+    (10, 0.0, 1.0, 1),
+    (10, 1.0, 1.0, 1),
+    (1, 0.3, 1.0, 2),  # no integer inside the band
+    (1, 0.5, 20.0, 2),
+    (50, 0.1, 0.1, 3),
+    # Pr(S = s) underflows to 0 for s >= 196, s <= 4, s >= 127 and s <= 73
+    # respectively; a pool whose rows all have probability 0 still counts
+    (200, 0.02, 20.0, 197),
+    (200, 0.98, 20.0, 197),
+    (199, 1e-3, 5.0, 128),
+    (200, 0.999, 1.0, 128),
+])
+def test_optimum_at_the_edges(n, p1, eps, atoms):
     inst = CipInstance(n, p1, eps)
-    band = cip_band(inst)
-    prior, svals = inst.s_prior, np.arange(n + 1, dtype=float)
-    allowance = cip._GAIN_SLACK * max(1.0, float(prior @ svals ** 2))
-    # one-hot rows on all but the last column: empty destinations, and
-    # sources a whole-column move empties (w_minus = 0)
-    rng = np.random.Generator(np.random.Philox(seed))
-    sparse = np.zeros((n + 1, m))
-    sparse[np.arange(n + 1), rng.integers(0, m - 1, size=n + 1)] = 1.0
-    starts, _ = _feasible_starts(inst, m, seed)
+    res = cip_search(inst)
+    assert res.atoms == atoms and res.mechanism.shape == (n + 1, n + 1)
+    assert n < 199 or (inst.s_prior == 0.0).any()
+    assert np.isfinite(res.mse) and res.mse >= 0.0
+    _assert_exact_optimum(inst, res)
 
-    def check(s, w, t, dm, gain):
-        term = cip._term(w - dm, t - dm * svals[s])
-        bound = term - cip._term(w, t) + dm * (svals[s] * svals[s])
-        allowed = np.isfinite(gain)
-        assert np.all(gain <= bound[:, None] + allowance, where=allowed)
 
-    for q in starts[:2] + [sparse]:
-        serial_ascent(q, prior, svals, band.lower, band.upper, _BAND_TOL * max(1.0, n),
-                      (1.0, 0.5, 0.25), 3, on_step=check)
+@pytest.mark.parametrize("p1, eps, mse, atoms", [
+    (0.1, 0.5, 0.402616, 21), (0.1, 1.0, 0.0639891, 33), (0.1, 2.0, 0.00348744, 45),
+    (0.3, 0.5, 0.0953099, 21), (0.3, 1.0, 0.000985633, 33), (0.3, 2.0, 1.02496e-06, 45),
+    (0.5, 0.5, 0.0135575, 21), (0.5, 1.0, 4.78359e-06, 33), (0.5, 2.0, 2.00277e-11, 45),
+])
+def test_optimum_on_the_centralized_sandwich_cells(p1, eps, mse, atoms):
+    # criterion #12's instances; at p1=0.5, eps=2 the MSE is 2.0e-11 against
+    # Var(S) = 12.5, and Var(S) - Var(M) is off in the fourth digit there
+    res = cip_search(CipInstance(50, p1, eps), output_size=51, seed=0)
+    assert res.mse == pytest.approx(mse, rel=5e-6, abs=0.0)
+    assert res.atoms == atoms
+
+
+def test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms():
+    inst = CipInstance(20, 0.3, 1.0)
+    full = cip_search(inst)
+    assert full.atoms == 14 and not full.mechanism[:, 14:].any()
+    tight = cip_search(inst, output_size=14)
+    assert np.array_equal(tight.mechanism, full.mechanism[:, :14]) and tight.mse == full.mse
+    with pytest.raises(ValueError, match="uses 14 outputs"):
+        cip_search(inst, output_size=13)
+    # the seed changes nothing
+    assert np.array_equal(cip_search(inst, seed=5).mechanism, full.mechanism)
 
 
 def test_search_defaults_to_n_plus_one_outputs_and_rejects_more():

@@ -217,25 +217,27 @@ def test_cip_cli(capsys):
     assert run_cli("cip", "--n", "20", "--p1", "0.3", "--eps", "1.0",
                    "--format", "json") == 0
     blob = json.loads(capsys.readouterr().out)
+    assert sorted(blob) == ["achieved_mse", "atoms", "band_lower", "band_upper", "bound_gap",
+                            "mse_lower_bound", "sqrt_avg_mse"]
     assert blob["band_lower"] == pytest.approx(20 * 0.3 * math.exp(-1.0), rel=1e-9)
     assert blob["mse_lower_bound"] <= blob["achieved_mse"] + 1e-9
-    assert blob["starts"] == 7 and 0 <= blob["starts_blended"] <= 7
-    assert 1 <= blob["max_sweeps_used"] <= 40
+    assert blob["atoms"] == 14
     assert blob["bound_gap"] == blob["achieved_mse"] - blob["mse_lower_bound"]
-    assert 0.0 < blob["pruned_share"] < 1.0
-    assert_rejected(capsys, "output_size", "cip", "--n", "10", "--p1", "0.3", "--eps", "1",
-                    "--output-size", "0")
+    # the optimum needs no output alphabet and no seed
+    for flag in ("--output-size", "--seed"):
+        with pytest.raises(SystemExit):
+            run_cli("cip", "--n", "10", "--p1", "0.3", "--eps", "1", flag, "3")
 
 
 def test_cip_cli_csv_bytes(capsys):
-    # the CSV contract: five rows, no search diagnostics
+    # the CSV contract: five rows, no diagnostics
     assert run_cli("cip", "--n", "20", "--p1", "0.3", "--eps", "1") == 0
     assert capsys.readouterr().out == (
         "band_lower,2.207276647028654\n"
         "band_upper,14.849687823599808\n"
         "mse_lower_bound,0.0\n"
-        "achieved_mse,0.027656264121549867\n"
-        "sqrt_avg_mse,0.0371861964454217\n")
+        "achieved_mse,0.02759033871611862\n"
+        "sqrt_avg_mse,0.03714184884743799\n")
 
 
 def test_cip_cli_reports_a_vacuous_bound(capsys):
@@ -246,16 +248,6 @@ def test_cip_cli_reports_a_vacuous_bound(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["mse_lower_bound"] == 0.0
     assert blob["bound_gap"] > 0.0
-
-
-def test_cip_cli_counts_the_starts_stopped_by_the_sweep_cap(capsys):
-    # seed 1: the context-aware seed start converges on exactly its 40th
-    # sweep, the threshold start on its 3rd, and five are still moving
-    assert run_cli("cip", "--n", "50", "--p1", "0.3", "--eps", "1", "--seed", "1",
-                   "--format", "json") == 0
-    blob = json.loads(capsys.readouterr().out)
-    assert (blob["starts"], blob["max_sweeps_used"], blob["starts_capped"]) == (7, 40, 5)
-    assert blob["achieved_mse"] == 0.000997175350477164
 
 
 def test_missing_config_exit_2(tmp_path):

@@ -836,10 +836,13 @@ def test_malformed_ingest_specs_raise_value_error(fields):
 
 
 def test_ingest_of_a_file_with_no_header_row_raises_empty_input(tmp_path):
+    # the csv module reads an empty file's header as None, and a blank
+    # first line's as an empty list
     empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(EmptyInputError, match="no header row"):
-        ingest(str(empty), IngestSpec(mode="categorical", column="c"))
+    for text in ("", "\n\n"):
+        empty.write_text(text)
+        with pytest.raises(EmptyInputError, match="no header row"):
+            ingest(str(empty), IngestSpec(mode="categorical", column="c"))
 
 
 @pytest.mark.parametrize("prior_source, user_col", [("global", None),
