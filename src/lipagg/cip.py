@@ -177,7 +177,10 @@ def _optimum(instance: CipInstance):
         return q, np.concatenate(([lo], np.arange(k1, k2 + 1.0), [hi]))
     mass = (hi - mu) / (hi - lo)
     below = np.append(0.0, cdf[:-1])
-    tail = np.clip(np.divide(mass - below, prior, out=np.zeros(n + 1), where=prior > 0.0), 0.0, 1.0)
+    # the numerator clipped to [0, prior] keeps the quotient in [0, 1]; a
+    # subnormal prior no longer overflows it
+    tail = np.divide(np.clip(mass - below, 0.0, prior), prior, out=np.zeros(n + 1),
+                     where=prior > 0.0)
     mean_all = prior @ svals
     tail_mean = (prior * svals) @ tail / (prior @ tail)
     keep = min(max((mean_all - lo) / (mean_all - tail_mean), 0.0), 1.0)

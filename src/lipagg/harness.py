@@ -20,19 +20,22 @@ metadata.  Synthetic populations are inputs, not part of the layout: they
 keep their own Philox stream, so a seed names the same users under every
 layout.
 
-Inverse-CDF sampling (:func:`mechanisms.sample_rows`) reads the d-1
-interior CDF boundaries of every user-trial.  They are laid out
-boundary-major: the true values' boundaries as a (d-1, N) table and a
-chunk's block as (d-1, trials x N), so counting the boundaries below each
-draw sums d-1 contiguous rows.  A keep-or-resample channel's boundary k
-for true value x is keep [k >= x] plus a tail, redraw times the resample
-CDF at k, (d-1, N) or (d-1, 1); the 0/1 block [k >= x] is filled once per
-chunk and shared by every runner.  ``sample_rows`` still receives the
-(trials x N, d-1) transpose view.  A run allocates one workspace sized for
-a chunk (draws, boundary blocks, comparison mask, counts, index arrays and
-gathered table values), and every chunk rewrites it in place, so the
-chunk loop allocates nothing that grows with N or the chunk; the last,
-shorter chunk uses prefixes of the same buffers.
+Inverse-CDF sampling (:func:`mechanisms.sample_rows`) counts the d-1
+interior CDF boundaries below each draw, boundary-major, so the count sums
+d-1 contiguous rows of a comparison mask.  The true values read the
+prior's boundaries, repeated for each trial of a chunk as a
+(d-1, trials x N) block.  A keep-or-resample channel's boundary k for true
+value x is keep [k >= x] + tail_k, with tail_k = redraw cumsum(r)_k, and no
+block of it is built: each runner keeps two tables once, the tails and
+keep + tails, (d-1, N) per user or (d-1, 1) shared.  ``sample_rows``
+counts the tails below each draw (c) and the keep + tails below it (c'),
+and publishes max(c', min(c, x)), the count over the full boundaries bit
+for bit (both tables are nondecreasing in k).  A run allocates one
+workspace sized for a chunk (draws, comparison mask, counts, true values
+in the count type and as indices, index arrays and gathered table
+values), and every chunk rewrites it in place, so the chunk loop
+allocates nothing that grows with N or the chunk; the last, shorter chunk
+uses prefixes of the same buffers.
 
 Aggregation (:class:`_Aggregation`): the estimate of a task with local
 function g is offset + sum_i w_i E[g(X_i) | Y_i], and under a
@@ -176,7 +179,12 @@ class _Workspace:
     ``out=``, and each ``np.take`` passes ``mode="clip"`` (with the default
     ``mode="raise"`` numpy buffers ``out`` and copies, allocating anyway).
     Arrays are kept flat so that a shorter last chunk gets contiguous
-    prefixes of the same memory (:meth:`prefix`).
+    prefixes of the same memory (:meth:`prefix`).  No float piece holds more
+    than one value per user-trial and statistic component: a runner's
+    sampler reads per-user boundary tables, not a (d-1, m, N) block.  The
+    true values are held twice, as indices for the gathers and in the count
+    type for the sampler's clamp, whose min against intp would cost 10x
+    more.
 
     The arrays are cut from one block, which keeps the workspace mapped from
     one run to the next.  Allocated as ten arrays it was handed back to the
@@ -192,8 +200,8 @@ class _Workspace:
             "u": ((m * n,), float),  # uniform draws, then u = 1 - draw
             "less": ((d - 1, m * n), bool),  # boundary-major comparison mask
             "counts": ((m * n,), np.min_scalar_type(d - 1)),  # sampled indices
-            "bounds": ((d - 1, m, n), float),  # boundary-major CDF block
-            "above": ((d - 1, m, n), float),  # [k >= x] as 0.0 / 1.0, for every runner
+            "spare": ((m * n,), np.min_scalar_type(d - 1)),  # c' of the clamp
+            "x_count": ((m, n), np.min_scalar_type(d - 1)),  # true values, count type
             "x": ((m, n), np.intp),  # true values
             "y": ((m, n), np.intp),  # published outputs
             "at": ((m, n), np.intp),  # flat (user, output) or (trial, output) offsets
@@ -215,7 +223,8 @@ class _Workspace:
         self.flat = flat
         for k, (s, _) in shapes.items():
             setattr(self, k, self.flat[k][:math.prod(s)].reshape(s))
-        self.sample = (self.u, self.less, self.counts)
+        self.sample = (self.u, self.less, self.counts, self.spare)
+        self.truth = (self.u, self.less, self.x_count.reshape(-1))
 
     def prefix(self, m: int) -> "_Workspace":
         """The same buffers sized for m trials."""
@@ -287,12 +296,14 @@ class _FamilyRunner:
     """Per-(family, eps) sampler and estimator for a chunk of trials.
 
     A keep-or-resample family samples from the boundaries keep [k >= x] +
-    tail, scaling the workspace's shared ``above`` block and adding its own
-    (d-1, N) or (d-1, 1) tail, and keeps its posterior tables from
-    :meth:`_Aggregation.tables`, indexed by (user, observed output);
-    symmetric-rr keeps none and checks no fixed value's posterior, since it
-    counts ones.  Unary encoding draws only the per-bucket counts of set
-    bits (:func:`mechanisms.oue_counts`)."""
+    tail_k without building them: it keeps ``tail`` and ``kept`` =
+    keep + tail as (N, d-1) views of (d-1, N) per-user or (d-1, 1) shared
+    tables, and :func:`mechanisms.sample_rows` clamps each true value
+    between the two counts of boundaries below its draw.  It keeps its
+    posterior tables from :meth:`_Aggregation.tables`, indexed by (user,
+    observed output); symmetric-rr keeps none and checks no fixed value's
+    posterior, since it counts ones.  Unary encoding draws only the
+    per-bucket counts of set bits (:func:`mechanisms.oue_counts`)."""
 
     def __init__(self, family: MechanismFamily, eps: float, population: Population,
                  agg: _Aggregation, fixed_idx):
@@ -306,12 +317,16 @@ class _FamilyRunner:
             self.oue = oue_channel(d, eps)
             return
         ch = optimal_channel(family, eps, priors)
-        # CDF of the output given true value x at outputs k < d-1 (the
-        # boundaries sample_rows reads), boundary-major: the kept mass
-        # keep [k >= x] over the redraw mass redraw cumsum(r)_k
-        self.keep = ch.keep
+        # (N, d-1) views of boundary-major (d-1, N) tables, so the sampler's
+        # comparison reads contiguous rows, or of shared (d-1, 1) ones with
+        # stride 0 across users, so nothing is copied per user.  The ndarray
+        # constructor makes a view in 1 us where np.broadcast_to takes 4 us:
+        # 4% of an N=5, 2000-trial run of six runners (2-core Xeon, numpy 2.4)
         tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
-        self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)  # (d-1, N) or (d-1, 1)
+        tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)
+        strides = (tail.strides[1] if tail.shape[1] > 1 else 0, tail.strides[0])
+        self.tail, self.kept = (np.ndarray((priors.shape[0], d - 1), float, t, strides=strides)
+                                for t in (tail, ch.keep + tail))
         if family is MechanismFamily.SYMMETRIC_RR:
             return  # the count estimator reads no posterior
         kept, redrawn = ch.posterior(priors)
@@ -327,8 +342,9 @@ class _FamilyRunner:
         self.tables = agg.tables(kept, redrawn)
 
     def estimate(self, ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
-        """Perturb the chunk of true values in ``ws.x``, (trials, N), reading
-        ``rng`` in trial-major order, and return the (trials, components)
+        """Perturb the chunk of true values in ``ws.x``, (trials, N), and in
+        ``ws.x_count``, the same values in the count type, reading ``rng``
+        in trial-major order, and return the (trials, components)
         estimates."""
         m, n = ws.x.shape
         d = self.g.shape[0]
@@ -336,12 +352,7 @@ class _FamilyRunner:
             np.add(ws.x, ws.trial_at, out=ws.at)
             hot = np.bincount(ws.at.ravel(), minlength=m * d).reshape(m, d)
             return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
-        # keep * 1.0 = keep, keep * 0.0 = 0.0 and 0.0 + tail = tail: the
-        # same bits as a gather from a (d-1, d) table of keep [k >= x]; a
-        # bool block would be cast through a buffer allocated per call
-        np.multiply(ws.above, self.keep, out=ws.bounds)
-        np.add(ws.bounds, self.tail[:, None, :], out=ws.bounds)
-        np.copyto(ws.y, sample_rows(ws.bounds.reshape(d - 1, m * n).T, rng,
+        np.copyto(ws.y, sample_rows(self.tail, rng, kept=self.kept, x=ws.x_count,
                                     buffers=ws.sample).reshape(m, n))
         if self.family is MechanismFamily.SYMMETRIC_RR:
             count = context_free_estimate(ws.y, self.eps)
@@ -385,8 +396,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         truth_cdf = np.empty((d - 1, chunk, n))
         truth_cdf[...] = np.cumsum(pop.priors[:, :-1], axis=1).T[:, None, :]
     else:
-        ws.x[...] = fixed_idx
-    boundary = np.arange(d - 1)[:, None, None]  # k, to fill ws.above = [k >= x]
+        ws.x[...] = ws.x_count[...] = fixed_idx
     # squared error of every trial, summed over the statistic's components
     sq_err = np.zeros((len(runners), trials))
     for t0 in range(0, trials, chunk):
@@ -395,8 +405,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
             ws = ws.prefix(m)
         if fixed_idx is None:
             np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
-                                        buffers=ws.sample).reshape(m, n))
-        np.greater_equal(boundary, ws.x, out=ws.above)
+                                        buffers=ws.truth).reshape(m, n))
         stat = agg.statistic(ws)
         for r, (runner, rng) in enumerate(runners):
             err = runner.estimate(ws, rng) - stat

@@ -241,6 +241,7 @@ def _coerce_rng(rng) -> np.random.Generator:
 
 
 def sample_rows(bounds: np.ndarray, rng: np.random.Generator, *,
+                kept: np.ndarray | None = None, x: np.ndarray | None = None,
                 buffers: tuple | None = None) -> np.ndarray:
     """Inverse-CDF sample one index in [0, d-1] per row of ``bounds``, an
     (n, d-1) array of the row-wise cumulative probabilities of every output
@@ -255,17 +256,40 @@ def sample_rows(bounds: np.ndarray, rng: np.random.Generator, *,
     it reads fastest when ``bounds`` is itself the transpose view of a
     contiguous (d-1, n) block.
 
+    ``kept`` and ``x`` sample a keep-or-resample channel for n users without
+    building its CDF keep [k >= x] + tail_k, tail_k = redraw cumsum(r)_k:
+    ``bounds`` then holds each user's tail, ``kept`` its keep + tail, both
+    (n, d-1), and ``x`` the (trials, n) true indices in the count type.  One
+    uniform is drawn per entry of ``x``, trial-major, and the index,
+    returned flat in that order, is max(c', min(c, x)), with
+    c = #{k : tail_k < u} and c' = #{k : keep + tail_k < u}.  That is the
+    count over the full CDF, bit for bit: both sequences are nondecreasing,
+    and rounding keeps them so, so #{k < x : tail_k < u} +
+    #{k >= x : keep + tail_k < u} is min(c, x) + max(c' - x, 0), which is
+    the clamp.
+
     ``buffers`` is an optional (u, less, counts) triple written in place
-    instead of allocated: float64 (n,), bool (d-1, n) and (n,) of the count
-    type; the returned indices are then ``counts`` itself.
+    instead of allocated, for s draws: float64 (s,), bool (d-1, s) and (s,)
+    of the count type; the returned indices are then ``counts`` itself.  A
+    fourth array like ``counts`` holds c' for the clamp.
     """
     n, b = bounds.shape
-    u, less, counts = buffers or (np.empty(n), np.empty((b, n), dtype=bool),
-                                  np.empty(n, np.min_scalar_type(b)))
+    m = 1 if x is None else x.shape[0]
+    u, less, counts, *spare = buffers or (np.empty(m * n), np.empty((b, m * n), dtype=bool),
+                                          np.empty(m * n, np.min_scalar_type(b)))
     np.subtract(1.0, rng.random(out=u), out=u)
-    np.less(bounds, u[:, None], out=less.T)
-    # summed as 0/1 bytes: a bool mask would be cast through a buffer first
-    return np.add.reduce(less.T.view(np.uint8), axis=1, dtype=counts.dtype, out=counts)
+    # (d-1, 1, n) boundaries against (m, n) draws; the mask is summed as 0/1
+    # bytes, since a bool mask would be cast through a buffer first
+    draws, mask, ones = u.reshape(m, n), less.reshape(b, m, n), less.view(np.uint8)
+    np.less(bounds.T[:, None], draws, out=mask)
+    np.add.reduce(ones, axis=0, dtype=counts.dtype, out=counts)
+    if x is None:
+        return counts
+    over = spare[0] if spare else np.empty_like(counts)
+    np.minimum(counts, x.reshape(-1), out=counts)
+    np.less(kept.T[:, None], draws, out=mask)
+    return np.maximum(counts, np.add.reduce(ones, axis=0, dtype=counts.dtype, out=over),
+                      out=counts)
 
 
 def perturb(q: Channel, x: float, rng) -> float:

@@ -252,6 +252,12 @@ def test_optimum_lies_between_the_bound_and_every_feasible_mechanism(inst):
     (200, 0.98, 20.0, 197),
     (199, 1e-3, 5.0, 128),
     (200, 0.999, 1.0, 128),
+    # two outputs at small eps, where the tail share of a prior entry near
+    # the subnormal range overflowed before it was clipped to [0, 1]
+    (200, 0.02, 0.01, 2),
+    (200, 0.98, 1e-3, 2),
+    (120, 2e-3, 1e-4, 2),
+    (120, 0.998, 0.01, 2),
 ])
 def test_optimum_at_the_edges(n, p1, eps, atoms):
     inst = CipInstance(n, p1, eps)

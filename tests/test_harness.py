@@ -607,6 +607,14 @@ def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
         u = 1.0 - gen.random(cdf.shape[0])
         return np.sum(cdf[:, :-1] < u[:, None], axis=1)
 
+    def check_runners(sampled, runs, pop, x_idx):
+        d = pop.domain.size
+        for (fam, eps), (state, y_idx) in zip(sampled, runs, strict=True):
+            ch = optimal_channel(MechanismFamily.from_tag(fam), eps, pop.priors)
+            cdf = (np.triu(np.full((d, d), ch.keep))[x_idx]
+                   + ch.redraw * np.cumsum(ch.resample, axis=-1))
+            assert np.array_equal(y_idx, replay(state, cdf.reshape(-1, d)))
+
     monkeypatch.setattr(harness, "sample_rows", record)
     binary = generate_population(30, "local-uniform", seed=4)
     wide = generate_population(30, "local-uniform", seed=4, domain=Domain.of_size(5))
@@ -618,18 +626,22 @@ def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
         calls.clear()
         run_experiment(ExperimentConfig(task=task, families=families, eps_grid=grid,
                                         trials=trials, seed=12, population=pop))
-        n, d = pop.priors.shape
+        n = pop.n_users
         sampled = [(f, e) for f in families if f != "oue" for e in grid]
         assert len(calls) == 1 + len(sampled)  # one chunk of trials
         state, x_idx = calls[0]
         assert np.array_equal(x_idx, replay(state, np.cumsum(np.tile(pop.priors, (trials, 1)),
                                                              axis=1)))
-        x_idx = x_idx.reshape(trials, n)
-        for (fam, eps), (state, y_idx) in zip(sampled, calls[1:]):
-            ch = optimal_channel(MechanismFamily.from_tag(fam), eps, pop.priors)
-            cdf = (np.triu(np.full((d, d), ch.keep))[x_idx]
-                   + ch.redraw * np.cumsum(ch.resample, axis=-1))
-            assert np.array_equal(y_idx, replay(state, cdf.reshape(-1, d)))
+        check_runners(sampled, calls[1:], pop, x_idx.reshape(trials, n))
+    # fixed values: no truth draw, and the clamp reads the file's values
+    values = wide.domain.values[np.arange(30) % 5]
+    calls.clear()
+    run_experiment(ExperimentConfig(task=Histogram(), families=("opt-mimo-lip", "opt-mimo-ldp"),
+                                    eps_grid=grid, trials=trials, seed=12, population=wide,
+                                    fixed_values=values))
+    sampled = [(f, e) for f in ("opt-mimo-lip", "opt-mimo-ldp") for e in grid]
+    assert len(calls) == len(sampled)
+    check_runners(sampled, calls, wide, np.tile(np.arange(30) % 5, (trials, 1)))
 
 
 def _traced_run(monkeypatch, cfg):
@@ -674,8 +686,9 @@ def test_the_chunk_loop_allocates_per_run_not_per_chunk(monkeypatch, d):
     of 2 trials (the (runs, trials) error table grows by 1.8 KiB; numpy's
     cache of small freed buffers varies by a few KiB), and no chunk holds a
     tenth of one (N, d-1) boundary block above its start.
-    Every ``sample_rows`` call still gets (trials x N, d-1) bounds, the
-    user-trial count the benchmark reads off its first axis."""
+    Every ``sample_rows`` call gets (N, d-1) bounds at one trial per chunk:
+    the truth's (trials x N, d-1) block and each runner's per-user tail, so
+    the benchmark reads the user-trial count off their first axis."""
     n = 20_000
     pop = generate_population(n, "local-uniform", seed=3, domain=Domain.of_size(d))
     task, families = ((Survey(1.0), ("opt-binary-lip", "opt-binary-ldp", "opt-mimo-lip"))
@@ -703,7 +716,8 @@ def test_symmetric_rr_estimate_equals_the_context_free_estimator():
     form = task_form(task, pop)
     trials, n = 30, pop.n_users
     ws = harness._Workspace(trials, n, 2, 1)
-    ws.x[...] = np.random.Generator(np.random.Philox(2)).integers(0, 2, size=(trials, n))
+    ws.x[...] = ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(
+        0, 2, size=(trials, n))
     for eps in (0.1, 1.0, 5.0):
         runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop,
                                        harness._Aggregation(form, pop.priors), None)
@@ -800,7 +814,10 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     """A statistic of c <= 2 components leaves a keep-or-resample runner one
     (N d, c) posterior-mean table and no other posterior table; a histogram
     over d >= 3 outputs keeps (N, d) kept and redrawn tables, and neither
-    its runners nor any workspace piece hold m N d or N d d values."""
+    its runners nor any workspace piece hold m N d or N d d values.  No
+    float workspace piece holds more than one value per user-trial and
+    statistic component: the sampler reads the runner's two (N, d-1)
+    boundary tables, not a (d-1, m, N) block."""
     from lipagg import harness
     from lipagg.core import task_form
 
@@ -810,14 +827,18 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     c = agg.g.shape[1]
     ws = harness._Workspace(m, n, d, c)
     sizes = [piece.size for piece in ws.flat.values()]
+    floats = [v.size for v in vars(ws).values()
+              if isinstance(v, np.ndarray) and v.dtype == np.float64]
+    assert max(floats) == m * n * (c if c <= 2 else 1)
     for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
         runner = harness._FamilyRunner(fam, 1.0, pop, agg, None)
         own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
-        assert own == {"g", "tail"}
+        assert own == {"g", "tail", "kept"}
+        assert runner.tail.shape == runner.kept.shape == (n, d - 1)
         tables = [t.shape for t in runner.tables]
         assert tables == ([(n * d, c)] if c <= 2 else [(n, d), (n, d)])
         sizes += [t.size for t in runner.tables]
-    if c > 2:  # the largest pieces are the (d-1, m, N) boundary blocks
+    if c > 2:  # the largest pieces are the (d-1, m N) comparison mask and the tables
         assert max(sizes) < min(m * n * d, n * d * d)
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipagg import (
     Channel,
@@ -343,6 +344,43 @@ def test_sample_rows_reaches_every_index_at_the_count_type_edge(d):
                    np.empty(n, dtype=np.min_scalar_type(d - 1)))
         got = sample_rows(bounds, _FixedDraws(1.0 - u), buffers=buffers)
         assert got is buffers[2] and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.integers(2, 11), n=st.integers(1, 6), trials=st.integers(1, 4),
+       eps=st.sampled_from([0.0, 1e-9, 0.3, 1.0, 5.0, 40.0, 800.0]),
+       per_user=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_clamped_counts_equal_the_count_over_the_full_cdf(d, n, trials, eps, per_user, seed):
+    """With ``kept`` and ``x``, sample_rows returns max(c', min(c, x)),
+    which must equal #{k : keep [k >= x] + tail_k < u} on the full CDF,
+    for shared (context-free) and per-user (context-aware) tails, priors
+    with zero entries, and a fifth of the u placed exactly on a boundary
+    of the full CDF or at 1 (exact for boundaries in [1/2, 1])."""
+    gen = np.random.default_rng(seed)
+    priors = gen.dirichlet(np.ones(d), size=n)
+    priors[gen.random((n, d)) < 0.3] = 0.0
+    priors[np.arange(n), gen.integers(0, d, n)] += 0.5
+    priors /= priors.sum(axis=1, keepdims=True)
+    family = MechanismFamily.OPT_MIMO_LIP if per_user else MechanismFamily.OPT_MIMO_LDP
+    ch = optimal_channel(family, eps, priors)
+    tail = np.broadcast_to(ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1), (n, d - 1))
+    x = gen.integers(0, d, (trials, n)).astype(np.min_scalar_type(d - 1))
+    full = ch.keep * (np.arange(d - 1) >= x[..., None]) + tail  # (trials, n, d-1)
+    draws = gen.random((trials, n))
+    edge = gen.random((trials, n)) < 0.2
+    on = np.append(full, np.ones((trials, n, 1)), axis=-1)
+    pick = np.take_along_axis(on, gen.integers(0, d, (trials, n, 1)), axis=-1)[..., 0]
+    draws[edge] = 1.0 - pick[edge]
+    u = 1.0 - draws
+    want = np.sum(full < u[..., None], axis=-1).ravel()
+    kept = ch.keep + tail
+    got = sample_rows(tail, _FixedDraws(draws.ravel()), kept=kept, x=x)
+    assert got.dtype == x.dtype and np.array_equal(got, want)
+    size, dtype = trials * n, x.dtype
+    buffers = (np.empty(size), np.empty((d - 1, size), dtype=bool), np.empty(size, dtype),
+               np.empty(size, dtype))
+    got = sample_rows(tail, _FixedDraws(draws.ravel()), kept=kept, x=x, buffers=buffers)
+    assert got is buffers[2] and np.array_equal(got, want)
 
 
 def test_oue_perturb_rates():
