@@ -18,6 +18,7 @@ from .core import (
     Channel,
     Population,
     Prior,
+    TaskForm,
     check_distinct,
     check_epsilon,
     posterior_ratio,
@@ -118,57 +119,81 @@ class TradeoffCurve:
         ) + "\n"
 
 
+class _ClosedForm:
+    """What a run's closed-form rows and Monte-Carlo estimates share, built
+    once per (population, task): the task's linear form, the (N, d) priors,
+    the local function g as (d, c), one column per statistic component, and
+    each user's prior mean mu = priors @ g, (N, c).
+    ``harness._Aggregation`` builds on it."""
+
+    def __init__(self, form: TaskForm, priors: np.ndarray):
+        self.form = form
+        self.priors = priors
+        self.g = form.g.reshape(priors.shape[1], -1)
+        self.mu = priors @ self.g
+
+    def totals(self, families, eps_grid) -> dict:
+        """{(family, eps): aggregate MSE sum_i weights[i]^2 MSE_i} for
+        checked families and budgets, vectorized over the (N, d) priors.
+
+        Under a keep-or-resample channel (keep a, redraw w) the posterior
+        mean of g after output k is kept_k g_k + redrawn_k mu
+        (``KeepResample.posterior``) and its MSE is
+        sum_k p_k (w + a redrawn_k) |g_k - mu|^2, a sum of nonnegative terms
+        that keeps full precision at large budgets; the spread |g_k - mu|^2
+        is accumulated over the columns of g once for the whole grid, so
+        memory stays O(N d).  The prior-unaware estimators (symmetric-rr,
+        unary encoding) have a constant per-user MSE.  Unary encoding keeps
+        the user's own bit with probability 1/2, so that bit has variance
+        1/4 rather than f(1-f).
+        """
+        p, g, mu = self.priors, self.g, self.mu
+        spread = sum((g[:, j] - mu[:, j, None]) ** 2 for j in range(g.shape[1]))
+        totals = {}
+        for family in families:
+            for eps in eps_grid:
+                if family in (MechanismFamily.SYMMETRIC_RR, MechanismFamily.OUE):
+                    if eps == 0.0:
+                        raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
+                    # flip f = 1/(e^eps + 1): f(1-f)/(1-2f)^2 = e^-eps/(1-e^-eps)^2
+                    # per user; unary encoding pays 4x that on each of its d - 1
+                    # cold bits and (1/4)/(1/2-f)^2 = 4x that + 1 on its hot bit
+                    per_user = math.exp(-eps) / math.expm1(-eps) ** 2
+                    if family is MechanismFamily.OUE:
+                        per_user = 4.0 * p.shape[1] * per_user + 1.0
+                else:
+                    ch = optimal_channel(family, eps, p)
+                    _, redrawn = ch.posterior(p)
+                    per_user = np.sum(p * (ch.redraw + ch.keep * redrawn) * spread, axis=1)
+                totals[family, eps] = float(np.sum(self.form.weights ** 2 * per_user))
+        return totals
+
+    def curve_rows(self, families, eps_grid) -> list[CurveRow]:
+        """The closed-form rows (trials = 0) of :meth:`totals`."""
+        n = self.priors.shape[0]
+        return [CurveRow(epsilon=eps, family=family.value, metric=math.sqrt(total / n), trials=0)
+                for (family, eps), total in self.totals(families, eps_grid).items()]
+
+
 def closed_form_total_mse(family: MechanismFamily, population: Population,
                           task: AggregationTask, eps: float) -> float:
     """Aggregate MSE sum_i weights[i]^2 MSE_i of the task's linear form
-    (``core.task_form``), vectorized over the (N, d) priors.
-
-    Under a keep-or-resample channel (keep a, redraw w) the posterior mean
-    of the local function g after output k is kept_k g_k + redrawn_k mu
-    (``KeepResample.posterior``, mu = p @ g) and its MSE is
-    sum_k p_k (w + a redrawn_k) |g_k - mu|^2, a sum of nonnegative terms
-    that keeps full precision at large budgets; the squared norm is
-    accumulated over the columns of g, so memory stays O(N d).  The
-    prior-unaware estimators (symmetric-rr, unary encoding) have a
-    constant per-user MSE.  Unary encoding keeps the user's own bit with
-    probability 1/2, so that bit has variance 1/4 rather than f(1-f).
-    """
+    (``core.task_form``) under ``family`` at budget ``eps``; see
+    :meth:`_ClosedForm.totals`."""
     check_family_task(family, task, population.domain)
-    form = task_form(task, population)
+    closed = _ClosedForm(task_form(task, population), population.priors)
     eps = check_epsilon(eps)
-    if family in (MechanismFamily.SYMMETRIC_RR, MechanismFamily.OUE):
-        if eps == 0.0:
-            raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
-        # flip f = 1/(e^eps + 1): f(1-f)/(1-2f)^2 = e^-eps/(1-e^-eps)^2 per
-        # user; unary encoding pays 4x that on each of its d - 1 cold bits
-        # and (1/4)/(1/2-f)^2 = 4x that + 1 on its hot bit
-        per_user = math.exp(-eps) / math.expm1(-eps) ** 2
-        if family is MechanismFamily.OUE:
-            per_user = 4.0 * population.domain.size * per_user + 1.0
-    else:
-        p = population.priors
-        ch = optimal_channel(family, eps, p)
-        _, redrawn = ch.posterior(p)
-        g = form.g.reshape(population.domain.size, -1)
-        mu = p @ g
-        spread = sum((g[:, j] - mu[:, j, None]) ** 2 for j in range(g.shape[1]))
-        per_user = np.sum(p * (ch.redraw + ch.keep * redrawn) * spread, axis=1)
-    return float(np.sum(form.weights ** 2 * per_user))
+    return closed.totals((family,), (eps,))[family, eps]
 
 
 def tradeoff_curve(family: MechanismFamily, population: Population,
                    task: AggregationTask, eps_grid) -> TradeoffCurve:
     """Closed-form tradeoff rows (trials = 0) for one family over a budget grid."""
     eps_grid = check_distinct("eps_grid", eps_grid, check_epsilon)
-    n = population.n_users
-    rows = [
-        CurveRow(epsilon=e, family=family.value,
-                 metric=math.sqrt(closed_form_total_mse(family, population, task, e) / n),
-                 trials=0)
-        for e in eps_grid
-    ]
-    curve = TradeoffCurve(rows=rows, metadata={
-        "population": f"N={n},d={population.domain.size}",
+    check_family_task(family, task, population.domain)
+    closed = _ClosedForm(task_form(task, population), population.priors)
+    curve = TradeoffCurve(rows=closed.curve_rows((family,), eps_grid), metadata={
+        "population": f"N={population.n_users},d={population.domain.size}",
         "task": type(task).__name__.lower(),
     })
     return curve.sort()

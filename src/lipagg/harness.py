@@ -34,8 +34,8 @@ for bit (both tables are nondecreasing in k).  A run allocates one
 workspace sized for a chunk (draws, comparison mask, counts, true values
 in the count type and as indices, index arrays and gathered table
 values), and every chunk rewrites it in place, so the chunk loop
-allocates nothing that grows with N or the chunk; the last, shorter chunk
-uses prefixes of the same buffers.
+allocates nothing that grows with N or the chunk; a last, shorter chunk
+gets a workspace of its own.
 
 Aggregation (:class:`_Aggregation`): the estimate of a task with local
 function g is offset + sum_i w_i E[g(X_i) | Y_i], and under a
@@ -60,7 +60,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import CurveRow, TradeoffCurve, closed_form_total_mse
+from .analysis import CurveRow, TradeoffCurve, _ClosedForm
 from .core import (
     AggregationTask,
     Domain,
@@ -178,63 +178,36 @@ class _Workspace:
     and rewritten in place by each chunk: each numpy call writes through
     ``out=``, and each ``np.take`` passes ``mode="clip"`` (with the default
     ``mode="raise"`` numpy buffers ``out`` and copies, allocating anyway).
-    Arrays are kept flat so that a shorter last chunk gets contiguous
-    prefixes of the same memory (:meth:`prefix`).  No float piece holds more
-    than one value per user-trial and statistic component: a runner's
-    sampler reads per-user boundary tables, not a (d-1, m, N) block.  The
-    true values are held twice, as indices for the gathers and in the count
-    type for the sampler's clamp, whose min against intp would cost 10x
-    more.
+    No float array holds more than one value per user-trial and statistic
+    component: a runner's sampler reads per-user boundary tables, not a
+    (d-1, m, N) block.  The true values are held twice, as indices for the
+    gathers and in the count type for the sampler's clamp, whose min against
+    intp would cost 10x more."""
 
-    The arrays are cut from one block, which keeps the workspace mapped from
-    one run to the next.  Allocated as ten arrays it was handed back to the
-    system after each run and faulted in again: 5.2k minor page faults per
-    survey-plus-histogram pair of runs at N=20000, d=2 against 1.4k-4.1k for
-    the block, depending on the heap layout (glibc raises its mmap threshold
-    to the size of a freed mapped block, so a block of that size later comes
-    from the heap and stays)."""
-
-    def __init__(self, m: int, n: int, d: int, c: int, flat: dict | None = None):
-        self.n, self.d, self.c = n, d, c
-        shapes = {
-            "u": ((m * n,), float),  # uniform draws, then u = 1 - draw
-            "less": ((d - 1, m * n), bool),  # boundary-major comparison mask
-            "counts": ((m * n,), np.min_scalar_type(d - 1)),  # sampled indices
-            "spare": ((m * n,), np.min_scalar_type(d - 1)),  # c' of the clamp
-            "x_count": ((m, n), np.min_scalar_type(d - 1)),  # true values, count type
-            "x": ((m, n), np.intp),  # true values
-            "y": ((m, n), np.intp),  # published outputs
-            "at": ((m, n), np.intp),  # flat (user, output) or (trial, output) offsets
-            "trial_at": ((m, 1), np.intp),  # flat offset d t of each trial's cells
-        }
+    def __init__(self, m: int, n: int, d: int, c: int):
+        count = np.min_scalar_type(d - 1)
+        self.u = np.empty(m * n)  # uniform draws, then u = 1 - draw
+        self.less = np.empty((d - 1, m * n), bool)  # boundary-major comparison mask
+        self.counts = np.empty(m * n, count)  # sampled indices
+        self.spare = np.empty(m * n, count)  # c' of the clamp
+        self.x_count = np.empty((m, n), count)  # true values, count type
+        self.x = np.empty((m, n), np.intp)  # true values
+        self.y = np.empty((m, n), np.intp)  # published outputs
+        self.at = np.empty((m, n), np.intp)  # flat (user, output) or (trial, output) offsets
+        self.trial_at = d * np.arange(m, dtype=np.intp)[:, None]  # offset of each trial's cells
         if c <= _FOLD_WIDTH:
-            shapes["gathered"] = ((m, n, c), float)  # g[x], then posterior means
+            self.gathered = np.empty((m, n, c))  # g[x], then posterior means
         else:
-            shapes["kept"] = ((m, n), float)  # weights, then kept weights
-            shapes["redrawn"] = ((m, n), float)
-        if flat is None:  # one allocation, cut into 64-byte-aligned pieces
-            nbytes = {k: -(-math.prod(s) * np.dtype(t).itemsize // 64) * 64
-                      for k, (s, t) in shapes.items()}
-            block, at, flat = np.empty(sum(nbytes.values()), np.uint8), 0, {}
-            for k, (_, t) in shapes.items():
-                flat[k] = block[at:at + nbytes[k]].view(t)
-                at += nbytes[k]
-            flat["trial_at"][:m] = d * np.arange(m)  # a prefix keeps its values
-        self.flat = flat
-        for k, (s, _) in shapes.items():
-            setattr(self, k, self.flat[k][:math.prod(s)].reshape(s))
+            self.kept = np.empty((m, n))  # weights, then kept weights
+            self.redrawn = np.empty((m, n))
         self.sample = (self.u, self.less, self.counts, self.spare)
         self.truth = (self.u, self.less, self.x_count.reshape(-1))
 
-    def prefix(self, m: int) -> "_Workspace":
-        """The same buffers sized for m trials."""
-        return _Workspace(m, self.n, self.d, self.c, self.flat)
 
-
-class _Aggregation:
+class _Aggregation(_ClosedForm):
     """The task's linear form offset + sum_i w_i g(X_i) over one run's
-    population, applied to a chunk of trials; built once per run and shared
-    by every runner.
+    population, applied to a chunk of trials; built once per run on the
+    run's closed form, whose g and mu it reads, and shared by every runner.
 
     After output a_k from a keep-or-resample channel, user i's posterior
     mean of g is kept_ik g_k + redrawn_ik mu_i, with mu_i = priors[i] @ g
@@ -248,11 +221,9 @@ class _Aggregation:
     weights per (trial, true value) cell the same way."""
 
     def __init__(self, form: TaskForm, priors: np.ndarray):
+        super().__init__(form, priors)
         n, d = priors.shape
-        self.form = form
-        self.g = form.g.reshape(d, -1)  # one column per statistic component
         self.folded = self.g.shape[1] <= _FOLD_WIDTH
-        self.mu = priors @ self.g
         self.rows = np.arange(n) * d  # flat offset of each user's table row
         self.ones = np.ones(n)
 
@@ -374,15 +345,9 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     domain = pop.domain
     n, d = pop.n_users, domain.size
     trials = config.trials
-    form = task_form(task, pop)
     fixed_idx = None if config.fixed_values is None else domain.indices_of(config.fixed_values)
-    # the closed forms run before the runners exist, so their (N, d)
-    # temporaries are freed before the runner tables are built
-    closed = {} if fixed_idx is not None else {
-        (fam, eps): closed_form_total_mse(fam, pop, task, eps)
-        for fam in config.families for eps in config.eps_grid}
-
-    agg = _Aggregation(form, pop.priors)
+    agg = _Aggregation(task_form(task, pop), pop.priors)
+    rows = [] if fixed_idx is not None else agg.curve_rows(config.families, config.eps_grid)
     runners = [(_FamilyRunner(fam, eps, pop, agg, fixed_idx), _rng(config.seed, 2, fi, ei))
                for fi, fam in enumerate(config.families)
                for ei, eps in enumerate(config.eps_grid)]
@@ -395,32 +360,27 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         # repeated for each trial of a chunk; a shorter chunk reads a prefix
         truth_cdf = np.empty((d - 1, chunk, n))
         truth_cdf[...] = np.cumsum(pop.priors[:, :-1], axis=1).T[:, None, :]
-    else:
-        ws.x[...] = ws.x_count[...] = fixed_idx
     # squared error of every trial, summed over the statistic's components
     sq_err = np.zeros((len(runners), trials))
     for t0 in range(0, trials, chunk):
         m = min(chunk, trials - t0)
         if m < chunk:  # only the last chunk can be shorter
-            ws = ws.prefix(m)
+            ws = _Workspace(m, n, d, agg.g.shape[1])
         if fixed_idx is None:
             np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
                                         buffers=ws.truth).reshape(m, n))
+        else:
+            ws.x[...] = ws.x_count[...] = fixed_idx
         stat = agg.statistic(ws)
         for r, (runner, rng) in enumerate(runners):
             err = runner.estimate(ws, rng) - stat
             sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)
 
-    rows = []
     for (runner, _), errs in zip(runners, sq_err):
         spread = float(np.std(errs, ddof=1)) if trials > 1 else math.nan
         rows.append(CurveRow(epsilon=runner.eps, family=runner.family.value,
                              metric=math.sqrt(float(np.mean(errs)) / n), trials=trials,
                              mse_stderr=spread / (n * math.sqrt(trials))))
-        if fixed_idx is None:
-            total = closed[runner.family, runner.eps]
-            rows.append(CurveRow(epsilon=runner.eps, family=runner.family.value,
-                                 metric=math.sqrt(total / n), trials=0))
 
     curve = TradeoffCurve(rows=rows, metadata={
         "population": f"N={n},d={domain.size}"

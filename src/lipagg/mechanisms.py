@@ -108,18 +108,16 @@ class KeepResample:
 
     def matrix(self) -> np.ndarray:
         """The dense channel: redraw r[k] off the diagonal and
-        1 - redraw (1 - r[m]) on it, rows renormalized to absorb rounding so
-        that it passes ``validate_channel``; (d, d) for a shared ``resample``,
-        (N, d, d) for per-user ones.  A zero r[k] leaves column k empty off
-        the diagonal, and row k (which never fires) stays stochastic."""
+        keep + redraw r[m] on it, a sum of nonnegative terms, rows
+        renormalized to absorb rounding so that it passes
+        ``validate_channel``; (d, d) for a shared ``resample``, (N, d, d) for
+        per-user ones.  A zero r[k] leaves column k empty off the diagonal,
+        and row k (which never fires) stays stochastic."""
         r = self.resample
         d = r.shape[-1]
         m = np.empty(r.shape[:-1] + (d, d))
         np.multiply(self.redraw, r[..., None, :], out=m)
-        diagonal = m.reshape(r.shape[:-1] + (d * d,))[..., ::d + 1]  # a view
-        np.subtract(1.0, r, out=diagonal)
-        np.multiply(self.redraw, diagonal, out=diagonal)
-        np.subtract(1.0, diagonal, out=diagonal)
+        m.reshape(r.shape[:-1] + (d * d,))[..., ::d + 1] += self.keep  # the diagonal
         return np.divide(m, m.sum(axis=-1, keepdims=True), out=m)
 
 

@@ -92,19 +92,6 @@ def enum_optimum(family, pvec, eps):
     return matrix
 
 
-def repeat_keep_resample_matrix(keep_resample):
-    """``KeepResample.matrix()`` built with ``np.repeat`` and a
-    fancy-indexed diagonal, a bit-level reference for its in-place fill:
-    redraw r[k] off the diagonal, 1 - redraw (1 - r[m]) on it, rows divided
-    by their sums."""
-    redraw, r = keep_resample.redraw, keep_resample.resample
-    d = r.shape[-1]
-    m = np.repeat((redraw * r)[..., None, :], d, axis=-2)
-    diagonal = np.arange(d)
-    m[..., diagonal, diagonal] = 1.0 - redraw * (1.0 - r)
-    return m / m.sum(axis=-1, keepdims=True)
-
-
 def perturb_indices(q, x_idx, rng):
     """Vector form of ``perturb`` over input indices, returning output
     indices: the same boundaries and the same one uniform draw per entry,

@@ -526,6 +526,44 @@ def test_monte_carlo_rows_agree_with_closed_form_within_five_standard_errors():
     assert checked == 2 * 27
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("mode", ["global", "local-uniform"])
+def test_the_three_closed_form_paths_agree_bit_for_bit(mode, d):
+    """Each trials = 0 row of ``run_experiment`` equals ``tradeoff_curve``'s
+    row and sqrt(closed_form_total_mse / N) bit for bit, for every task and
+    every family that answers it."""
+    from lipagg.analysis import closed_form_total_mse
+
+    n, grid, domain = 7, (0.5, 2.0), Domain.of_size(d)
+    p_vector = np.arange(1.0, d + 1) / (d * (d + 1) / 2) if mode == "global" else None
+    pop = generate_population(n, mode, seed=9, domain=domain, p_vector=p_vector)
+    tasks = (Survey(domain.values[-1]), Summation(),
+             WeightedSum(np.linspace(0.5, 2.0, n), np.full(n, 0.25)), Histogram())
+    checked = 0
+    for task in tasks:
+        families = []
+        for fam in MechanismFamily:
+            try:
+                check_family_task(fam, task, domain)
+            except ValueError:
+                continue
+            families.append(fam)
+        cfg = ExperimentConfig(task=task, families=tuple(families), eps_grid=grid, trials=1,
+                               seed=0, population=pop)
+        rows = [r for r in run_experiment(cfg).rows if r.trials == 0]
+        assert len(rows) == len(families) * len(grid)
+        for row in rows:
+            fam = MechanismFamily.from_tag(row.family)
+            [curve_row] = [r for r in tradeoff_curve(fam, pop, task, grid).rows
+                           if r.epsilon == row.epsilon]
+            assert row == curve_row
+            total = closed_form_total_mse(fam, pop, task, row.epsilon)
+            assert row.metric == math.sqrt(total / n)
+            checked += 1
+    # binary: 5 + 4 + 4 + 5 families, d-ary: 2 + 2 + 2 + 3
+    assert checked == len(grid) * (18 if d == 2 else 9)
+
+
 def _recorded_run(monkeypatch, cfg, block):
     """Run ``cfg`` with ``harness._BLOCK = block``, recording every sampled
     index and unary-encoding count array by the generator it was drawn from
@@ -554,18 +592,23 @@ def _recorded_run(monkeypatch, cfg, block):
 
 @pytest.mark.parametrize("block_trials", [1, 7])
 def test_draws_and_rows_do_not_depend_on_the_chunk_size(monkeypatch, block_trials):
+    """Sampled and fixed true values (the latter held per user, as from a
+    population file, with no truth stream); 7 trials a chunk leaves a
+    shorter last chunk of 5."""
     binary = generate_population(30, "local-uniform", seed=4)
     ternary = generate_population(30, "local-uniform", seed=4, domain=Domain.of_size(3))
-    cases = ((binary, Survey(1.0), ("opt-binary-lip", "opt-mimo-ldp", "symmetric-rr")),
-             (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
-    for pop, task, families in cases:
+    fixed = ternary.domain.values[np.arange(30) % 3]
+    cases = ((binary, Survey(1.0), ("opt-binary-lip", "opt-mimo-ldp", "symmetric-rr"), None),
+             (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue"), None),
+             (ternary, Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue"), fixed))
+    for pop, task, families, values in cases:
         cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
-                               trials=40, seed=12, population=pop)
+                               trials=40, seed=12, population=pop, fixed_values=values)
         d = pop.domain.size
         base, base_draws = _recorded_run(monkeypatch, cfg, 1 << 16)
         assert all(len(x) == 40 * 30 or x.shape == (40, d) for x in base_draws)
         got, got_draws = _recorded_run(monkeypatch, cfg, block_trials * 30 * d)
-        assert len(got_draws) == len(base_draws) == 1 + 2 * len(families)
+        assert len(got_draws) == len(base_draws) == (values is None) + 2 * len(families)
         for a, b in zip(base_draws, got_draws):
             assert np.array_equal(a, b)
         assert len(got.rows) == len(base.rows)
@@ -826,7 +869,7 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     agg = harness._Aggregation(task_form(task, pop), pop.priors)
     c = agg.g.shape[1]
     ws = harness._Workspace(m, n, d, c)
-    sizes = [piece.size for piece in ws.flat.values()]
+    sizes = [v.size for v in vars(ws).values() if isinstance(v, np.ndarray)]
     floats = [v.size for v in vars(ws).values()
               if isinstance(v, np.ndarray) and v.dtype == np.float64]
     assert max(floats) == m * n * (c if c <= 2 else 1)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,8 +28,7 @@ from lipagg import (
 from lipagg.errors import ValueNotInDomainError, ZeroEpsilonError
 from lipagg.mechanisms import MechanismFamily, optimal_channel, sample_rows
 
-from conftest import (enum_mae, enum_optimum, oue_perturb, perturb_indices, random_prior,
-                      repeat_keep_resample_matrix)
+from conftest import enum_mae, enum_optimum, oue_perturb, perturb_indices, random_prior
 
 
 def _binary_mse(q, p1):
@@ -80,21 +80,43 @@ def test_keep_resample_matrix_matches_the_enumerated_optimum(family, eps):
         assert np.array_equal(got, [optimal_channel(fam, eps, p).matrix() for p in stack])
 
 
-@pytest.mark.parametrize("eps", [0.0, 1.0, 50.0])
-def test_keep_resample_matrix_is_bit_identical_to_the_repeat_formula(eps):
-    """The in-place fill of ``matrix()`` gives the bytes of the ``np.repeat``
-    formula in conftest, for shared and per-user resample rows, zero
-    entries included."""
+def _ulp_from_exact(ch) -> float:
+    """Largest error, in ulp of the exact value, of ``ch.matrix()`` against
+    the channel on its own float keep, redraw and r in rational arithmetic:
+    (keep [m = k] + redraw r[k]) / (keep + redraw sum(r)), row by row."""
+    got = ch.matrix()
+    r = ch.resample
+    got, r = got.reshape((-1,) + got.shape[-2:]), r.reshape(-1, r.shape[-1])
+    keep, redraw = Fraction(ch.keep), Fraction(ch.redraw)
+    worst = 0.0
+    for q, row in zip(got, r, strict=True):
+        drawn = [redraw * Fraction(x) for x in row]
+        total = keep + sum(drawn)
+        for m, k in np.ndindex(q.shape):
+            exact = (drawn[k] + (keep if m == k else 0)) / total
+            err = abs(Fraction(q[m, k]) - exact)
+            worst = max(worst, 0.0 if err == 0 else float(err) / math.ulp(float(exact)))
+    return worst
+
+
+@pytest.mark.parametrize("family", ["opt-binary-lip", "opt-binary-ldp",
+                                    "opt-mimo-lip", "opt-mimo-ldp"])
+def test_keep_resample_matrix_is_within_8_ulp_of_exact(family):
+    """Every entry of ``matrix()`` is within 8 ulp of exact, for shared and
+    per-user resample rows with zero entries and one-hot rows, d up to 69
+    and budgets from 0 to 50: the diagonal keep + redraw r[m] is a sum of
+    nonnegative terms.  The form 1 - redraw (1 - r[m]) cancels: about 7e4
+    ulp for the context-aware families at eps = 1e-6, and 15 ulp for
+    opt-mimo-ldp."""
+    fam = MechanismFamily.from_tag(family)
     rng = np.random.default_rng(17)
-    priors = rng.dirichlet(np.full(6, 0.4), size=30)
-    priors[::4, 2] = 0.0
-    priors /= priors.sum(axis=1, keepdims=True)
-    priors[5] = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
-    for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
-        per_user = optimal_channel(fam, eps, priors)
-        shared = [optimal_channel(fam, eps, p) for p in priors[:8]]
-        for ch in [per_user] + shared:
-            assert np.array_equal(ch.matrix(), repeat_keep_resample_matrix(ch))
+    for d in (2,) if "binary" in family else (3, 6, 20, 69):
+        priors = rng.dirichlet(np.full(d, 0.4), size=3)
+        priors[0, d // 2] = 0.0
+        priors /= priors.sum(axis=1, keepdims=True)
+        priors[2] = np.eye(d)[-1]
+        for eps in (0.0, 1e-6, 1e-3, 0.5, 1.0, 5.0, 50.0):
+            assert _ulp_from_exact(optimal_channel(fam, eps, priors)) <= 8.0, (d, eps)
 
 
 def test_mimo_lip_worked_example():
