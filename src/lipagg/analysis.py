@@ -178,8 +178,9 @@ class _ClosedForm:
 def closed_form_total_mse(family: MechanismFamily, population: Population,
                           task: AggregationTask, eps: float) -> float:
     """Aggregate MSE sum_i weights[i]^2 MSE_i of the task's linear form
-    (``core.task_form``) under ``family`` at budget ``eps``; see
-    :meth:`_ClosedForm.totals`."""
+    (``core.task_form``) under ``family`` (or its tag) at budget ``eps``;
+    see :meth:`_ClosedForm.totals`."""
+    family = MechanismFamily.from_tag(family)
     check_family_task(family, task, population.domain)
     closed = _ClosedForm(task_form(task, population), population.priors)
     eps = check_epsilon(eps)
@@ -189,6 +190,7 @@ def closed_form_total_mse(family: MechanismFamily, population: Population,
 def tradeoff_curve(family: MechanismFamily, population: Population,
                    task: AggregationTask, eps_grid) -> TradeoffCurve:
     """Closed-form tradeoff rows (trials = 0) for one family over a budget grid."""
+    family = MechanismFamily.from_tag(family)
     eps_grid = check_distinct("eps_grid", eps_grid, check_epsilon)
     check_family_task(family, task, population.domain)
     closed = _ClosedForm(task_form(task, population), population.priors)

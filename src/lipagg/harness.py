@@ -9,10 +9,10 @@ trial, trial after trial.  Trials are processed in chunks of about
 double, in order, so a stream split into consecutive reads gives the same
 doubles: the chunk size changes no draw, and a test checks this,
 unary-encoding binomials included.  It can move the last digits of a row:
-a histogram over d >= 3 outputs sums a chunk's redrawn weights against mu
-as one (trials, N) @ (N, d) product, in an order that depends on the
-chunk.  A config always gets the same chunk, so its bytes are
-reproducible.  Within a trial the true values are drawn once and shared
+a context-free histogram over d >= 3 outputs sums a chunk's redrawn
+weights against mu as one (trials, N) @ (N, d) product, in an order that
+depends on the chunk.  A config always gets the same chunk, so its bytes
+are reproducible.  Within a trial the true values are drawn once and shared
 by every family under comparison (common random numbers), then each
 family perturbs them on its own stream.
 ``STREAM_LAYOUT`` numbers this layout and is recorded in the curve
@@ -32,20 +32,20 @@ counts the tails below each draw (c) and the keep + tails below it (c'),
 and publishes max(c', min(c, x)), the count over the full boundaries bit
 for bit (both tables are nondecreasing in k).  A run allocates one
 workspace sized for a chunk (draws, comparison mask, counts, true values
-in the count type and as indices, index arrays and gathered table
+in the count type and as indices, index arrays, weights and gathered
 values), and every chunk rewrites it in place, so the chunk loop
 allocates nothing that grows with N or the chunk; a last, shorter chunk
 gets a workspace of its own.
 
 Aggregation (:class:`_Aggregation`): the estimate of a task with local
-function g is offset + sum_i w_i E[g(X_i) | Y_i], and under a
-keep-or-resample channel that posterior mean depends only on the pair
-(user, output).  For a statistic of c <= 2 components each runner folds it,
-weights included, into one (N d, c) table, so a chunk's estimate is one
-gather and one BLAS sum.  A histogram over d >= 3 outputs, whose table
-would hold N d^2 floats, sums the gathered kept weights per (trial, output)
-cell instead, and so does its true statistic: no (trials, N, d) block is
-built.
+function g is offset + sum_i w_i E[g(X_i) | Y_i].  A context-aware channel
+redraws from the user's own prior, so its posterior after any output that
+can occur is (keep, redraw), and it estimates with no table:
+offset + keep sum_i w_i g(y_i) + redraw sum_i w_i mu_i.  A context-free
+runner tabulates its posterior means per (user, output), folded with the
+weights into one (N d, c) table for c <= 2 components (one gather, one
+BLAS sum) or, for a histogram over d >= 3 outputs, as (N, d) kept and
+redrawn weights summed per (trial, output) cell like the sums of g.
 
 Empirical error is measured against the sampled statistic of each trial,
 not its expectation.  Populations ingested from files keep their real
@@ -196,9 +196,10 @@ class _Workspace:
         self.at = np.empty((m, n), np.intp)  # flat (user, output) or (trial, output) offsets
         self.trial_at = d * np.arange(m, dtype=np.intp)[:, None]  # offset of each trial's cells
         if c <= _FOLD_WIDTH:
-            self.gathered = np.empty((m, n, c))  # g[x], then posterior means
+            self.gathered = np.empty((m, n, c))  # g[x] or g[y], or posterior means
         else:
-            self.kept = np.empty((m, n))  # weights, then kept weights
+            self.weights = np.empty((m, n))  # the form's weights, per trial
+            self.kept = np.empty((m, n))  # gathered kept and redrawn weights
             self.redrawn = np.empty((m, n))
         self.sample = (self.u, self.less, self.counts, self.spare)
         self.truth = (self.u, self.less, self.x_count.reshape(-1))
@@ -211,14 +212,14 @@ class _Aggregation(_ClosedForm):
 
     After output a_k from a keep-or-resample channel, user i's posterior
     mean of g is kept_ik g_k + redrawn_ik mu_i, with mu_i = priors[i] @ g
-    (``KeepResample.posterior``).  When g has c <= ``_FOLD_WIDTH`` columns a
+    (``KeepResample.posterior``); where r is the user's prior that pair is
+    (keep, redraw) and the estimate is offset + keep local_sum(y) +
+    redraw ``prior_term``.  Otherwise, for c <= ``_FOLD_WIDTH`` columns of g a
     runner's table is post[i d + k] = w_i (kept_ik g_k + redrawn_ik mu_i),
     (N d, c), and a chunk's estimate is offset + ones @ post[rows + y].
-    Wider g (a histogram over d >= 3 outputs; the folded table would hold
-    N d^2 floats) keeps the weighted kept and redrawn tables, (N, d): the
-    gathered kept weights are summed per (trial, output) cell, which then
-    meets g, and the redrawn weights meet mu.  Its statistic sums the
-    weights per (trial, true value) cell the same way."""
+    Wider g (a histogram over d >= 3 outputs) keeps the weighted kept and
+    redrawn tables, (N, d): the gathered kept weights are summed per
+    (trial, output) cell to meet g, and the redrawn weights meet mu."""
 
     def __init__(self, form: TaskForm, priors: np.ndarray):
         super().__init__(form, priors)
@@ -226,6 +227,14 @@ class _Aggregation(_ClosedForm):
         self.folded = self.g.shape[1] <= _FOLD_WIDTH
         self.rows = np.arange(n) * d  # flat offset of each user's table row
         self.ones = np.ones(n)
+        self.prior_term = form.weights @ self.mu  # sum_i w_i mu_i, (c,)
+
+    def workspace(self, m: int) -> _Workspace:
+        """A workspace for chunks of m trials, its weights filled once."""
+        ws = _Workspace(m, *self.priors.shape, self.g.shape[1])
+        if not self.folded:
+            ws.weights[...] = self.form.weights
+        return ws
 
     def tables(self, kept: np.ndarray, redrawn: np.ndarray) -> tuple:
         """A runner's posterior tables from its (N, d) posterior weights."""
@@ -242,13 +251,12 @@ class _Aggregation(_ClosedForm):
         m, d = at.shape[0], self.g.shape[0]
         return np.bincount(at.ravel(), weights.ravel(), m * d).reshape(m, d) @ self.g
 
-    def statistic(self, ws: _Workspace) -> np.ndarray:
-        """(trials, c): the task's value at the true values in ``ws.x``."""
+    def local_sum(self, values: np.ndarray, ws: _Workspace) -> np.ndarray:
+        """(trials, c): sum_i w_i g(values_i) for (trials, N) value indices."""
         if self.folded:
-            return self.form.total(np.take(self.g, ws.x, axis=0, out=ws.gathered, mode="clip"))
-        np.add(ws.x, ws.trial_at, out=ws.at)
-        np.copyto(ws.kept, self.form.weights)
-        return self.form.offset + self._cells(ws.at, ws.kept)
+            return self.form.weights @ np.take(self.g, values, axis=0, out=ws.gathered, mode="clip")
+        np.add(values, ws.trial_at, out=ws.at)
+        return self._cells(ws.at, ws.weights)
 
     def estimate(self, tables: tuple, ws: _Workspace) -> np.ndarray:
         """(trials, c): the posterior-mean estimate after the outputs in
@@ -270,11 +278,12 @@ class _FamilyRunner:
     tail_k without building them: it keeps ``tail`` and ``kept`` =
     keep + tail as (N, d-1) views of (d-1, N) per-user or (d-1, 1) shared
     tables, and :func:`mechanisms.sample_rows` clamps each true value
-    between the two counts of boundaries below its draw.  It keeps its
-    posterior tables from :meth:`_Aggregation.tables`, indexed by (user,
-    observed output); symmetric-rr keeps none and checks no fixed value's
-    posterior, since it counts ones.  Unary encoding draws only the
-    per-bucket counts of set bits (:func:`mechanisms.oue_counts`)."""
+    between the two counts of boundaries below its draw.  A context-aware
+    family estimates from ``keep`` and ``redraw`` alone; a context-free one
+    keeps posterior tables from :meth:`_Aggregation.tables`, indexed by
+    (user, observed output).  symmetric-rr keeps none and checks no fixed
+    value's output marginal, since it counts ones.  Unary encoding draws
+    only the per-bucket counts of set bits (:func:`mechanisms.oue_counts`)."""
 
     def __init__(self, family: MechanismFamily, eps: float, population: Population,
                  agg: _Aggregation, fixed_idx):
@@ -300,17 +309,19 @@ class _FamilyRunner:
                                 for t in (tail, ch.keep + tail))
         if family is MechanismFamily.SYMMETRIC_RR:
             return  # the count estimator reads no posterior
-        kept, redrawn = ch.posterior(priors)
         if fixed_idx is not None and ch.keep > 0.0:
-            # a kept value whose output marginal is 0 has no posterior
-            lost = np.nonzero((kept + redrawn).take(agg.rows + fixed_idx) == 0.0)[0]
+            # a kept value whose output marginal keep p + redraw r is 0 has no posterior
+            lam = (ch.keep * priors + ch.redraw * ch.resample).take(agg.rows + fixed_idx)
+            lost = np.nonzero(lam == 0.0)[0]
             if lost.size:
                 i = int(lost[0])
                 raise UnreachableOutputError(
                     f"user {population.user_ids[i]}: value "
                     f"{population.domain.values[fixed_idx[i]]} has zero probability "
                     f"under its prior but is published with probability {ch.keep}")
-        self.tables = agg.tables(kept, redrawn)
+        self.keep, self.redraw = ch.keep, ch.redraw
+        # a redraw from the user's own prior leaves no per-user posterior to tabulate
+        self.tables = None if ch.resample is priors else agg.tables(*ch.posterior(priors))
 
     def estimate(self, ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
         """Perturb the chunk of true values in ``ws.x``, (trials, N), and in
@@ -328,7 +339,10 @@ class _FamilyRunner:
         if self.family is MechanismFamily.SYMMETRIC_RR:
             count = context_free_estimate(ws.y, self.eps)
             return n * self.g[0] + (self.g[1] - self.g[0]) * count[:, None]
-        return self.agg.estimate(self.tables, ws)
+        if self.tables is not None:
+            return self.agg.estimate(self.tables, ws)
+        agg = self.agg
+        return agg.form.offset + self.keep * agg.local_sum(ws.y, ws) + self.redraw * agg.prior_term
 
 
 def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
@@ -354,7 +368,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     truth_rng = _rng(config.seed, 1)
 
     chunk = min(trials, max(1, _BLOCK // (n * d)))
-    ws = _Workspace(chunk, n, d, agg.g.shape[1])
+    ws = agg.workspace(chunk)
     if fixed_idx is None:
         # sample_rows' boundaries for the true values, boundary-major and
         # repeated for each trial of a chunk; a shorter chunk reads a prefix
@@ -365,13 +379,13 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     for t0 in range(0, trials, chunk):
         m = min(chunk, trials - t0)
         if m < chunk:  # only the last chunk can be shorter
-            ws = _Workspace(m, n, d, agg.g.shape[1])
+            ws = agg.workspace(m)
         if fixed_idx is None:
             np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
                                         buffers=ws.truth).reshape(m, n))
         else:
             ws.x[...] = ws.x_count[...] = fixed_idx
-        stat = agg.statistic(ws)
+        stat = agg.form.offset + agg.local_sum(ws.x, ws)
         for r, (runner, rng) in enumerate(runners):
             err = runner.estimate(ws, rng) - stat
             sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)

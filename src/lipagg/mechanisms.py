@@ -100,7 +100,8 @@ class KeepResample:
         """Posterior weights (kept, redrawn), each (N, d), for users with the
         given priors: Pr(X = a_m | Y = a_k) = kept[k] [m = k] + redrawn[k] p[m],
         with kept = keep p / lambda, redrawn = redraw r / lambda and lambda
-        the output marginal.  Both are 0 at outputs that cannot occur."""
+        the output marginal.  Both are 0 at outputs that cannot occur; where
+        r is the prior, lambda = p and they are (keep, redraw) to a few ulp."""
         kept, redrawn = self.keep * priors, self.redraw * self.resample
         lam = kept + redrawn
         return tuple(np.divide(w, lam, out=np.zeros(lam.shape), where=lam > 0.0)
@@ -126,7 +127,10 @@ def optimal_channel(family: MechanismFamily, eps: float,
     """The closed-form optimum of ``family`` at budget ``eps`` for users
     with the given (N, d) priors, computed from e^-eps so no finite budget
     overflows.  symmetric-rr shares the binary context-free channel; unary
-    encoding is not keep-or-resample and raises ``ValueError``."""
+    encoding and non-members (tags included) raise ``ValueError``.  The
+    context-aware optima return ``resample=priors`` itself."""
+    if not isinstance(family, MechanismFamily):
+        raise ValueError(f"not a MechanismFamily member: {family!r}")
     if family is MechanismFamily.OUE:
         raise ValueError("unary encoding is not a keep-or-resample channel")
     eps = check_epsilon(eps)

@@ -12,8 +12,10 @@ may move the last digits, see the ``harness`` docstring).
 
 A command runs in an empty working directory, so a relative ``--out`` names
 a file there; a case that writes one records its standard output followed
-by that file.  ``{inputs}`` and ``{fixtures}`` stand for ``tests/golden/inputs``
-and ``tests/fixtures``.
+by that file.  A case may also be a tuple of command lines run in order in
+one working directory, recording only the last: the fixed-value simulation
+reads the population file that its ``ingest`` writes there.  ``{inputs}``
+and ``{fixtures}`` stand for ``tests/golden/inputs`` and ``tests/fixtures``.
 """
 
 import contextlib
@@ -37,7 +39,11 @@ _DERIVE = {
     "oue": "--eps 2",
 }
 
-# (file name under out/, command line)
+_INGEST_CHECKINS = ("ingest --input {fixtures}/checkins.csv --mode grid --lat-col lat"
+                    " --lon-col lon --grid-rows 2 --grid-cols 2 --bbox 30,31,-98,-97"
+                    " --prior-source per-user-history --user-col user --out population.json")
+
+# (file name under out/, command line or tuple of them)
 CASES = [
     (f"derive-{family}.{fmt}", f"mechanism derive --family {family} {flags} --format {fmt}")
     for family, flags in _DERIVE.items() for fmt in ("csv", "json")
@@ -56,34 +62,39 @@ CASES = [
     ("cip-n20.json", "cip --n 20 --p1 0.3 --eps 1 --format json"),
     ("cip-n50.csv", "cip --n 50 --p1 0.1 --eps 0.1"),
     ("cip-n50.json", "cip --n 50 --p1 0.1 --eps 0.1 --format json"),
-    ("ingest-checkins-grid.txt",
-     "ingest --input {fixtures}/checkins.csv --mode grid --lat-col lat --lon-col lon"
-     " --grid-rows 2 --grid-cols 2 --bbox 30,31,-98,-97 --prior-source per-user-history"
-     " --user-col user --out population.json"),
+    ("ingest-checkins-grid.txt", _INGEST_CHECKINS),
 ] + [
     (f"simulate-{config}.{fmt}",
      f"simulate --config {{inputs}}/simulate-{config}.json --format {fmt}")
     for config in ("survey", "histogram") for fmt in ("csv", "json")
+] + [
+    (f"simulate-{config}.json", f"simulate --config {{inputs}}/simulate-{config}.json --format json")
+    for config in ("summation-values", "weighted-sum-values", "survey-global")
+] + [
+    ("simulate-checkins-fixed.json",
+     (_INGEST_CHECKINS, "simulate --config {inputs}/simulate-checkins-fixed.json --format json")),
 ]
 
 
-def replay(command: str) -> str:
-    """What ``command`` writes, run through ``cli.main`` in a fresh working
-    directory; raises if it does not exit 0."""
+def replay(command) -> str:
+    """What ``command`` (or the last of a tuple of them) writes, run through
+    ``cli.main`` in a fresh working directory; raises if one does not exit 0."""
     from lipagg import cli
 
-    argv = [arg.format(**PATHS) for arg in shlex.split(command)]
-    stdout, cwd = io.StringIO(), os.getcwd()
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main(argv)
-            if code != 0:
-                raise RuntimeError(f"`lipagg {command}` exited {code}")
-            written = ""
-            if "--out" in argv:
-                written = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+            for line in (command,) if isinstance(command, str) else command:
+                argv = [arg.format(**PATHS) for arg in shlex.split(line)]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise RuntimeError(f"`lipagg {line}` exited {code}")
+                written = ""
+                if "--out" in argv:
+                    written = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
         finally:
             os.chdir(cwd)
     return stdout.getvalue() + written

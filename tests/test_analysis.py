@@ -14,6 +14,7 @@ from lipagg import (
     Summation,
     Survey,
     WeightedSum,
+    generate_population,
     mse_binary_ldp_opt,
     mse_binary_lip_opt,
     mse_histogram,
@@ -27,7 +28,7 @@ from lipagg import (
 )
 from lipagg.analysis import closed_form_total_mse
 from lipagg.errors import ZeroEpsilonError
-from lipagg.mechanisms import MechanismFamily
+from lipagg.mechanisms import MechanismFamily, optimal_channel
 
 from conftest import (enum_histogram_mse, enum_mae, enum_optimum, enum_value_mse,
                       random_channel, random_prior)
@@ -271,3 +272,26 @@ def test_closed_form_total_matches_dense_reference(case):
             want += task.coefficients[i] ** 2 * posterior_mean_mse(ch, prior.p, dom.values)
     got = closed_form_total_mse(family, pop, task, eps)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", list(MechanismFamily))
+def test_closed_forms_read_a_family_tag_as_its_member(family):
+    """A tag string gives its member's closed-form total and curve bit for
+    bit, and a string that is no tag raises ``ValueError`` rather than
+    falling through to the context-free optimum."""
+    binary = family in (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
+                        MechanismFamily.SYMMETRIC_RR)
+    pop = generate_population(50, "local-uniform", seed=4,
+                              domain=None if binary else Domain.of_size(4))
+    task = Survey(1.0) if family is MechanismFamily.SYMMETRIC_RR or (
+        binary and family is not MechanismFamily.OPT_BINARY_LDP) else Histogram()
+    assert (closed_form_total_mse(family.value, pop, task, 1.0)
+            == closed_form_total_mse(family, pop, task, 1.0))
+    assert (tradeoff_curve(family.value, pop, task, (0.5, 2.0)).rows
+            == tradeoff_curve(family, pop, task, (0.5, 2.0)).rows)
+    for call in (lambda: closed_form_total_mse("bogus", pop, task, 1.0),
+                 lambda: tradeoff_curve("bogus", pop, task, (1.0,))):
+        with pytest.raises(ValueError, match="unknown mechanism family"):
+            call()
+    with pytest.raises(ValueError, match="not a MechanismFamily member"):
+        optimal_channel(family.value, 1.0, pop.priors)

@@ -852,15 +852,51 @@ def test_two_column_tables_and_summation_match_a_per_trial_reference_loop(monkey
         (ternary, Summation(), ("opt-mimo-lip", "opt-mimo-ldp"))))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_context_aware_estimate_equals_the_posterior_table_estimate(d):
+    """A context-aware runner's estimate offset + keep sum_i w_i g(y_i) +
+    redraw sum_i w_i mu_i equals the estimate read from the posterior tables
+    of ``KeepResample.posterior`` after the same outputs, to 1e-12 of the
+    form's scale, for every task and for sampled and fixed true values
+    (priors with zero entries; fixed values on each user's support)."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    n, m = 12, 6
+    gen = np.random.default_rng(31 + d)
+    priors = gen.dirichlet(np.ones(d), size=n)
+    priors[gen.random((n, d)) < 0.3] = 0.0
+    priors[np.arange(n), gen.integers(0, d, n)] += 0.2
+    pop = Population(Domain(np.linspace(-1.0, 2.5, d)), priors / priors.sum(1, keepdims=True))
+    sampled = (np.cumsum(pop.priors, axis=1)[None, :, :-1]
+               < gen.random((m, n, 1))).sum(axis=-1)
+    fixed = np.tile(pop.priors.argmax(axis=1), (m, 1))
+    for task in (Survey(pop.domain.values[1]), Summation(), Histogram(),
+                 WeightedSum(gen.normal(size=n), gen.normal(size=n))):
+        agg = harness._Aggregation(task_form(task, pop), pop.priors)
+        ws = agg.workspace(m)
+        scale = abs(agg.form.offset) + np.abs(agg.form.weights).sum() * np.abs(agg.g).max()
+        for x in (sampled, fixed):
+            ws.x[...] = ws.x_count[...] = x
+            for eps in (0.0, 0.5, 2.0, 40.0):
+                runner = harness._FamilyRunner(MechanismFamily.OPT_MIMO_LIP, eps, pop, agg,
+                                               x[0] if x is fixed else None)
+                got = runner.estimate(ws, np.random.Generator(np.random.Philox(7)))
+                ch = optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors)
+                want = agg.estimate(agg.tables(*ch.posterior(pop.priors)), ws)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (task, eps)
+
+
 @pytest.mark.parametrize("d, task", [(2, Survey(1.0)), (2, Histogram()), (5, Histogram())])
 def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
-    """A statistic of c <= 2 components leaves a keep-or-resample runner one
-    (N d, c) posterior-mean table and no other posterior table; a histogram
-    over d >= 3 outputs keeps (N, d) kept and redrawn tables, and neither
-    its runners nor any workspace piece hold m N d or N d d values.  No
-    float workspace piece holds more than one value per user-trial and
-    statistic component: the sampler reads the runner's two (N, d-1)
-    boundary tables, not a (d-1, m, N) block."""
+    """A context-aware runner, which redraws from each user's own prior,
+    holds no posterior table at all.  For a context-free one a statistic of
+    c <= 2 components leaves one (N d, c) posterior-mean table and no other
+    posterior table; a histogram over d >= 3 outputs keeps (N, d) kept and
+    redrawn tables, and neither its runners nor any workspace piece hold
+    m N d or N d d values.  No float workspace piece holds more than one
+    value per user-trial and statistic component: the sampler reads the
+    runner's two (N, d-1) boundary tables, not a (d-1, m, N) block."""
     from lipagg import harness
     from lipagg.core import task_form
 
@@ -878,6 +914,9 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
         own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
         assert own == {"g", "tail", "kept"}
         assert runner.tail.shape == runner.kept.shape == (n, d - 1)
+        if fam is MechanismFamily.OPT_MIMO_LIP:
+            assert runner.tables is None
+            continue
         tables = [t.shape for t in runner.tables]
         assert tables == ([(n * d, c)] if c <= 2 else [(n, d), (n, d)])
         sizes += [t.size for t in runner.tables]

@@ -119,6 +119,29 @@ def test_keep_resample_matrix_is_within_8_ulp_of_exact(family):
             assert _ulp_from_exact(optimal_channel(fam, eps, priors)) <= 8.0, (d, eps)
 
 
+def test_context_aware_posterior_is_keep_and_redraw_at_every_reachable_output():
+    """When r is the user's own prior the output marginal is the prior, so
+    the posterior weights are (keep, redraw) within 4 ulp at every output
+    with p > 0, and (0, 0) where p = 0: the identity the harness's
+    table-free estimate rests on."""
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 5, 20):
+        priors = rng.dirichlet(np.full(d, 0.5), size=40)
+        priors[rng.random(priors.shape) < 0.25] = 0.0
+        priors[np.arange(40), rng.integers(0, d, 40)] += 0.1
+        priors /= priors.sum(axis=1, keepdims=True)
+        for fam in (MechanismFamily.OPT_MIMO_LIP,) + (
+                (MechanismFamily.OPT_BINARY_LIP,) if d == 2 else ()):
+            for eps in (0.0, 1e-6, 1.0, 5.0, 50.0):
+                ch = optimal_channel(fam, eps, priors)
+                assert ch.resample is priors
+                kept, redrawn = ch.posterior(priors)
+                on = priors > 0.0
+                for got, want in ((kept, ch.keep), (redrawn, ch.redraw)):
+                    assert np.all(np.abs(got[on] - want) <= 4 * np.spacing(want)), (d, eps)
+                    assert np.all(got[~on] == 0.0)
+
+
 def test_mimo_lip_worked_example():
     # d = 3, priors (0.1, 0.2, 0.7)
     for eps in (1.0, 2.0):
