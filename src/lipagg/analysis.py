@@ -24,8 +24,7 @@ from .core import (
     posterior_ratio,
     task_form,
 )
-from .errors import ZeroEpsilonError
-from .mechanisms import MechanismFamily, check_family_task, optimal_channel
+from .mechanisms import ONLY_TASK, MechanismFamily, check_family_task, optimal_channel
 
 
 def posterior_mean_mse(q: Channel, p: np.ndarray, g) -> float:
@@ -43,6 +42,7 @@ def posterior_mean_mse(q: Channel, p: np.ndarray, g) -> float:
 def mse_binary_lip_opt(p1: float, eps: float) -> float:
     """Per-user MSE achieved by the binary context-aware optimum:
     p1 (1-p1) (2 e^-eps - e^-2eps)."""
+    p1 = float(Prior.binary(p1).p[1])
     eps = check_epsilon(eps)
     u = math.exp(-eps)
     return p1 * (1.0 - p1) * (2.0 * u - u * u)
@@ -56,6 +56,7 @@ def mse_binary_ldp_opt(p1: float, eps: float) -> float:
     Always at least :func:`mse_binary_lip_opt` at the same (p1, eps), with
     equality only at eps = 0.
     """
+    p1 = float(Prior.binary(p1).p[1])
     u = math.exp(-check_epsilon(eps))
     var = p1 * (1.0 - p1)
     if var == 0.0:
@@ -133,8 +134,8 @@ class _ClosedForm:
         self.mu = priors @ self.g
 
     def totals(self, families, eps_grid) -> dict:
-        """{(family, eps): aggregate MSE sum_i weights[i]^2 MSE_i} for
-        checked families and budgets, vectorized over the (N, d) priors.
+        """{(family, eps): aggregate MSE sum_i weights[i]^2 MSE_i}, vectorized
+        over the (N, d) priors, for pairs that ``check_family_task`` accepts.
 
         Under a keep-or-resample channel (keep a, redraw w) the posterior
         mean of g after output k is kept_k g_k + redrawn_k mu
@@ -152,9 +153,7 @@ class _ClosedForm:
         totals = {}
         for family in families:
             for eps in eps_grid:
-                if family in (MechanismFamily.SYMMETRIC_RR, MechanismFamily.OUE):
-                    if eps == 0.0:
-                        raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
+                if family in ONLY_TASK:  # the prior-unaware estimators
                     # flip f = 1/(e^eps + 1): f(1-f)/(1-2f)^2 = e^-eps/(1-e^-eps)^2
                     # per user; unary encoding pays 4x that on each of its d - 1
                     # cold bits and (1/4)/(1/2-f)^2 = 4x that + 1 on its hot bit
@@ -180,19 +179,17 @@ def closed_form_total_mse(family: MechanismFamily, population: Population,
     """Aggregate MSE sum_i weights[i]^2 MSE_i of the task's linear form
     (``core.task_form``) under ``family`` (or its tag) at budget ``eps``;
     see :meth:`_ClosedForm.totals`."""
-    family = MechanismFamily.from_tag(family)
-    check_family_task(family, task, population.domain)
-    closed = _ClosedForm(task_form(task, population), population.priors)
     eps = check_epsilon(eps)
+    family = check_family_task(family, task, population.domain, (eps,))
+    closed = _ClosedForm(task_form(task, population), population.priors)
     return closed.totals((family,), (eps,))[family, eps]
 
 
 def tradeoff_curve(family: MechanismFamily, population: Population,
                    task: AggregationTask, eps_grid) -> TradeoffCurve:
     """Closed-form tradeoff rows (trials = 0) for one family over a budget grid."""
-    family = MechanismFamily.from_tag(family)
     eps_grid = check_distinct("eps_grid", eps_grid, check_epsilon)
-    check_family_task(family, task, population.domain)
+    family = check_family_task(family, task, population.domain, eps_grid)
     closed = _ClosedForm(task_form(task, population), population.priors)
     curve = TradeoffCurve(rows=closed.curve_rows((family,), eps_grid), metadata={
         "population": f"N={population.n_users},d={population.domain.size}",

@@ -136,7 +136,7 @@ def _family(args):
 
     def channel(source) -> Channel:
         if reads == "prior":
-            check_family_task(family, None, Domain.of_size(source.size))
+            check_family_task(family, None, Domain.of_size(source.size), ())
         return build(args.eps, source)
     return reads, channel
 

@@ -18,6 +18,7 @@ from .core import (
     Channel,
     Population,
     Prior,
+    check_epsilon,
     flip_probability,
     posterior_ratio,
     task_form,
@@ -105,7 +106,7 @@ def context_free_estimate(observations, eps: float) -> float | np.ndarray:
     observations (the harness's output indices) are checked and counted as
     integers, without a float copy: the count equals the float sum exactly.
     """
-    if eps <= 0.0:
+    if check_epsilon(eps) == 0.0:
         raise ZeroEpsilonError("denominator 1 - 2p vanishes at eps = 0")
     obs = np.asarray(observations)
     if obs.dtype.kind in "biu":
@@ -127,7 +128,7 @@ def oue_count_estimate(counts, n: int, eps: float) -> np.ndarray:
 
     bucket k -> (#reports with bit k set - n/(e^eps+1)) / (1/2 - 1/(e^eps+1))
     """
-    if eps <= 0.0:
+    if check_epsilon(eps) == 0.0:
         raise ZeroEpsilonError("unary-encoding estimator needs eps > 0")
     flip = flip_probability(eps)
     return (np.asarray(counts, dtype=float) - n * flip) / (0.5 - flip)

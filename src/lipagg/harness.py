@@ -84,6 +84,7 @@ from .errors import (
 )
 from .estimators import context_free_estimate, oue_count_estimate
 from .mechanisms import (
+    ONLY_TASK,
     MechanismFamily,
     check_family_task,
     optimal_channel,
@@ -144,10 +145,11 @@ class ExperimentConfig:
     Families and budgets must be nonempty and distinct; trials and seed
     must be integers (bools are rejected), so a config never runs a
     truncated or empty experiment without saying so.  Every family must
-    answer the task on the population's domain, and fixed values must lie
-    in that domain, so a config that constructs is a run that starts.
-    Families are stored as ``MechanismFamily`` members and budgets as
-    floats."""
+    answer the task on the population's domain at every budget, and fixed
+    values must lie in that domain with a nonzero output marginal under
+    every posterior-mean family, so a config that constructs is a run that
+    starts.  Families are stored as ``MechanismFamily`` members and budgets
+    as floats."""
 
     task: AggregationTask
     families: tuple
@@ -160,17 +162,30 @@ class ExperimentConfig:
     def __post_init__(self):
         check_whole("trials", self.trials, 1)
         check_whole("seed", self.seed, 0)
-        for name, convert in (("families", MechanismFamily.from_tag), ("eps_grid", check_epsilon)):
-            object.__setattr__(self, name, check_distinct(name, getattr(self, name), convert))
-        task_form(self.task, self.population)
-        n, domain = self.population.n_users, self.population.domain
+        pop = self.population
+        grid = check_distinct("eps_grid", self.eps_grid, check_epsilon)
+        object.__setattr__(self, "eps_grid", grid)
+        object.__setattr__(self, "families", check_distinct("families", self.families, (
+            lambda tag: check_family_task(tag, self.task, pop.domain, grid))))
+        task_form(self.task, pop)
         fixed = self.fixed_values
-        if fixed is not None and np.shape(fixed) != (n,):
-            raise DimensionMismatchError(f"{np.size(fixed)} fixed values for {n} users")
-        if fixed is not None and np.any(domain.indices_of(fixed) < 0):
+        if fixed is None:
+            return
+        if np.shape(fixed) != (pop.n_users,):
+            raise DimensionMismatchError(f"{np.size(fixed)} fixed values for {pop.n_users} users")
+        x = pop.domain.indices_of(fixed)
+        if np.any(x < 0):
             raise ValueError("fixed values must lie in the population domain")
-        for fam in self.families:
-            check_family_task(fam, self.task, domain)
+        # a kept value whose output marginal keep p + redraw r is 0 has no posterior
+        for ch in (optimal_channel(fam, eps, pop.priors) for fam in self.families
+                   if fam not in ONLY_TASK for eps in grid):
+            lam = (ch.keep * pop.priors + ch.redraw * ch.resample)[np.arange(pop.n_users), x]
+            lost = np.flatnonzero(lam == 0.0)
+            if ch.keep > 0.0 and lost.size:
+                i = int(lost[0])
+                raise UnreachableOutputError(
+                    f"user {pop.user_ids[i]}: value {pop.domain.values[x[i]]} has zero "
+                    f"probability under its prior but is published with probability {ch.keep}")
 
 
 class _Workspace:
@@ -281,17 +296,15 @@ class _FamilyRunner:
     between the two counts of boundaries below its draw.  A context-aware
     family estimates from ``keep`` and ``redraw`` alone; a context-free one
     keeps posterior tables from :meth:`_Aggregation.tables`, indexed by
-    (user, observed output).  symmetric-rr keeps none and checks no fixed
-    value's output marginal, since it counts ones.  Unary encoding draws
-    only the per-bucket counts of set bits (:func:`mechanisms.oue_counts`)."""
+    (user, observed output).  symmetric-rr keeps none, since it counts
+    ones.  Unary encoding draws only the per-bucket counts of set bits
+    (:func:`mechanisms.oue_counts`)."""
 
-    def __init__(self, family: MechanismFamily, eps: float, population: Population,
-                 agg: _Aggregation, fixed_idx):
+    def __init__(self, family: MechanismFamily, eps: float, priors: np.ndarray,
+                 agg: _Aggregation):
         self.family = family
         self.eps = eps
         self.agg = agg
-        self.g = agg.g
-        priors = population.priors
         d = priors.shape[1]
         if family is MechanismFamily.OUE:
             self.oue = oue_channel(d, eps)
@@ -309,16 +322,6 @@ class _FamilyRunner:
                                 for t in (tail, ch.keep + tail))
         if family is MechanismFamily.SYMMETRIC_RR:
             return  # the count estimator reads no posterior
-        if fixed_idx is not None and ch.keep > 0.0:
-            # a kept value whose output marginal keep p + redraw r is 0 has no posterior
-            lam = (ch.keep * priors + ch.redraw * ch.resample).take(agg.rows + fixed_idx)
-            lost = np.nonzero(lam == 0.0)[0]
-            if lost.size:
-                i = int(lost[0])
-                raise UnreachableOutputError(
-                    f"user {population.user_ids[i]}: value "
-                    f"{population.domain.values[fixed_idx[i]]} has zero probability "
-                    f"under its prior but is published with probability {ch.keep}")
         self.keep, self.redraw = ch.keep, ch.redraw
         # a redraw from the user's own prior leaves no per-user posterior to tabulate
         self.tables = None if ch.resample is priors else agg.tables(*ch.posterior(priors))
@@ -329,19 +332,18 @@ class _FamilyRunner:
         in trial-major order, and return the (trials, components)
         estimates."""
         m, n = ws.x.shape
-        d = self.g.shape[0]
+        agg, g = self.agg, self.agg.g
         if self.family is MechanismFamily.OUE:
             np.add(ws.x, ws.trial_at, out=ws.at)
-            hot = np.bincount(ws.at.ravel(), minlength=m * d).reshape(m, d)
+            hot = np.bincount(ws.at.ravel(), minlength=m * len(g)).reshape(m, -1)
             return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
         np.copyto(ws.y, sample_rows(self.tail, rng, kept=self.kept, x=ws.x_count,
                                     buffers=ws.sample).reshape(m, n))
         if self.family is MechanismFamily.SYMMETRIC_RR:
             count = context_free_estimate(ws.y, self.eps)
-            return n * self.g[0] + (self.g[1] - self.g[0]) * count[:, None]
+            return n * g[0] + (g[1] - g[0]) * count[:, None]
         if self.tables is not None:
-            return self.agg.estimate(self.tables, ws)
-        agg = self.agg
+            return agg.estimate(self.tables, ws)
         return agg.form.offset + self.keep * agg.local_sum(ws.y, ws) + self.redraw * agg.prior_term
 
 
@@ -362,7 +364,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     fixed_idx = None if config.fixed_values is None else domain.indices_of(config.fixed_values)
     agg = _Aggregation(task_form(task, pop), pop.priors)
     rows = [] if fixed_idx is not None else agg.curve_rows(config.families, config.eps_grid)
-    runners = [(_FamilyRunner(fam, eps, pop, agg, fixed_idx), _rng(config.seed, 2, fi, ei))
+    runners = [(_FamilyRunner(fam, eps, pop.priors, agg), _rng(config.seed, 2, fi, ei))
                for fi, fam in enumerate(config.families)
                for ei, eps in enumerate(config.eps_grid)]
     truth_rng = _rng(config.seed, 1)

@@ -71,15 +71,21 @@ _BINARY_FAMILIES = (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_L
                     MechanismFamily.SYMMETRIC_RR)
 
 
-def check_family_task(family: MechanismFamily, task, domain: Domain) -> None:
-    """Raise ``ValueError`` unless ``family`` answers ``task`` on ``domain``;
-    a ``task`` of None checks the domain alone."""
+def check_family_task(family, task, domain: Domain, eps_grid) -> MechanismFamily:
+    """The member ``family`` (or its tag) names, if it answers ``task`` on
+    ``domain`` at every budget of ``eps_grid``; ``ValueError`` otherwise, and
+    ``ZeroEpsilonError`` at eps = 0 for a prior-unaware family, whose
+    estimator divides by 1 - 2f = 0.  A ``task`` of None checks the domain alone."""
+    family = MechanismFamily.from_tag(family)
     only = ONLY_TASK.get(family)
     if only is not None and task is not None and not isinstance(task, only):
         raise ValueError(f"{family.value} does not answer "
                          f"{type(task).__name__.lower()} tasks")
     if family in _BINARY_FAMILIES and not np.array_equal(domain.values, [0.0, 1.0]):
         raise ValueError("binary mechanism families need the {0, 1} domain")
+    if only is not None and 0.0 in eps_grid:
+        raise ZeroEpsilonError("prior-unaware estimator undefined at eps = 0")
+    return family
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +185,11 @@ def closed_form_lip_level(p_min: float, eps: float) -> float:
     smallest prior entry is ``p_min``: max(eps, ln((e^eps-1+p_min)/(e^eps p_min))),
     evaluated as max(eps, ln((1-u)/p_min + u)) with u = e^-eps, or as
     ln(1 - u + u p_min) - ln(p_min) where (1-u)/p_min overflows (p_min
-    below about 1/DBL_MAX)."""
+    below about 1/DBL_MAX).  A ``p_min`` outside [0, 1] (or NaN) raises
+    ``ValueError``."""
     eps = check_epsilon(eps)
+    if not 0.0 <= p_min <= 1.0:
+        raise ValueError(f"p_min must lie in [0, 1], got {p_min}")
     if p_min <= 0.0:
         return eps
     u = math.exp(-eps)

@@ -142,6 +142,15 @@ def test_mae_values():
     assert enum_mae(half, [0.7, 0.3], [0.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("p1", [2.0, -0.5, math.nan])
+@pytest.mark.parametrize("mse", [mse_binary_lip_opt, mse_binary_ldp_opt])
+def test_binary_closed_forms_reject_a_probability_outside_the_unit_interval(mse, p1):
+    """p1 is read as a binary prior, as ``opt_binary_lip`` reads it; an MSE
+    of -1.2 at p1 = 2 was once returned."""
+    with pytest.raises(ValueError, match="prior entries must lie in"):
+        mse(p1, 1.0)
+
+
 def test_equal_mse_at_zero_budget_and_mimo_reduction():
     for p1 in (0.1, 0.5, 0.8):
         assert mse_binary_lip_opt(p1, 0.0) == pytest.approx(mse_binary_ldp_opt(p1, 0.0), abs=1e-12)

@@ -256,6 +256,19 @@ def test_stacked_trials_estimate_row_by_row():
         oue_count_estimate(np.zeros(4), 40, 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda eps: context_free_estimate(np.array([0, 1, 1]), eps),
+    lambda eps: oue_count_estimate(np.array([3, 4]), 5, eps),
+], ids=["count", "unary"])
+def test_prior_unaware_estimators_reject_a_budget_that_is_not_finite_and_nonnegative(call, eps):
+    """Read through ``check_epsilon``: a NaN budget once gave NaN estimates
+    and an infinite one plain counts."""
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative") as info:
+        call(eps)
+    assert type(info.value) is ValueError
+
+
 _TWO_USERS = Population(Domain.binary(), [[0.5, 0.5], [0.3, 0.7]])
 
 

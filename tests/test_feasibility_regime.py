@@ -56,6 +56,13 @@ def test_exceeded_level_matches_prediction(p_min, eps):
     assert got > eps
 
 
+@pytest.mark.parametrize("p_min", [math.nan, -0.1, 1.5])
+def test_predicted_level_rejects_a_probability_outside_the_unit_interval(p_min):
+    # a NaN p_min once read as level eps
+    with pytest.raises(ValueError, match=r"p_min must lie in \[0, 1\]"):
+        closed_form_lip_level(p_min, 1.0)
+
+
 def test_mimo_level_for_skewed_prior():
     # smallest prior entry 0.1 with eps = 1 overshoots to ln((e-0.9)/(0.1e))
     p = Prior([0.1, 0.2, 0.7])

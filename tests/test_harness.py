@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -41,6 +42,7 @@ from lipagg import (
 from lipagg.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    InfeasibleError,
     MissingColumnError,
     ParseError,
     UnreachableOutputError,
@@ -400,10 +402,9 @@ def test_fixed_value_outside_prior_support_is_unreachable():
     # the kept output 1 has zero marginal under prior [1, 0]: no posterior
     # exists for it, as estimators.estimate reports for the same observation
     pop = Population(Domain.binary(), np.tile([1.0, 0.0], (10, 1)))
-    cfg = ExperimentConfig(task=Survey(1.0), families=("opt-mimo-lip",), eps_grid=(2.0,),
-                           trials=5, seed=0, population=pop, fixed_values=np.ones(10))
     with pytest.raises(UnreachableOutputError):
-        run_experiment(cfg)
+        ExperimentConfig(task=Survey(1.0), families=("opt-mimo-lip",), eps_grid=(2.0,),
+                         trials=5, seed=0, population=pop, fixed_values=np.ones(10))
     # the context-free channel emits every output, so the same data runs
     ldp = ExperimentConfig(task=Survey(1.0), families=("opt-mimo-ldp",), eps_grid=(2.0,),
                            trials=5, seed=0, population=pop, fixed_values=np.ones(10))
@@ -423,6 +424,62 @@ def test_symmetric_rr_runs_a_fixed_value_outside_prior_support_at_any_budget():
 
     assert run(5.0) == "epsilon,family,metric,trials\n5.0,symmetric-rr,0.02145180036449793,20\n"
     assert run(800.0) == "epsilon,family,metric,trials\n800.0,symmetric-rr,0.0,20\n"
+
+
+# Priors with zero entries, one or four users, on 2 and 3 values
+_SWEEP_PRIORS = {
+    (2, 1): [[1.0, 0.0]],
+    (2, 4): [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]],
+    (3, 1): [[0.0, 0.4, 0.6]],
+    (3, 4): [[1.0, 0.0, 0.0], [0.0, 0.4, 0.6], [0.2, 0.3, 0.5], [0.5, 0.0, 0.5]],
+}
+
+
+def _breaks_a_run_rule(fam: MechanismFamily, eps: float, task, d: int, zero_prior: bool) -> bool:
+    """The run rules, restated: the binary families need d = 2, symmetric-rr
+    answers surveys and unary encoding histograms, neither at eps = 0, and
+    a posterior-mean family cannot keep a fixed value of zero prior (it keeps
+    with probability 1 - e^-eps > 0 at eps > 0) unless it may also redraw it:
+    the context-aware redraw follows the prior, and the context-free redraw
+    mass underflows at eps = 800."""
+    only = {MechanismFamily.SYMMETRIC_RR: Survey, MechanismFamily.OUE: Histogram}.get(fam)
+    if fam.value in ("opt-binary-lip", "opt-binary-ldp", "symmetric-rr") and d != 2:
+        return True
+    if only is not None:
+        return not isinstance(task, only) or eps == 0.0
+    return zero_prior and (eps == 800.0 or (fam.value.endswith("-lip") and eps > 0.0))
+
+
+@pytest.mark.parametrize("d, n", list(_SWEEP_PRIORS))
+def test_every_small_config_is_rejected_by_a_run_rule_or_runs_to_finite_rows(d, n):
+    """Over every task, family and budget in {0, 0.5, 800}, with sampled
+    values and with values fixed on or off each user's support, 2 trials:
+    every config ``ExperimentConfig`` accepts runs to finite rows, and it
+    rejects, with ``ValueError`` or ``InfeasibleError``, exactly the configs
+    that break a run rule."""
+    priors = np.array(_SWEEP_PRIORS[d, n])
+    pop = Population(Domain.of_size(d), priors)
+    on = priors.argmax(axis=1)
+    tasks = (Survey(float(d - 1)), Summation(), Histogram(),
+             WeightedSum(np.linspace(-1.0, 2.0, n), np.full(n, 0.25)))
+    accepted = 0
+    for task, x, fam, eps in itertools.product(tasks, (None, on, (on + 1) % d),
+                                               MechanismFamily, (0.0, 0.5, 800.0)):
+        zero_prior = x is not None and np.any(priors[np.arange(n), x] == 0.0)
+        broken = _breaks_a_run_rule(fam, eps, task, d, zero_prior)
+        try:
+            cfg = ExperimentConfig(task=task, families=(fam.value,), eps_grid=(eps,), trials=2,
+                                   seed=1, population=pop,
+                                   fixed_values=None if x is None else pop.domain.values[x])
+        except (ValueError, InfeasibleError):
+            assert broken, (task, x, fam, eps)
+            continue
+        assert not broken, (task, x, fam, eps)
+        rows = run_experiment(cfg).rows
+        assert len(rows) == (1 if x is not None else 2)
+        assert all(math.isfinite(r.metric) and math.isfinite(r.mse_stderr) for r in rows)
+        accepted += 1
+    assert accepted > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0])
@@ -494,7 +551,7 @@ def _compatible_runs():
             ok = []
             for fam in MechanismFamily:
                 try:
-                    check_family_task(fam, task, pop.domain)
+                    check_family_task(fam, task, pop.domain, ())
                 except ValueError:
                     continue
                 ok.append(fam.value)
@@ -544,7 +601,7 @@ def test_the_three_closed_form_paths_agree_bit_for_bit(mode, d):
         families = []
         for fam in MechanismFamily:
             try:
-                check_family_task(fam, task, domain)
+                check_family_task(fam, task, domain, ())
             except ValueError:
                 continue
             families.append(fam)
@@ -762,11 +819,12 @@ def test_symmetric_rr_estimate_equals_the_context_free_estimator():
     ws.x[...] = ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(
         0, 2, size=(trials, n))
     for eps in (0.1, 1.0, 5.0):
-        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop,
-                                       harness._Aggregation(form, pop.priors), None)
+        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop.priors,
+                                       harness._Aggregation(form, pop.priors))
         est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)))
         count = context_free_estimate(ws.y.astype(float), eps)
-        assert np.array_equal(est, n * runner.g[0] + (runner.g[1] - runner.g[0]) * count[:, None])
+        g = runner.agg.g
+        assert np.array_equal(est, n * g[0] + (g[1] - g[0]) * count[:, None])
 
 
 def test_symmetric_rr_chunks_allocate_nothing_per_chunk(monkeypatch):
@@ -879,8 +937,7 @@ def test_context_aware_estimate_equals_the_posterior_table_estimate(d):
         for x in (sampled, fixed):
             ws.x[...] = ws.x_count[...] = x
             for eps in (0.0, 0.5, 2.0, 40.0):
-                runner = harness._FamilyRunner(MechanismFamily.OPT_MIMO_LIP, eps, pop, agg,
-                                               x[0] if x is fixed else None)
+                runner = harness._FamilyRunner(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors, agg)
                 got = runner.estimate(ws, np.random.Generator(np.random.Philox(7)))
                 ch = optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors)
                 want = agg.estimate(agg.tables(*ch.posterior(pop.priors)), ws)
@@ -910,9 +967,9 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
               if isinstance(v, np.ndarray) and v.dtype == np.float64]
     assert max(floats) == m * n * (c if c <= 2 else 1)
     for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
-        runner = harness._FamilyRunner(fam, 1.0, pop, agg, None)
+        runner = harness._FamilyRunner(fam, 1.0, pop.priors, agg)
         own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
-        assert own == {"g", "tail", "kept"}
+        assert own == {"tail", "kept"}
         assert runner.tail.shape == runner.kept.shape == (n, d - 1)
         if fam is MechanismFamily.OPT_MIMO_LIP:
             assert runner.tables is None

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from lipagg import (
     Channel,
     Domain,
+    Histogram,
     Prior,
+    Survey,
     budget_feasible_prior_floor,
     closed_form_lip_level,
     mse_binary_ldp_opt,
@@ -26,7 +28,7 @@ from lipagg import (
     validate_channel,
 )
 from lipagg.errors import ValueNotInDomainError, ZeroEpsilonError
-from lipagg.mechanisms import MechanismFamily, optimal_channel, sample_rows
+from lipagg.mechanisms import MechanismFamily, check_family_task, optimal_channel, sample_rows
 
 from conftest import enum_mae, enum_optimum, oue_perturb, perturb_indices, random_prior
 
@@ -267,6 +269,25 @@ def test_oue_parameters():
     assert ch.flip_up_prob == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ZeroEpsilonError):
         oue_channel(20, 0.0)
+
+
+def test_check_family_task_reads_the_tag_and_returns_the_member():
+    """Tags are read through ``MechanismFamily.from_tag``, so "oue" is held
+    to histograms like its member; a prior-unaware family at eps = 0 raises
+    ``ZeroEpsilonError``, and a ``task`` of None checks the domain alone."""
+    ternary = Domain.of_size(3)
+    assert check_family_task("oue", Histogram(), ternary, (1.0,)) is MechanismFamily.OUE
+    assert check_family_task(MechanismFamily.OPT_MIMO_LIP, None, ternary,
+                             (0.0,)) is MechanismFamily.OPT_MIMO_LIP
+    for tag, match in (("oue", "oue does not answer survey tasks"),
+                       ("opt-binary-lip", "binary mechanism families need"),
+                       ("bogus", "unknown mechanism family")):
+        with pytest.raises(ValueError, match=match) as info:
+            check_family_task(tag, Survey(1.0), ternary, ())
+        assert type(info.value) is ValueError
+    for tag, task in (("symmetric-rr", Survey(1.0)), ("oue", Histogram())):
+        with pytest.raises(ZeroEpsilonError, match="undefined at eps = 0"):
+            check_family_task(tag, task, Domain.binary(), (0.5, 0.0))
 
 
 def test_context_free_pair_mse_limit():
