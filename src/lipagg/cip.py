@@ -197,7 +197,7 @@ def cip_search(instance: CipInstance, output_size: int | None = None,
     in increasing order of their posterior means, then zero columns.  It
     uses at most N+1, and an ``output_size`` below that count raises
     ``ValueError``.  ``seed``, an integer of at least 0, changes nothing; it
-    stays only for the benchmark's call until ROADMAP item 9(a), a
+    stays only for the benchmark's call until ROADMAP item 1, a
     benchmark-only change, re-targets the benchmark."""
     output_size = instance.n_users + 1 if output_size is None else output_size
     check_whole("output_size", output_size, 1)

@@ -58,41 +58,38 @@ def estimate(task: AggregationTask, population: Population,
     float, or a length-d array for a histogram.
 
     ``channels`` is either one channel per user or a single channel shared
-    by all users.  Observations are domain values.  An observation with
-    zero probability under its user's channel and prior raises
-    ``UnreachableOutputError`` naming the user: it signals a
+    by all users.  Observations are domain values.  Every shape is checked
+    (``DimensionMismatchError``) before one Bayes step for all users; then
+    an observation off its channel's outputs or of zero probability raises
+    ``UnreachableOutputError`` naming the first such user: it signals a
     channel/observation mismatch upstream rather than data to be ignored.
     """
     form = task_form(task, population)
     n, d = population.n_users, population.domain.size
-    if not isinstance(channels, Channel) and len(channels) != n:
+    shared = isinstance(channels, Channel)
+    if not shared and len(channels) != n:
         raise DimensionMismatchError("one channel per user required")
     observations = np.asarray(observations, dtype=float)
     if observations.shape != (n,):
         raise DimensionMismatchError("one observation per user required")
+    for i, ch in enumerate([channels] if shared else channels):
+        if ch.d_in != d:
+            raise DimensionMismatchError(
+                f"channel for user {i} does not match the population domain")
 
-    # each user's observed channel column, up to the first channel that
-    # does not fit the domain
-    if isinstance(channels, Channel):
+    if shared:
         ks = channels.output_domain.indices_of(observations)
-        found, cols = ks >= 0, channels.matrix.T[ks]
-        checked = n if channels.d_in == d else 0
+        cols = channels.matrix.T[ks]
     else:
-        checked = next((i for i, ch in enumerate(channels) if ch.d_in != d), n)
-        ks = [ch.output_domain.index_of(y) for ch, y in zip(channels[:checked], observations)]
-        found = np.array(ks, dtype=int) >= 0
+        ks = np.array([ch.output_domain.index_of(y) for ch, y in zip(channels, observations)])
         cols = [ch.matrix[:, k] for ch, k in zip(channels, ks)]
-    cols = np.reshape(np.asarray(cols)[:checked], (checked, d, 1))
-    lam, _, posts = posterior_ratio(cols, population.priors[:checked])
-    lost = np.nonzero(~found[:checked] | (lam[:, 0] <= 0.0))[0]
+    lam, _, posts = posterior_ratio(np.reshape(cols, (n, d, 1)), population.priors)
+    lost = np.flatnonzero((ks < 0) | (lam[:, 0] <= 0.0))
     if lost.size:
         i = int(lost[0])
         raise UnreachableOutputError(
             f"user {population.user_ids[i]}: output {observations[i]} has zero "
             "probability under its channel and prior")
-    if checked < n:
-        raise DimensionMismatchError(
-            f"channel for user {checked} does not match the population domain")
     return form.total(posts[:, :, 0] @ form.g)
 
 

@@ -298,7 +298,7 @@ class _FamilyRunner:
     keeps posterior tables from :meth:`_Aggregation.tables`, indexed by
     (user, observed output).  symmetric-rr keeps none, since it counts
     ones.  Unary encoding draws only the per-bucket counts of set bits
-    (:func:`mechanisms.oue_counts`)."""
+    (:func:`mechanisms.oue_counts`) from the true histogram of each trial."""
 
     def __init__(self, family: MechanismFamily, eps: float, priors: np.ndarray,
                  agg: _Aggregation):
@@ -326,17 +326,15 @@ class _FamilyRunner:
         # a redraw from the user's own prior leaves no per-user posterior to tabulate
         self.tables = None if ch.resample is priors else agg.tables(*ch.posterior(priors))
 
-    def estimate(self, ws: _Workspace, rng: np.random.Generator) -> np.ndarray:
+    def estimate(self, ws: _Workspace, rng: np.random.Generator, stat: np.ndarray) -> np.ndarray:
         """Perturb the chunk of true values in ``ws.x``, (trials, N), and in
         ``ws.x_count``, the same values in the count type, reading ``rng``
         in trial-major order, and return the (trials, components)
-        estimates."""
+        estimates; unary encoding reads the true bucket counts in ``stat``."""
         m, n = ws.x.shape
         agg, g = self.agg, self.agg.g
         if self.family is MechanismFamily.OUE:
-            np.add(ws.x, ws.trial_at, out=ws.at)
-            hot = np.bincount(ws.at.ravel(), minlength=m * len(g)).reshape(m, -1)
-            return oue_count_estimate(oue_counts(self.oue, hot, rng), n, self.eps)
+            return oue_count_estimate(oue_counts(self.oue, stat, rng), n, self.eps)
         np.copyto(ws.y, sample_rows(self.tail, rng, kept=self.kept, x=ws.x_count,
                                     buffers=ws.sample).reshape(m, n))
         if self.family is MechanismFamily.SYMMETRIC_RR:
@@ -389,7 +387,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
             ws.x[...] = ws.x_count[...] = fixed_idx
         stat = agg.form.offset + agg.local_sum(ws.x, ws)
         for r, (runner, rng) in enumerate(runners):
-            err = runner.estimate(ws, rng) - stat
+            err = runner.estimate(ws, rng, stat) - stat
             sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)
 
     for (runner, _), errs in zip(runners, sq_err):

@@ -1,0 +1,126 @@
+"""Planted defects that named tests must catch.
+
+Each mutant replaces one exact snippet in a copy of ``src/``.  The snippet
+must occur exactly once: a stale snippet is an error, not a skip.  The
+script first runs every named test node once on the unmutated copy, where
+each must pass; then, for each mutant, it runs only that mutant's nodes
+with ``PYTHONPATH`` on the mutated copy, where each must fail.  Pytest does
+not collect this file, since its name has no ``test_`` prefix.
+
+    python tests/mutants.py
+
+The exit status is 0 when every mutant is killed and the unmutated run
+passes.  Code that a change writes should bring its own mutants here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/
+    snippet: str  # must occur exactly once
+    replacement: str
+    nodes: tuple  # test node ids, relative to the repository root, that must fail
+    why: str
+
+
+_CLAMP = "tests/test_mechanisms.py::test_clamped_counts_equal_the_count_over_the_full_cdf"
+_FULL_CDF = "tests/test_harness.py::test_sampled_indices_equal_the_full_cdf_formula"
+_TYPED = "tests/test_estimators.py::test_mismatched_estimator_inputs_raise_their_typed_error"
+
+MUTANTS = (
+    Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
+           "oue_counts(self.oue, stat, rng)", "oue_counts(self.oue, stat[:, ::-1], rng)",
+           ("tests/test_harness.py::"
+            "test_oue_estimate_encodes_the_histogram_the_chunk_already_counted",
+            "tests/test_acceptance.py::test_criterion_11_unary_encoding_baseline"),
+           "each bucket's bits must be drawn from that bucket's own true count"),
+    Mutant("estimate-drops-the-out-of-domain-term", "lipagg/estimators.py",
+           "np.flatnonzero((ks < 0) | (lam[:, 0] <= 0.0))", "np.flatnonzero(lam[:, 0] <= 0.0)",
+           ("tests/test_estimators.py::"
+            "test_estimate_names_the_user_whose_output_is_off_the_channel",),
+           "an observation off the channel's outputs would read the last column as its own"),
+    Mutant("estimate-checks-no-channel-size", "lipagg/estimators.py",
+           "enumerate([channels] if shared else channels)", "enumerate([])",
+           (f"{_TYPED}[later-channel-size]", f"{_TYPED}[shape-before-unreachable]"),
+           "a channel that does not fit the domain must raise DimensionMismatchError first"),
+    Mutant("clamp-takes-max-for-min", "lipagg/mechanisms.py",
+           "np.minimum(counts, x.reshape(-1), out=counts)",
+           "np.maximum(counts, x.reshape(-1), out=counts)",
+           (_CLAMP, _FULL_CDF),
+           "the tail count below the draw is capped at the true value, not raised to it"),
+    Mutant("clamp-counts-kept-boundaries-with-less-equal", "lipagg/mechanisms.py",
+           "np.less(kept.T[:, None], draws, out=mask)",
+           "np.less_equal(kept.T[:, None], draws, out=mask)",
+           (_CLAMP,),
+           "a draw exactly on a boundary resolves to the lower output"),
+    Mutant("clamp-counts-c-prime-from-the-tails", "lipagg/mechanisms.py",
+           "np.less(kept.T[:, None]", "np.less(bounds.T[:, None]",
+           (_CLAMP, _FULL_CDF),
+           "c' counted from the tails equals c, so no true value would ever be kept"),
+)
+
+
+def _outcomes(src: Path, nodes) -> dict:
+    """Run ``nodes`` against the package in ``src``: node id -> outcomes of
+    its cases (a parametrized node id without brackets has several)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", COLUMNS="400")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                          *nodes], cwd=ROOT, env=env, capture_output=True, text=True).stdout
+    seen = {}
+    for line in out.splitlines():
+        status, _, rest = line.partition(" ")
+        if status in ("PASSED", "FAILED", "ERROR"):
+            seen.setdefault(rest.split(" - ", 1)[0], []).append(status)
+    return {node: [s for case, found in seen.items() for s in found
+                   if case == node or case.startswith(node + "[")] for node in nodes}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        stale = [m.name for m in MUTANTS if (src / m.file).read_text().count(m.snippet) != 1]
+        if stale:
+            print(f"stale snippet (must occur exactly once): {', '.join(stale)}")
+            return 2
+        nodes = sorted({node for m in MUTANTS for node in m.nodes})
+        bad = [node for node, cases in _outcomes(src, nodes).items()
+               if not cases or set(cases) != {"PASSED"}]
+        if bad:
+            print("the unmutated copy fails or does not run:\n  " + "\n  ".join(bad))
+            return 2
+        print(f"unmutated: {len(nodes)} nodes pass")
+        survivors = 0
+        for m in MUTANTS:
+            path = src / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.snippet, m.replacement))
+            start = time.perf_counter()
+            try:
+                outcomes = _outcomes(src, m.nodes)
+            finally:
+                path.write_text(original)
+            alive = [node for node, cases in outcomes.items()
+                     if not cases or set(cases) == {"PASSED"}]
+            survivors += bool(alive)
+            verdict = "SURVIVED" if alive else "killed"
+            print(f"{verdict:9} {m.name} ({time.perf_counter() - start:.1f} s): {m.why}")
+            for node in alive:
+                print(f"          not failed: {node}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -280,11 +280,26 @@ _TWO_USERS = Population(Domain.binary(), [[0.5, 0.5], [0.3, 0.7]])
      DimensionMismatchError),
     (lambda: estimate(Survey(1.0), _TWO_USERS, [Channel(np.eye(2)), Channel(np.eye(3))],
                       [0.0, 1.0]), DimensionMismatchError),
-], ids=["output-outside-domain", "channel-count", "observation-shape", "later-channel-size"])
+    # user 0's output is unreachable, but user 1's channel does not fit the domain
+    (lambda: estimate(Survey(1.0), _TWO_USERS, [Channel([[1.0, 0.0], [1.0, 0.0]]),
+                                                Channel(np.eye(3))], [1.0, 0.0]),
+     DimensionMismatchError),
+], ids=["output-outside-domain", "channel-count", "observation-shape", "later-channel-size",
+        "shape-before-unreachable"])
 def test_mismatched_estimator_inputs_raise_their_typed_error(call, error):
+    """Every shape is checked before any observation is: a channel that does
+    not fit the domain is reported even when an earlier user's output is
+    unreachable."""
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+def test_estimate_names_the_user_whose_output_is_off_the_channel():
+    """An observation outside the channel's outputs is unreachable even where
+    the last column, which its index -1 would read, has mass."""
+    with pytest.raises(UnreachableOutputError, match="user u1: output 2.0 "):
+        estimate(Survey(1.0), _TWO_USERS, Channel(np.eye(2)), [1.0, 2.0])
 
 
 def test_estimate_returns_the_statistic_itself():

@@ -33,7 +33,9 @@ from lipagg import (
     opt_binary_lip,
     opt_mimo_ldp,
     opt_mimo_lip,
+    oue_channel,
     oue_count_estimate,
+    oue_counts,
     posterior_mean_mse,
     run_experiment,
     save_population,
@@ -818,13 +820,38 @@ def test_symmetric_rr_estimate_equals_the_context_free_estimator():
     ws = harness._Workspace(trials, n, 2, 1)
     ws.x[...] = ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(
         0, 2, size=(trials, n))
+    agg = harness._Aggregation(form, pop.priors)
+    stat = agg.form.offset + agg.local_sum(ws.x, ws)
     for eps in (0.1, 1.0, 5.0):
-        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop.priors,
-                                       harness._Aggregation(form, pop.priors))
-        est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)))
+        runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop.priors, agg)
+        est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)), stat)
         count = context_free_estimate(ws.y.astype(float), eps)
         g = runner.agg.g
         assert np.array_equal(est, n * g[0] + (g[1] - g[0]) * count[:, None])
+
+
+def test_oue_estimate_encodes_the_histogram_the_chunk_already_counted():
+    """A d=5 histogram chunk: the statistic the harness counts is each
+    trial's bucket histogram, and the unary-encoding runner's estimate is
+    ``oue_count_estimate`` of ``oue_counts`` drawn on that statistic, bit
+    for bit from the same generator state."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    d, trials = 5, 30
+    pop = generate_population(400, "local-uniform", seed=6, domain=Domain.of_size(d))
+    n = pop.n_users
+    agg = harness._Aggregation(task_form(Histogram(), pop), pop.priors)
+    ws = agg.workspace(trials)
+    ws.x[...] = ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(
+        0, d, size=(trials, n))
+    stat = agg.form.offset + agg.local_sum(ws.x, ws)
+    assert np.array_equal(stat, [np.bincount(row, minlength=d) for row in ws.x])
+    for eps in (0.1, 1.0, 5.0):
+        runner = harness._FamilyRunner(MechanismFamily.OUE, eps, pop.priors, agg)
+        est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)), stat)
+        counts = oue_counts(oue_channel(d, eps), stat, np.random.Generator(np.random.Philox(9)))
+        assert np.array_equal(est, oue_count_estimate(counts, n, eps))
 
 
 def test_symmetric_rr_chunks_allocate_nothing_per_chunk(monkeypatch):
@@ -936,9 +963,10 @@ def test_context_aware_estimate_equals_the_posterior_table_estimate(d):
         scale = abs(agg.form.offset) + np.abs(agg.form.weights).sum() * np.abs(agg.g).max()
         for x in (sampled, fixed):
             ws.x[...] = ws.x_count[...] = x
+            stat = agg.form.offset + agg.local_sum(ws.x, ws)
             for eps in (0.0, 0.5, 2.0, 40.0):
                 runner = harness._FamilyRunner(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors, agg)
-                got = runner.estimate(ws, np.random.Generator(np.random.Philox(7)))
+                got = runner.estimate(ws, np.random.Generator(np.random.Philox(7)), stat)
                 ch = optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors)
                 want = agg.estimate(agg.tables(*ch.posterior(pop.priors)), ws)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (task, eps)
