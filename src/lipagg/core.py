@@ -315,8 +315,9 @@ def task_form(task: AggregationTask, population: Population) -> TaskForm:
 
 
 def check_epsilon(eps: float) -> float:
-    """Privacy budgets are finite nonnegative reals on the natural-log scale."""
-    eps = float(eps)
+    """Privacy budgets are finite nonnegative reals on the natural-log scale
+    (not bools, strings or nulls, which :func:`check_real` rejects)."""
+    eps = check_real("epsilon", eps)
     if not (eps >= 0.0 and np.isfinite(eps)):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     return eps

@@ -21,19 +21,19 @@ keep their own Philox stream, so a seed names the same users under every
 layout.
 
 Inverse-CDF sampling (:func:`mechanisms.sample_rows`) counts the d-1
-interior CDF boundaries below each draw, boundary-major, so the count sums
-d-1 contiguous rows of a comparison mask.  The true values read the
-prior's boundaries, repeated for each trial of a chunk as a
-(d-1, trials x N) block.  A keep-or-resample channel's boundary k for true
-value x is keep [k >= x] + tail_k, with tail_k = redraw cumsum(r)_k, and no
-block of it is built: each runner keeps two tables once, the tails and
-keep + tails, (d-1, N) per user or (d-1, 1) shared.  ``sample_rows``
-counts the tails below each draw (c) and the keep + tails below it (c'),
-and publishes max(c', min(c, x)), the count over the full boundaries bit
-for bit (both tables are nondecreasing in k).  A run allocates one
-workspace sized for a chunk (draws, comparison mask, counts, true values
-in the count type and as indices, index arrays, weights and gathered
-values), and every chunk rewrites it in place, so the chunk loop
+interior CDF boundaries below each draw in one boundary-major table,
+(d-1, N) per user or (d-1, 1) shared, that every trial of a chunk reads,
+so the count sums d-1 contiguous rows of a comparison mask.  The true
+values read the prior's (d-1, N) boundaries, built once per run.  A
+keep-or-resample channel's boundary k for true value x is keep [k >= x] +
+tail_k, with tail_k = redraw cumsum(r)_k, and no table of it is built:
+each runner keeps two tables once, the tails and keep + tails.
+``sample_rows`` counts the tails below each draw (c) and the keep + tails
+below it (c'), and publishes max(c', min(c, x)), the count over the full
+boundaries bit for bit (both tables are nondecreasing in k).  A run
+allocates one workspace sized for a chunk (draws, comparison mask, counts,
+true values in the count type and as indices, index arrays, weights and
+gathered values), and every chunk rewrites it in place, so the chunk loop
 allocates nothing that grows with N or the chunk; a last, shorter chunk
 gets a workspace of its own.
 
@@ -194,8 +194,8 @@ class _Workspace:
     ``out=``, and each ``np.take`` passes ``mode="clip"`` (with the default
     ``mode="raise"`` numpy buffers ``out`` and copies, allocating anyway).
     No float array holds more than one value per user-trial and statistic
-    component: a runner's sampler reads per-user boundary tables, not a
-    (d-1, m, N) block.  The true values are held twice, as indices for the
+    component: the sampler reads (d-1, N) or (d-1, 1) boundary tables, not
+    a (d-1, m, N) block.  The true values are held twice, as indices for the
     gathers and in the count type for the sampler's clamp, whose min against
     intp would cost 10x more."""
 
@@ -291,13 +291,13 @@ class _FamilyRunner:
 
     A keep-or-resample family samples from the boundaries keep [k >= x] +
     tail_k without building them: it keeps ``tail`` and ``kept`` =
-    keep + tail as (N, d-1) views of (d-1, N) per-user or (d-1, 1) shared
-    tables, and :func:`mechanisms.sample_rows` clamps each true value
-    between the two counts of boundaries below its draw.  A context-aware
-    family estimates from ``keep`` and ``redraw`` alone; a context-free one
-    keeps posterior tables from :meth:`_Aggregation.tables`, indexed by
-    (user, observed output).  symmetric-rr keeps none, since it counts
-    ones.  Unary encoding draws only the per-bucket counts of set bits
+    keep + tail, (d-1, N) per user or (d-1, 1) shared, and
+    :func:`mechanisms.sample_rows` clamps each true value between the two
+    counts of boundaries below its draw.  A context-aware family estimates
+    from ``keep`` and ``redraw`` alone; a context-free one keeps posterior
+    tables from :meth:`_Aggregation.tables`, indexed by (user, observed
+    output).  symmetric-rr keeps none, since it counts ones.  Unary
+    encoding draws only the per-bucket counts of set bits
     (:func:`mechanisms.oue_counts`) from the true histogram of each trial."""
 
     def __init__(self, family: MechanismFamily, eps: float, priors: np.ndarray,
@@ -310,16 +310,9 @@ class _FamilyRunner:
             self.oue = oue_channel(d, eps)
             return
         ch = optimal_channel(family, eps, priors)
-        # (N, d-1) views of boundary-major (d-1, N) tables, so the sampler's
-        # comparison reads contiguous rows, or of shared (d-1, 1) ones with
-        # stride 0 across users, so nothing is copied per user.  The ndarray
-        # constructor makes a view in 1 us where np.broadcast_to takes 4 us:
-        # 4% of an N=5, 2000-trial run of six runners (2-core Xeon, numpy 2.4)
         tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
-        tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)
-        strides = (tail.strides[1] if tail.shape[1] > 1 else 0, tail.strides[0])
-        self.tail, self.kept = (np.ndarray((priors.shape[0], d - 1), float, t, strides=strides)
-                                for t in (tail, ch.keep + tail))
+        self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)
+        self.kept = ch.keep + self.tail
         if family is MechanismFamily.SYMMETRIC_RR:
             return  # the count estimator reads no posterior
         self.keep, self.redraw = ch.keep, ch.redraw
@@ -369,11 +362,8 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
 
     chunk = min(trials, max(1, _BLOCK // (n * d)))
     ws = agg.workspace(chunk)
-    if fixed_idx is None:
-        # sample_rows' boundaries for the true values, boundary-major and
-        # repeated for each trial of a chunk; a shorter chunk reads a prefix
-        truth_cdf = np.empty((d - 1, chunk, n))
-        truth_cdf[...] = np.cumsum(pop.priors[:, :-1], axis=1).T[:, None, :]
+    if fixed_idx is None:  # the prior's boundaries, per user, for every chunk
+        truth_cdf = np.ascontiguousarray(np.cumsum(pop.priors[:, :-1], axis=1).T)
     # squared error of every trial, summed over the statistic's components
     sq_err = np.zeros((len(runners), trials))
     for t0 in range(0, trials, chunk):
@@ -381,8 +371,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if m < chunk:  # only the last chunk can be shorter
             ws = agg.workspace(m)
         if fixed_idx is None:
-            np.copyto(ws.x, sample_rows(truth_cdf[:, :m].reshape(d - 1, m * n).T, truth_rng,
-                                        buffers=ws.truth).reshape(m, n))
+            np.copyto(ws.x, sample_rows(truth_cdf, truth_rng, buffers=ws.truth).reshape(m, n))
         else:
             ws.x[...] = ws.x_count[...] = fixed_idx
         stat = agg.form.offset + agg.local_sum(ws.x, ws)

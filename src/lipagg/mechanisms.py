@@ -254,51 +254,52 @@ def _coerce_rng(rng) -> np.random.Generator:
 def sample_rows(bounds: np.ndarray, rng: np.random.Generator, *,
                 kept: np.ndarray | None = None, x: np.ndarray | None = None,
                 buffers: tuple | None = None) -> np.ndarray:
-    """Inverse-CDF sample one index in [0, d-1] per row of ``bounds``, an
-    (n, d-1) array of the row-wise cumulative probabilities of every output
-    but the last; one uniform draw per row, in order.
+    """Inverse-CDF sample one index in [0, d-1] per draw from ``bounds``, a
+    boundary-major (d-1, k) table of the cumulative probabilities of every
+    output but the last, with one column per user (k = N; draw i reads
+    column i mod N) or one shared by every draw (k = 1).  One uniform is
+    drawn per entry of ``x`` if given, else per draw of ``buffers``, else
+    per column, in order.
 
-    Returns #{k : bounds[k] < u} for u in (0, 1]: a u exactly on a boundary
+    Returns #{j : bounds[j] < u} for u in (0, 1]: a u exactly on a boundary
     resolves to the lower index, so zero-probability outputs are never
     produced, and the last output takes all the mass above the last
-    boundary, so a row total rounded below 1 still yields an index.  The
+    boundary, so a column total rounded below 1 still yields an index.  The
     count is taken in the narrowest unsigned type that holds d-1, over a
-    boundary-major (d-1, n) comparison mask, so it sums d-1 contiguous rows;
-    it reads fastest when ``bounds`` is itself the transpose view of a
-    contiguous (d-1, n) block.
+    boundary-major (d-1, s) comparison mask for s draws, so it sums d-1
+    contiguous rows.
 
-    ``kept`` and ``x`` sample a keep-or-resample channel for n users without
-    building its CDF keep [k >= x] + tail_k, tail_k = redraw cumsum(r)_k:
-    ``bounds`` then holds each user's tail, ``kept`` its keep + tail, both
-    (n, d-1), and ``x`` the (trials, n) true indices in the count type.  One
-    uniform is drawn per entry of ``x``, trial-major, and the index,
-    returned flat in that order, is max(c', min(c, x)), with
-    c = #{k : tail_k < u} and c' = #{k : keep + tail_k < u}.  That is the
-    count over the full CDF, bit for bit: both sequences are nondecreasing,
-    and rounding keeps them so, so #{k < x : tail_k < u} +
-    #{k >= x : keep + tail_k < u} is min(c, x) + max(c' - x, 0), which is
-    the clamp.
+    ``kept`` and ``x`` sample a keep-or-resample channel without building
+    its CDF keep [j >= x] + tail_j, tail_j = redraw cumsum(r)_j: ``bounds``
+    then holds the tails, ``kept`` keep + tails, both (d-1, k), and ``x``
+    the (trials, N) true indices in the count type.  The draws are read
+    trial-major, and the index, returned flat in that order, is
+    max(c', min(c, x)), with c = #{j : tail_j < u} and
+    c' = #{j : keep + tail_j < u}.  That is the count over the full CDF,
+    bit for bit: both sequences are nondecreasing, and rounding keeps them
+    so, so #{j < x : tail_j < u} + #{j >= x : keep + tail_j < u} is
+    min(c, x) + max(c' - x, 0), which is the clamp.
 
     ``buffers`` is an optional (u, less, counts) triple written in place
     instead of allocated, for s draws: float64 (s,), bool (d-1, s) and (s,)
     of the count type; the returned indices are then ``counts`` itself.  A
     fourth array like ``counts`` holds c' for the clamp.
     """
-    n, b = bounds.shape
-    m = 1 if x is None else x.shape[0]
-    u, less, counts, *spare = buffers or (np.empty(m * n), np.empty((b, m * n), dtype=bool),
-                                          np.empty(m * n, np.min_scalar_type(b)))
+    b, k = bounds.shape
+    s = k if x is None else x.size  # draws, unless ``buffers`` sizes them
+    u, less, counts, *spare = buffers or (np.empty(s), np.empty((b, s), dtype=bool),
+                                          np.empty(s, np.min_scalar_type(b)))
     np.subtract(1.0, rng.random(out=u), out=u)
-    # (d-1, 1, n) boundaries against (m, n) draws; the mask is summed as 0/1
-    # bytes, since a bool mask would be cast through a buffer first
-    draws, mask, ones = u.reshape(m, n), less.reshape(b, m, n), less.view(np.uint8)
-    np.less(bounds.T[:, None], draws, out=mask)
+    # (d-1, 1, k) boundaries against (s/k, k) draws; the mask is summed as
+    # 0/1 bytes, since a bool mask would be cast through a buffer first
+    draws, mask, ones = u.reshape(-1, k), less.reshape(b, -1, k), less.view(np.uint8)
+    np.less(bounds[:, None], draws, out=mask)
     np.add.reduce(ones, axis=0, dtype=counts.dtype, out=counts)
     if x is None:
         return counts
     over = spare[0] if spare else np.empty_like(counts)
     np.minimum(counts, x.reshape(-1), out=counts)
-    np.less(kept.T[:, None], draws, out=mask)
+    np.less(kept[:, None], draws, out=mask)
     return np.maximum(counts, np.add.reduce(ones, axis=0, dtype=counts.dtype, out=over),
                       out=counts)
 
@@ -309,7 +310,7 @@ def perturb(q: Channel, x: float, rng) -> float:
     idx = q.input_domain.index_of(x)
     if idx < 0:
         raise ValueNotInDomainError(f"value {x} not in the input domain")
-    k = sample_rows(np.cumsum(q.matrix[[idx], :-1], axis=1), _coerce_rng(rng))[0]
+    k = sample_rows(np.cumsum(q.matrix[idx, :-1])[:, None], _coerce_rng(rng))[0]
     return float(q.output_domain.values[k])
 
 

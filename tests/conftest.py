@@ -97,7 +97,7 @@ def perturb_indices(q, x_idx, rng):
     indices: the same boundaries and the same one uniform draw per entry,
     in order, so it must match ``perturb`` draw for draw."""
     bounds = np.cumsum(q.matrix[:, :-1], axis=1).T  # boundary-major (d-1, d)
-    return sample_rows(bounds.take(np.asarray(x_idx, dtype=int), axis=1).T, _coerce_rng(rng))
+    return sample_rows(bounds.take(np.asarray(x_idx, dtype=int), axis=1), _coerce_rng(rng))
 
 
 def oue_perturb(oue, x_idx, rng):

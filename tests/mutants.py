@@ -38,6 +38,7 @@ class Mutant:
 _CLAMP = "tests/test_mechanisms.py::test_clamped_counts_equal_the_count_over_the_full_cdf"
 _FULL_CDF = "tests/test_harness.py::test_sampled_indices_equal_the_full_cdf_formula"
 _TYPED = "tests/test_estimators.py::test_mismatched_estimator_inputs_raise_their_typed_error"
+_CHUNKS = "tests/test_harness.py::test_draws_and_rows_do_not_depend_on_the_chunk_size"
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -61,14 +62,42 @@ MUTANTS = (
            (_CLAMP, _FULL_CDF),
            "the tail count below the draw is capped at the true value, not raised to it"),
     Mutant("clamp-counts-kept-boundaries-with-less-equal", "lipagg/mechanisms.py",
-           "np.less(kept.T[:, None], draws, out=mask)",
-           "np.less_equal(kept.T[:, None], draws, out=mask)",
+           "np.less(kept[:, None], draws, out=mask)",
+           "np.less_equal(kept[:, None], draws, out=mask)",
            (_CLAMP,),
            "a draw exactly on a boundary resolves to the lower output"),
     Mutant("clamp-counts-c-prime-from-the-tails", "lipagg/mechanisms.py",
-           "np.less(kept.T[:, None]", "np.less(bounds.T[:, None]",
+           "np.less(kept[:, None]", "np.less(bounds[:, None]",
            (_CLAMP, _FULL_CDF),
            "c' counted from the tails equals c, so no true value would ever be kept"),
+    Mutant("sampler-reads-draws-user-major", "lipagg/mechanisms.py",
+           "draws, mask, ones = u.reshape(-1, k)", "draws, mask, ones = u.reshape(k, -1).T",
+           (_CHUNKS,),
+           "a stream is read trial-major, so a chunk of trials is a prefix of the next read"),
+    Mutant("fixed-values-written-at-the-first-chunk-only", "lipagg/harness.py",
+           "        else:\n            ws.x[...] = ws.x_count[...] = fixed_idx",
+           "        elif t0 == 0:\n            ws.x[...] = ws.x_count[...] = fixed_idx",
+           (_CHUNKS,),
+           "a last, shorter chunk gets a workspace of its own, which must hold the values too"),
+    Mutant("truth-stream-re-keyed-per-chunk", "lipagg/harness.py",
+           "sample_rows(truth_cdf, truth_rng,", "sample_rows(truth_cdf, _rng(config.seed, 1),",
+           (_CHUNKS,),
+           "every chunk must read on from one truth stream, not restart it"),
+    Mutant("oue-probabilities-swapped", "lipagg/mechanisms.py",
+           "np.array([[oue.keep_prob], [oue.flip_up_prob]])",
+           "np.array([[oue.flip_up_prob], [oue.keep_prob]])",
+           ("tests/test_mechanisms.py::test_oue_counts_match_the_binomial_moments",
+            "tests/test_acceptance.py::test_criterion_11_unary_encoding_baseline"),
+           "a hot bucket keeps its bit with probability 1/2 and a cold one sets it with f"),
+    Mutant("stderr-scaled-by-trials-not-its-root", "lipagg/harness.py",
+           "mse_stderr=spread / (n * math.sqrt(trials))", "mse_stderr=spread / (n * trials)",
+           ("tests/test_harness.py::"
+            "test_monte_carlo_rows_agree_with_closed_form_within_five_standard_errors",),
+           "the standard error of a mean over trials shrinks as 1/sqrt(trials)"),
+    Mutant("context-aware-redrawn-term-scaled", "lipagg/harness.py",
+           "self.redraw * agg.prior_term", "0.999 * self.redraw * agg.prior_term",
+           ("tests/test_harness.py::test_context_aware_estimate_equals_the_posterior_table_estimate",),
+           "the redrawn weight meets the prior means in full"),
 )
 
 

@@ -215,7 +215,7 @@ def test_task_form_statistic_is_definitional(case):
 def test_check_epsilon_accepts_finite_nonnegative_only():
     assert check_epsilon(0) == 0.0
     assert check_epsilon(800) == 800.0
-    for bad in (math.inf, -math.inf, math.nan, -0.5):
+    for bad in (math.inf, -math.inf, math.nan, -0.5, True, "2.5", None):
         with pytest.raises(ValueError):
             check_epsilon(bad)
 

@@ -787,10 +787,10 @@ def test_the_chunk_loop_allocates_per_run_not_per_chunk(monkeypatch, d):
     trial per chunk the peak traced memory of 40 trials is within a few KiB
     of 2 trials (the (runs, trials) error table grows by 1.8 KiB; numpy's
     cache of small freed buffers varies by a few KiB), and no chunk holds a
-    tenth of one (N, d-1) boundary block above its start.
-    Every ``sample_rows`` call gets (N, d-1) bounds at one trial per chunk:
-    the truth's (trials x N, d-1) block and each runner's per-user tail, so
-    the benchmark reads the user-trial count off their first axis."""
+    tenth of one (d-1, N) boundary table above its start.
+    Every ``sample_rows`` call gets a (d-1, N) table, the truth's prior
+    boundaries or a context-aware runner's per-user tails, or a
+    context-free runner's shared (d-1, 1) tails."""
     n = 20_000
     pop = generate_population(n, "local-uniform", seed=3, domain=Domain.of_size(d))
     task, families = ((Survey(1.0), ("opt-binary-lip", "opt-binary-ldp", "opt-mimo-lip"))
@@ -800,8 +800,9 @@ def test_the_chunk_loop_allocates_per_run_not_per_chunk(monkeypatch, d):
         cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
                                trials=trials, seed=1, population=pop)
         runs[trials] = _traced_run(monkeypatch, cfg)
-        sampled = 1 + 2 * sum(f != "oue" for f in families)  # truth + each runner
-        assert runs[trials][2] == {(n, d - 1): trials * sampled}
+        per_user = 1 + 2 * sum(f.endswith("-lip") for f in families)  # truth + LIP runners
+        shared = 2 * sum(f.endswith("-ldp") for f in families)
+        assert runs[trials][2] == {(d - 1, n): trials * per_user, (d - 1, 1): trials * shared}
     assert runs[40][0] <= runs[2][0] + 16 * 1024
     assert runs[40][1] < n * (d - 1) * 8 // 10
 
@@ -981,7 +982,8 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     redrawn tables, and neither its runners nor any workspace piece hold
     m N d or N d d values.  No float workspace piece holds more than one
     value per user-trial and statistic component: the sampler reads the
-    runner's two (N, d-1) boundary tables, not a (d-1, m, N) block."""
+    runner's two (d-1, N) or (d-1, 1) boundary tables, not a (d-1, m, N)
+    block."""
     from lipagg import harness
     from lipagg.core import task_form
 
@@ -998,7 +1000,8 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
         runner = harness._FamilyRunner(fam, 1.0, pop.priors, agg)
         own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
         assert own == {"tail", "kept"}
-        assert runner.tail.shape == runner.kept.shape == (n, d - 1)
+        width = n if fam is MechanismFamily.OPT_MIMO_LIP else 1
+        assert runner.tail.shape == runner.kept.shape == (d - 1, width)
         if fam is MechanismFamily.OPT_MIMO_LIP:
             assert runner.tables is None
             continue

@@ -377,11 +377,11 @@ def test_sample_rows_past_the_last_boundary_is_the_last_output():
     # a draw of 0 (u = 1, above every boundary) still gives index d-1 = 9
     full = np.cumsum(np.full((3, 10), 0.1), axis=1)
     assert full[0, -1] < 1.0
-    got = sample_rows(full[:, :-1], _FixedDraws([0.0, 1.0 - full[0, -1], 0.5]))
+    got = sample_rows(full[:, :-1].T, _FixedDraws([0.0, 1.0 - full[0, -1], 0.5]))
     assert got.tolist() == [9, 9, 4]
     # u on a boundary resolves to the lower index: a zero-mass output
     # (index 1, boundaries 0.5 and 0.5) is never drawn
-    bounds = np.array([[0.5, 0.5]] * 3)
+    bounds = np.array([[0.5, 0.5]] * 3).T
     assert sample_rows(bounds, _FixedDraws([0.5, 0.25, 0.0])).tolist() == [0, 2, 2]
 
 
@@ -389,8 +389,8 @@ def test_sample_rows_past_the_last_boundary_is_the_last_output():
 def test_sample_rows_reaches_every_index_at_the_count_type_edge(d):
     """Indices are counted in the narrowest unsigned type that holds d-1:
     one byte up to d = 256, two at d = 257, where index 256 must still be
-    drawn.  C-ordered bounds, boundary-major bounds and the in-place
-    buffers all give np.sum(cdf[:, :-1] < u, axis=1), for u on every
+    drawn.  A (d-1, n) table as a transpose view or contiguous, and the
+    in-place buffers, all give np.sum(cdf[:, :-1] < u, axis=1), for u on every
     boundary (dyadic masses make the sums exact), u = 1 and random u."""
     rng = np.random.default_rng(d)
     mass = np.full(d, 2.0 ** -10)
@@ -402,7 +402,7 @@ def test_sample_rows_reaches_every_index_at_the_count_type_edge(d):
     want = np.sum(cdf[:, :-1] < u[:, None], axis=1)
     assert want.max() == d - 1 and want[d - 1] == d - 1  # u = 1 takes the last output
     n = cdf.shape[0]
-    for bounds in (cdf[:, :-1], np.ascontiguousarray(cdf[:, :-1].T).T):
+    for bounds in (cdf[:, :-1].T, np.ascontiguousarray(cdf[:, :-1].T)):
         got = sample_rows(bounds, _FixedDraws(1.0 - u))
         assert got.dtype == np.min_scalar_type(d - 1)
         assert np.array_equal(got, want)
@@ -419,9 +419,12 @@ def test_sample_rows_reaches_every_index_at_the_count_type_edge(d):
 def test_clamped_counts_equal_the_count_over_the_full_cdf(d, n, trials, eps, per_user, seed):
     """With ``kept`` and ``x``, sample_rows returns max(c', min(c, x)),
     which must equal #{k : keep [k >= x] + tail_k < u} on the full CDF,
-    for shared (context-free) and per-user (context-aware) tails, priors
-    with zero entries, and a fifth of the u placed exactly on a boundary
-    of the full CDF or at 1 (exact for boundaries in [1/2, 1])."""
+    for shared (d-1, 1) (context-free) and per-user (d-1, n)
+    (context-aware) tails, priors with zero entries, and a fifth of the u
+    placed exactly on a boundary of the full CDF or at 1 (exact for
+    boundaries in [1/2, 1]).  With no ``x``, the draws sized by
+    ``buffers`` read the priors' (d-1, n) table as the true values do, one
+    trial after another."""
     gen = np.random.default_rng(seed)
     priors = gen.dirichlet(np.ones(d), size=n)
     priors[gen.random((n, d)) < 0.3] = 0.0
@@ -429,9 +432,9 @@ def test_clamped_counts_equal_the_count_over_the_full_cdf(d, n, trials, eps, per
     priors /= priors.sum(axis=1, keepdims=True)
     family = MechanismFamily.OPT_MIMO_LIP if per_user else MechanismFamily.OPT_MIMO_LDP
     ch = optimal_channel(family, eps, priors)
-    tail = np.broadcast_to(ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1), (n, d - 1))
+    tail = (ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)).reshape(-1, d - 1).T
     x = gen.integers(0, d, (trials, n)).astype(np.min_scalar_type(d - 1))
-    full = ch.keep * (np.arange(d - 1) >= x[..., None]) + tail  # (trials, n, d-1)
+    full = ch.keep * (np.arange(d - 1) >= x[..., None]) + tail.T  # (trials, n, d-1)
     draws = gen.random((trials, n))
     edge = gen.random((trials, n)) < 0.2
     on = np.append(full, np.ones((trials, n, 1)), axis=-1)
@@ -446,6 +449,11 @@ def test_clamped_counts_equal_the_count_over_the_full_cdf(d, n, trials, eps, per
     buffers = (np.empty(size), np.empty((d - 1, size), dtype=bool), np.empty(size, dtype),
                np.empty(size, dtype))
     got = sample_rows(tail, _FixedDraws(draws.ravel()), kept=kept, x=x, buffers=buffers)
+    assert got is buffers[2] and np.array_equal(got, want)
+    cdf = np.cumsum(priors, axis=1)
+    want = np.sum(cdf[:, :-1] < u[..., None], axis=-1).ravel()
+    got = sample_rows(np.ascontiguousarray(cdf[:, :-1].T), _FixedDraws(draws.ravel()),
+                      buffers=buffers[:3])
     assert got is buffers[2] and np.array_equal(got, want)
 
 
