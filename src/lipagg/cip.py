@@ -113,8 +113,7 @@ def cip_mse_lower_bound(instance: CipInstance) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CipSearchResult:
-    """The optimal mechanism, zero-padded to the requested outputs, with
-    its MSE and the variance of its posterior mean."""
+    """The optimal mechanism, with its MSE and the variance of its posterior mean."""
     mechanism: np.ndarray
     mse: float
     estimator_variance: float
@@ -146,18 +145,24 @@ def lip_seed_mechanism(instance: CipInstance) -> np.ndarray:
     return opt_mimo_lip(Prior(instance.s_prior), instance.eps).matrix
 
 
-def _optimum(instance: CipInstance):
-    """The optimal mechanism, one column per output, and the posterior mean
-    each output publishes (see the module docstring)."""
+def _optimum(instance: CipInstance, width: int):
+    """The optimal mechanism at ``width`` columns, its outputs first, and
+    the posterior mean each output publishes (see the module docstring)."""
     n, prior, mu = instance.n_users, instance.s_prior, instance.mean
     band = cip_band(instance)
     lo, hi = band.lower, band.upper
+    def columns(atoms):  # checked before anything is allocated
+        if width < atoms:
+            raise ValueError(f"the optimum uses {atoms} outputs, more than output_size={width}")
+        return np.zeros((n + 1, width))
     if not lo < mu < hi:
-        return np.ones((n + 1, 1)), np.array([mu])
+        q = columns(1)
+        q[:, 0] = 1.0
+        return q, np.array([mu])
     svals = np.arange(n + 1, dtype=float)
-    cdf = np.cumsum(prior)
-    sf = np.append(np.cumsum(prior[:0:-1])[::-1], 0.0)  # P(S > s)
-    put = np.append(0.0, np.cumsum(cdf[:-1]))  # P(j) = sum of cdf below j
+    below = np.concatenate(([0.0], np.cumsum(prior[:-1])))  # P(S < s)
+    sf = np.concatenate((np.cumsum(prior[:0:-1])[::-1], [0.0]))  # P(S > s)
+    put = np.cumsum(below)  # P(j) = sum of cdf below j
     call = np.cumsum(sf[::-1])[::-1]  # C(j) = sum of sf from j on
     kinks = np.flatnonzero((svals > lo) & (svals < hi) & (prior > 0.0))
     to_lo = put[kinks] / (kinks - lo)
@@ -166,25 +171,24 @@ def _optimum(instance: CipInstance):
         right = kinks[kinks >= k1]
         to_hi = call[right] / (hi - right)
         k2 = right[right.size - 1 - np.argmin(to_hi[::-1])]
-        q = np.zeros((n + 1, k2 - k1 + 3))
+        top = k2 - k1 + 2  # U's column, after L's and one per count in [k1, k2]
+        q = columns(top + 1)
         q[:k1, 0] = 1.0
-        q[k2 + 1:, -1] = 1.0
-        q[k1:k2 + 1, 1:-1] = np.eye(k2 - k1 + 1)
-        down = min(max((put[k1] / (k1 - lo) - cdf[k1 - 1]) / prior[k1], 0.0), 1.0)
+        q[np.arange(k1, k2 + 1), np.arange(1, top)] = 1.0
+        q[k2 + 1:, top] = 1.0
+        down = min(max((put[k1] / (k1 - lo) - below[k1]) / prior[k1], 0.0), 1.0)
         q[k1, 0], q[k1, 1] = down, q[k1, 1] - down
-        up = min(max((call[k2] / (hi - k2) - sf[k2]) / prior[k2], 0.0), q[k2, -2])
-        q[k2, -1], q[k2, -2] = up, q[k2, -2] - up
+        up = min(max((call[k2] / (hi - k2) - sf[k2]) / prior[k2], 0.0), q[k2, top - 1])
+        q[k2, top], q[k2, top - 1] = up, q[k2, top - 1] - up
         return q, np.concatenate(([lo], np.arange(k1, k2 + 1.0), [hi]))
+    q = columns(2)
     mass = (hi - mu) / (hi - lo)
-    below = np.append(0.0, cdf[:-1])
-    # the numerator clipped to [0, prior] keeps the quotient in [0, 1]; a
-    # subnormal prior no longer overflows it
+    # clipped to [0, prior], the quotient stays in [0, 1] even for a subnormal prior
     tail = np.divide(np.clip(mass - below, 0.0, prior), prior, out=np.zeros(n + 1),
                      where=prior > 0.0)
     mean_all = prior @ svals
     tail_mean = (prior * svals) @ tail / (prior @ tail)
     keep = min(max((mean_all - lo) / (mean_all - tail_mean), 0.0), 1.0)
-    q = np.empty((n + 1, 2))
     q[:, 0] = keep * tail + (1.0 - keep) * mass
     q[:, 1] = 1.0 - q[:, 0]
     return q, np.array([lo, hi])
@@ -194,22 +198,18 @@ def cip_search(instance: CipInstance, output_size: int | None = None,
                seed: int = 0) -> CipSearchResult:
     """The band-compliant mechanism of least MSE, with ``output_size``
     columns (None, the default, means N+1): the outputs the optimum uses,
-    in increasing order of their posterior means, then zero columns.  It
-    uses at most N+1, and an ``output_size`` below that count raises
-    ``ValueError``.  ``seed``, an integer of at least 0, changes nothing; it
-    stays only for the benchmark's call until ROADMAP item 1, a
-    benchmark-only change, re-targets the benchmark."""
+    in increasing order of their posterior means, then zero columns; an
+    ``output_size`` below the outputs in use raises ``ValueError``.
+    ``seed``, an integer of at least 0, changes nothing; it stays only for
+    the benchmark's call until ROADMAP item 1 re-targets the benchmark."""
     output_size = instance.n_users + 1 if output_size is None else output_size
     check_whole("output_size", output_size, 1)
     check_whole("seed", seed, 0)
     if output_size > instance.n_users + 1:
         raise ValueError("output_size must lie in {1, ..., N+1}")
-    q, values = _optimum(instance)
-    if output_size < q.shape[1]:
-        raise ValueError(f"the optimum uses {q.shape[1]} outputs, "
-                         f"more than output_size={output_size}")
+    q, values = _optimum(instance, output_size)
+    used = np.ascontiguousarray(q[:, :values.size])  # a strided view's product varies with width
     prior, svals = instance.s_prior, np.arange(instance.n_users + 1, dtype=float)
-    return CipSearchResult(
-        mechanism=np.pad(q, ((0, 0), (0, output_size - q.shape[1]))),
-        mse=float(prior @ (q * (svals[:, None] - values) ** 2).sum(axis=1)),
-        estimator_variance=float((prior @ q) @ (values - instance.mean) ** 2))
+    return CipSearchResult(mechanism=q,
+                           mse=float(prior @ (used * (svals[:, None] - values) ** 2).sum(axis=1)),
+                           estimator_variance=float((prior @ used) @ (values - instance.mean) ** 2))

@@ -10,7 +10,8 @@ not collect this file, since its name has no ``test_`` prefix.
     python tests/mutants.py
 
 The exit status is 0 when every mutant is killed and the unmutated run
-passes.  Code that a change writes should bring its own mutants here.
+passes; the last line gives the kills and the total wall time.  Code that a
+change writes should bring its own mutants here.
 """
 
 import os
@@ -39,6 +40,11 @@ _CLAMP = "tests/test_mechanisms.py::test_clamped_counts_equal_the_count_over_the
 _FULL_CDF = "tests/test_harness.py::test_sampled_indices_equal_the_full_cdf_formula"
 _TYPED = "tests/test_estimators.py::test_mismatched_estimator_inputs_raise_their_typed_error"
 _CHUNKS = "tests/test_harness.py::test_draws_and_rows_do_not_depend_on_the_chunk_size"
+_CIP = "tests/test_cip.py::"
+_EDGES = f"{_CIP}test_optimum_at_the_edges"
+_MINORANT = f"{_CIP}test_optimum_call_function_is_the_greatest_convex_minorant"
+_SANDWICH_CELLS = f"{_CIP}test_optimum_on_the_centralized_sandwich_cells"
+_WIDTHS = f"{_CIP}test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms"
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -77,7 +83,7 @@ MUTANTS = (
     Mutant("fixed-values-written-at-the-first-chunk-only", "lipagg/harness.py",
            "        else:\n            ws.x[...] = ws.x_count[...] = fixed_idx",
            "        elif t0 == 0:\n            ws.x[...] = ws.x_count[...] = fixed_idx",
-           (_CHUNKS,),
+           (f"{_CHUNKS}[7]",),
            "a last, shorter chunk gets a workspace of its own, which must hold the values too"),
     Mutant("truth-stream-re-keyed-per-chunk", "lipagg/harness.py",
            "sample_rows(truth_cdf, truth_rng,", "sample_rows(truth_cdf, _rng(config.seed, 1),",
@@ -98,6 +104,39 @@ MUTANTS = (
            "self.redraw * agg.prior_term", "0.999 * self.redraw * agg.prior_term",
            ("tests/test_harness.py::test_context_aware_estimate_equals_the_posterior_table_estimate",),
            "the redrawn weight meets the prior means in full"),
+    Mutant("cip-tangent-points-where-s-has-no-mass", "lipagg/cip.py",
+           "(svals > lo) & (svals < hi) & (prior > 0.0)", "(svals > lo) & (svals < hi)",
+           (_EDGES, _MINORANT),
+           "C bends only where S has mass; a tangent point of zero mass divides by p(k) = 0"),
+    Mutant("cip-lower-share-drops-the-cdf-below-k1", "lipagg/cip.py",
+           "(put[k1] / (k1 - lo) - below[k1])", "(put[k1] / (k1 - lo))",
+           (_MINORANT, _SANDWICH_CELLS),
+           "the share of p(k1) pooled on L is the chord's mass less P(S < k1), already there"),
+    Mutant("cip-k1-shifted-by-one", "lipagg/cip.py",
+           "k1 = kinks[np.argmin(to_lo)]", "k1 = kinks[np.argmin(to_lo)] + 1",
+           (_MINORANT, _SANDWICH_CELLS),
+           "the lower tangent touches C at the first argmin of P(j)/(j - L)"),
+    Mutant("cip-upper-share-scales-the-tail", "lipagg/cip.py",
+           "- sf[k2]) / prior[k2]", "- 0.999 * sf[k2]) / prior[k2]",
+           (_MINORANT, _SANDWICH_CELLS),
+           "the share of p(k2) pooled on U is the chord's mass less P(S > k2), in full"),
+    Mutant("cip-two-output-mix-set-to-one", "lipagg/cip.py",
+           "keep = min(max((mean_all - lo) / (mean_all - tail_mean), 0.0), 1.0)", "keep = 1.0",
+           (_EDGES, _MINORANT),
+           "L's cell mixes the lower tail with a flat share so that its mean is exactly L"),
+    Mutant("cip-mse-as-a-difference-of-variances", "lipagg/cip.py",
+           "mse=float(prior @ (used * (svals[:, None] - values) ** 2).sum(axis=1))",
+           "mse=instance.variance - float((prior @ used) @ (values - instance.mean) ** 2)",
+           (_SANDWICH_CELLS,),
+           "Var(S) - Var(M) cancels: at N=50, p1=0.5, eps=2 the MSE is 2.0e-11 of Var(S) = 12.5"),
+    Mutant("cip-chord-test-scaled", "lipagg/cip.py",
+           "to_lo.min() < (hi - mu) / (hi - lo)", "to_lo.min() < 0.9 * (hi - mu) / (hi - lo)",
+           (_EDGES, _MINORANT, _WIDTHS),
+           "the pooled branch holds wherever the tangent from L lies below the chord to U"),
+    Mutant("cip-upper-pool-at-the-last-column", "lipagg/cip.py",
+           "q[k2 + 1:, top] = 1.0", "q[k2 + 1:, width - 1] = 1.0",
+           (_WIDTHS,),
+           "U's column follows the counts it pools above; the columns after it stay zero"),
 )
 
 
@@ -117,6 +156,7 @@ def _outcomes(src: Path, nodes) -> dict:
 
 
 def main() -> int:
+    begin = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -148,6 +188,7 @@ def main() -> int:
             print(f"{verdict:9} {m.name} ({time.perf_counter() - start:.1f} s): {m.why}")
             for node in alive:
                 print(f"          not failed: {node}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed in {time.perf_counter() - begin:.1f} s")
     return 1 if survivors else 0
 
 

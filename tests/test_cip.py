@@ -281,16 +281,28 @@ def test_optimum_on_the_centralized_sandwich_cells(p1, eps, mse, atoms):
     assert res.atoms == atoms
 
 
-def test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms():
-    inst = CipInstance(20, 0.3, 1.0)
-    full = cip_search(inst)
-    assert full.atoms == 14 and not full.mechanism[:, 14:].any()
-    tight = cip_search(inst, output_size=14)
-    assert np.array_equal(tight.mechanism, full.mechanism[:, :14]) and tight.mse == full.mse
-    with pytest.raises(ValueError, match="uses 14 outputs"):
-        cip_search(inst, output_size=13)
+@pytest.mark.parametrize("n, p1, eps, atoms", [
+    (1, 0.05, 0.0, 1),  # one output: the band is mu alone
+    (1, 0.05, 0.01, 2),  # two outputs, L and U
+    (2, 0.05, 1.0, 3),  # pooled, k1 = k2 = 1: row 1 gives shares to both pools
+    (3, 0.05, 3.0, 4),  # pooled, k1 = 1 < k2 = 2
+    (20, 0.3, 1.0, 14),  # pooled, with zero columns up to N+1
+])
+def test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms(n, p1, eps, atoms):
+    inst = CipInstance(n, p1, eps)
+    tight = cip_search(inst, output_size=atoms)
+    assert tight.atoms == atoms and tight.mechanism.shape == (n + 1, atoms)
+    for size in range(atoms, n + 2):
+        res = cip_search(inst, output_size=size)
+        assert res.mechanism.shape == (n + 1, size) and not res.mechanism[:, atoms:].any()
+        assert np.array_equal(res.mechanism[:, :atoms], tight.mechanism)
+        assert res.mse == tight.mse and res.estimator_variance == tight.estimator_variance
+    # with one output in use, a size of 0 fails the size check itself
+    message = f"uses {atoms} outputs" if atoms > 1 else "output_size must be at least 1"
+    with pytest.raises(ValueError, match=message):
+        cip_search(inst, output_size=atoms - 1)
     # the seed changes nothing
-    assert np.array_equal(cip_search(inst, seed=5).mechanism, full.mechanism)
+    assert np.array_equal(cip_search(inst, seed=5).mechanism, cip_search(inst).mechanism)
 
 
 def test_search_defaults_to_n_plus_one_outputs_and_rejects_more():

@@ -626,10 +626,24 @@ def test_the_three_closed_form_paths_agree_bit_for_bit(mode, d):
 def _recorded_run(monkeypatch, cfg, block):
     """Run ``cfg`` with ``harness._BLOCK = block``, recording every sampled
     index and unary-encoding count array by the generator it was drawn from
-    (a copy: the harness reuses its buffers from chunk to chunk)."""
+    (a copy: the harness reuses its buffers from chunk to chunk), and the
+    true values, as indices and in the count type, that each runner's
+    ``estimate`` sees.  A fresh workspace holds the last index as every
+    true value, not ``np.empty``'s contents, so a chunk that fails to write
+    its values reads a known wrong one."""
     from lipagg import harness
 
-    draws = {}
+    draws, seen = {}, []
+    workspace, estimate = harness._Aggregation.workspace, harness._FamilyRunner.estimate
+
+    def poisoned(agg, m):
+        ws = workspace(agg, m)
+        ws.x[...] = ws.x_count[...] = agg.priors.shape[1] - 1
+        return ws
+
+    def watched(runner, ws, *rest):
+        seen.append((ws.x.copy(), ws.x_count.copy()))
+        return estimate(runner, ws, *rest)
 
     def record(fn):
         def wrapper(arg, *rest, **kw):
@@ -641,12 +655,14 @@ def _recorded_run(monkeypatch, cfg, block):
     monkeypatch.setattr(harness, "_BLOCK", block)
     monkeypatch.setattr(harness, "sample_rows", record(harness.sample_rows))
     monkeypatch.setattr(harness, "oue_counts", record(harness.oue_counts))
+    monkeypatch.setattr(harness._Aggregation, "workspace", poisoned)
+    monkeypatch.setattr(harness._FamilyRunner, "estimate", watched)
     try:
         curve = run_experiment(cfg)
     finally:
         monkeypatch.undo()
     # streams in the order they were first read; draws joined across chunks
-    return curve, [np.concatenate(chunks) for chunks in draws.values()]
+    return curve, [np.concatenate(chunks) for chunks in draws.values()], seen
 
 
 @pytest.mark.parametrize("block_trials", [1, 7])
@@ -664,9 +680,15 @@ def test_draws_and_rows_do_not_depend_on_the_chunk_size(monkeypatch, block_trial
         cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
                                trials=40, seed=12, population=pop, fixed_values=values)
         d = pop.domain.size
-        base, base_draws = _recorded_run(monkeypatch, cfg, 1 << 16)
+        base, base_draws, _ = _recorded_run(monkeypatch, cfg, 1 << 16)
         assert all(len(x) == 40 * 30 or x.shape == (40, d) for x in base_draws)
-        got, got_draws = _recorded_run(monkeypatch, cfg, block_trials * 30 * d)
+        got, got_draws, seen = _recorded_run(monkeypatch, cfg, block_trials * 30 * d)
+        # every runner sees every trial once, and every chunk its own true
+        # values: the fixed ones in each chunk, a shorter last one included
+        assert sum(len(x) for x, _ in seen) == 40 * 2 * len(families)
+        for x, x_count in seen:
+            assert np.array_equal(x, x_count)
+            assert values is None or (x == np.arange(30) % 3).all()
         assert len(got_draws) == len(base_draws) == (values is None) + 2 * len(families)
         for a, b in zip(base_draws, got_draws):
             assert np.array_equal(a, b)
@@ -891,7 +913,7 @@ def _replay_rows(monkeypatch, cases):
         n, d = pop.priors.shape
         cfg = ExperimentConfig(task=task, families=families, eps_grid=grid,
                                trials=trials, seed=3, population=pop)
-        curve, draws = _recorded_run(monkeypatch, cfg, 4 * n * d)
+        curve, draws, _ = _recorded_run(monkeypatch, cfg, 4 * n * d)
         truth = draws[0].reshape(trials, n)
         values = pop.domain.values
         rows = {(r.family, r.epsilon): r.metric for r in curve.rows if r.trials}
