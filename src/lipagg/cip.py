@@ -113,15 +113,12 @@ def cip_mse_lower_bound(instance: CipInstance) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CipSearchResult:
-    """The optimal mechanism, with its MSE and the variance of its posterior mean."""
+    """The optimal mechanism, its MSE, the variance of its posterior mean and
+    ``atoms``, the outputs in use: its first columns, one of which may round to zero."""
     mechanism: np.ndarray
     mse: float
     estimator_variance: float
-
-    @property
-    def atoms(self) -> int:
-        """The outputs in use: the columns some row publishes."""
-        return int(np.count_nonzero(self.mechanism.any(axis=0)))
+    atoms: int | None = None  # None for a result not built by cip_search
 
 
 def posterior_means_in_band(Q, instance: CipInstance) -> bool:
@@ -212,4 +209,5 @@ def cip_search(instance: CipInstance, output_size: int | None = None,
     prior, svals = instance.s_prior, np.arange(instance.n_users + 1, dtype=float)
     return CipSearchResult(mechanism=q,
                            mse=float(prior @ (used * (svals[:, None] - values) ** 2).sum(axis=1)),
-                           estimator_variance=float((prior @ used) @ (values - instance.mean) ** 2))
+                           estimator_variance=float((prior @ used) @ (values - instance.mean) ** 2),
+                           atoms=values.size)

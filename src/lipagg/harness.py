@@ -4,12 +4,13 @@ Seeding: every Monte-Carlo draw comes from a PCG64DXSM stream keyed by the
 master seed plus a purpose counter (``np.random.SeedSequence`` spawn keys).
 A run opens one stream for the true values and one per (family, eps)
 runner, and reads each in trial-major order: user after user within a
-trial, trial after trial.  Trials are processed in chunks of about
-``_BLOCK`` user-values.  ``Generator.random`` takes one 64-bit word per
-double, in order, so a stream split into consecutive reads gives the same
-doubles: the chunk size changes no draw, and a test checks this,
-unary-encoding binomials included.  It can move the last digits of a row:
-a context-free histogram over d >= 3 outputs sums a chunk's redrawn
+trial, trial after trial.  A chunk holds as many trials as a workspace of
+``_CHUNK_BYTES`` does (one at least), so each runner reads its per-user
+tables once per chunk, not per trial.  ``Generator.random`` takes one
+64-bit word per double, in order, so a stream split into consecutive reads
+gives the same doubles: the chunk size changes no draw, and a test checks
+this, unary-encoding binomials included.  It can move the last digits of a
+row: a context-free histogram over d >= 3 outputs sums a chunk's redrawn
 weights against mu as one (trials, N) @ (N, d) product, in an order that
 depends on the chunk.  A config always gets the same chunk, so its bytes
 are reproducible.  Within a trial the true values are drawn once and shared
@@ -24,18 +25,12 @@ Inverse-CDF sampling (:func:`mechanisms.sample_rows`) counts the d-1
 interior CDF boundaries below each draw in one boundary-major table,
 (d-1, N) per user or (d-1, 1) shared, that every trial of a chunk reads,
 so the count sums d-1 contiguous rows of a comparison mask.  The true
-values read the prior's (d-1, N) boundaries, built once per run.  A
-keep-or-resample channel's boundary k for true value x is keep [k >= x] +
-tail_k, with tail_k = redraw cumsum(r)_k, and no table of it is built:
-each runner keeps two tables once, the tails and keep + tails.
-``sample_rows`` counts the tails below each draw (c) and the keep + tails
-below it (c'), and publishes max(c', min(c, x)), the count over the full
-boundaries bit for bit (both tables are nondecreasing in k).  A run
-allocates one workspace sized for a chunk (draws, comparison mask, counts,
-true values in the count type and as indices, index arrays, weights and
-gathered values), and every chunk rewrites it in place, so the chunk loop
-allocates nothing that grows with N or the chunk; a last, shorter chunk
-gets a workspace of its own.
+values read the prior's (d-1, N) boundaries, built once per run; a
+keep-or-resample runner keeps two tables, its tails and keep + tails, and
+clamps each true value between their counts (:class:`_FamilyRunner`).  A run
+allocates one :class:`_Workspace` for a chunk, which every chunk rewrites
+in place, so the chunk loop allocates nothing that grows with N or the
+chunk; a last, shorter chunk gets a workspace of its own.
 
 Aggregation (:class:`_Aggregation`): the estimate of a task with local
 function g is offset + sum_i w_i E[g(X_i) | Y_i].  A context-aware channel
@@ -94,7 +89,7 @@ from .mechanisms import (
 )
 
 STREAM_LAYOUT = 3
-_BLOCK = 1 << 16  # user-values drawn per chunk of trials
+_CHUNK_BYTES = 1 << 21  # workspace bytes per chunk of trials
 _FOLD_WIDTH = 2  # widest statistic whose posterior means are tabulated per (user, output)
 
 
@@ -195,20 +190,19 @@ class _Workspace:
     ``mode="raise"`` numpy buffers ``out`` and copies, allocating anyway).
     No float array holds more than one value per user-trial and statistic
     component: the sampler reads (d-1, N) or (d-1, 1) boundary tables, not
-    a (d-1, m, N) block.  The true values are held twice, as indices for the
-    gathers and in the count type for the sampler's clamp, whose min against
-    intp would cost 10x more."""
+    a (d-1, m, N) block.  True values and outputs are held once, in the count
+    type the sampler clamps in (a min against intp costs 10x more), and are
+    copied into ``at``, the one intp array, to be offset (a ufunc mixing the
+    two casts through a 64 KiB buffer)."""
 
     def __init__(self, m: int, n: int, d: int, c: int):
         count = np.min_scalar_type(d - 1)
         self.u = np.empty(m * n)  # uniform draws, then u = 1 - draw
         self.less = np.empty((d - 1, m * n), bool)  # boundary-major comparison mask
-        self.counts = np.empty(m * n, count)  # sampled indices
+        self.counts = np.empty(m * n, count)  # sampled indices: the published outputs
         self.spare = np.empty(m * n, count)  # c' of the clamp
-        self.x_count = np.empty((m, n), count)  # true values, count type
-        self.x = np.empty((m, n), np.intp)  # true values
-        self.y = np.empty((m, n), np.intp)  # published outputs
-        self.at = np.empty((m, n), np.intp)  # flat (user, output) or (trial, output) offsets
+        self.x_count = np.empty((m, n), count)  # true values
+        self.at = np.empty((m, n), np.intp)  # indices, or flat (user or trial, output) offsets
         self.trial_at = d * np.arange(m, dtype=np.intp)[:, None]  # offset of each trial's cells
         if c <= _FOLD_WIDTH:
             self.gathered = np.empty((m, n, c))  # g[x] or g[y], or posterior means
@@ -218,6 +212,12 @@ class _Workspace:
             self.redrawn = np.empty((m, n))
         self.sample = (self.u, self.less, self.counts, self.spare)
         self.truth = (self.u, self.less, self.x_count.reshape(-1))
+
+    @classmethod
+    def user_trial_bytes(cls, d: int, c: int) -> int:
+        """The bytes a workspace holds per user-trial: a 1 x 1 one's."""
+        return sum(v.nbytes for k, v in vars(cls(1, 1, d, c)).items()
+                   if isinstance(v, np.ndarray) and k != "trial_at")
 
 
 class _Aggregation(_ClosedForm):
@@ -261,29 +261,31 @@ class _Aggregation(_ClosedForm):
         post *= w[..., None]
         return (post.reshape(-1, self.g.shape[1]),)
 
-    def _cells(self, at: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(trials, c): the weights summed per (trial, output) cell, times g."""
-        m, d = at.shape[0], self.g.shape[0]
+    def _cells(self, values: np.ndarray, weights: np.ndarray, ws: _Workspace) -> np.ndarray:
+        """(trials, c): the weights summed per (trial, value) cell, times g."""
+        m, d = values.shape[0], self.g.shape[0]
+        np.copyto(ws.at, values)
+        at = np.add(ws.at, ws.trial_at, out=ws.at)
         return np.bincount(at.ravel(), weights.ravel(), m * d).reshape(m, d) @ self.g
 
     def local_sum(self, values: np.ndarray, ws: _Workspace) -> np.ndarray:
-        """(trials, c): sum_i w_i g(values_i) for (trials, N) value indices."""
-        if self.folded:
-            return self.form.weights @ np.take(self.g, values, axis=0, out=ws.gathered, mode="clip")
-        np.add(values, ws.trial_at, out=ws.at)
-        return self._cells(ws.at, ws.weights)
+        """(trials, c): sum_i w_i g(values_i) for (trials, N) count-type indices."""
+        if not self.folded:
+            return self._cells(values, ws.weights, ws)
+        np.copyto(ws.at, values)  # np.take would copy count-type indices to intp
+        return self.form.weights @ np.take(self.g, ws.at, axis=0, out=ws.gathered, mode="clip")
 
-    def estimate(self, tables: tuple, ws: _Workspace) -> np.ndarray:
-        """(trials, c): the posterior-mean estimate after the outputs in
-        ``ws.y``, from a runner's :meth:`tables`."""
-        np.add(self.rows, ws.y, out=ws.at)
+    def estimate(self, tables: tuple, y: np.ndarray, ws: _Workspace) -> np.ndarray:
+        """(trials, c): the posterior-mean estimate after the (trials, N)
+        count-type outputs ``y``, from a runner's :meth:`tables`."""
+        np.copyto(ws.at, y)
+        at = np.add(ws.at, self.rows, out=ws.at)
         if self.folded:
             return self.form.offset + self.ones @ np.take(
-                tables[0], ws.at, axis=0, out=ws.gathered, mode="clip")
-        np.take(tables[0], ws.at, out=ws.kept, mode="clip")
-        np.take(tables[1], ws.at, out=ws.redrawn, mode="clip")
-        np.add(ws.y, ws.trial_at, out=ws.at)
-        return self.form.offset + self._cells(ws.at, ws.kept) + ws.redrawn @ self.mu
+                tables[0], at, axis=0, out=ws.gathered, mode="clip")
+        np.take(tables[0], at, out=ws.kept, mode="clip")
+        np.take(tables[1], at, out=ws.redrawn, mode="clip")
+        return self.form.offset + self._cells(y, ws.kept, ws) + ws.redrawn @ self.mu
 
 
 class _FamilyRunner:
@@ -320,22 +322,22 @@ class _FamilyRunner:
         self.tables = None if ch.resample is priors else agg.tables(*ch.posterior(priors))
 
     def estimate(self, ws: _Workspace, rng: np.random.Generator, stat: np.ndarray) -> np.ndarray:
-        """Perturb the chunk of true values in ``ws.x``, (trials, N), and in
-        ``ws.x_count``, the same values in the count type, reading ``rng``
-        in trial-major order, and return the (trials, components)
+        """Perturb the (trials, N) true values in ``ws.x_count``, reading
+        ``rng`` in trial-major order, and return the (trials, components)
         estimates; unary encoding reads the true bucket counts in ``stat``."""
-        m, n = ws.x.shape
+        m, n = ws.x_count.shape
         agg, g = self.agg, self.agg.g
         if self.family is MechanismFamily.OUE:
             return oue_count_estimate(oue_counts(self.oue, stat, rng), n, self.eps)
-        np.copyto(ws.y, sample_rows(self.tail, rng, kept=self.kept, x=ws.x_count,
-                                    buffers=ws.sample).reshape(m, n))
+        y = sample_rows(self.tail, rng, kept=self.kept, x=ws.x_count,
+                        buffers=ws.sample).reshape(m, n)
         if self.family is MechanismFamily.SYMMETRIC_RR:
-            count = context_free_estimate(ws.y, self.eps)
+            np.copyto(ws.at, y)  # summing the count type casts through a buffer
+            count = context_free_estimate(ws.at, self.eps)
             return n * g[0] + (g[1] - g[0]) * count[:, None]
         if self.tables is not None:
-            return agg.estimate(self.tables, ws)
-        return agg.form.offset + self.keep * agg.local_sum(ws.y, ws) + self.redraw * agg.prior_term
+            return agg.estimate(self.tables, y, ws)
+        return agg.form.offset + self.keep * agg.local_sum(y, ws) + self.redraw * agg.prior_term
 
 
 def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
@@ -350,7 +352,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
     pop = config.population
     task = config.task
     domain = pop.domain
-    n, d = pop.n_users, domain.size
+    n = pop.n_users
     trials = config.trials
     fixed_idx = None if config.fixed_values is None else domain.indices_of(config.fixed_values)
     agg = _Aggregation(task_form(task, pop), pop.priors)
@@ -360,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
                for ei, eps in enumerate(config.eps_grid)]
     truth_rng = _rng(config.seed, 1)
 
-    chunk = min(trials, max(1, _BLOCK // (n * d)))
+    chunk = min(trials, max(1, _CHUNK_BYTES // (n * _Workspace.user_trial_bytes(*agg.g.shape))))
     ws = agg.workspace(chunk)
     if fixed_idx is None:  # the prior's boundaries, per user, for every chunk
         truth_cdf = np.ascontiguousarray(np.cumsum(pop.priors[:, :-1], axis=1).T)
@@ -371,10 +373,10 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if m < chunk:  # only the last chunk can be shorter
             ws = agg.workspace(m)
         if fixed_idx is None:
-            np.copyto(ws.x, sample_rows(truth_cdf, truth_rng, buffers=ws.truth).reshape(m, n))
+            sample_rows(truth_cdf, truth_rng, buffers=ws.truth)  # into ws.x_count
         else:
-            ws.x[...] = ws.x_count[...] = fixed_idx
-        stat = agg.form.offset + agg.local_sum(ws.x, ws)
+            ws.x_count[...] = fixed_idx
+        stat = agg.form.offset + agg.local_sum(ws.x_count, ws)
         for r, (runner, rng) in enumerate(runners):
             err = runner.estimate(ws, rng, stat) - stat
             sq_err[r, t0:t0 + m] = np.sum(err * err, axis=1)

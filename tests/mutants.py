@@ -81,10 +81,19 @@ MUTANTS = (
            (_CHUNKS,),
            "a stream is read trial-major, so a chunk of trials is a prefix of the next read"),
     Mutant("fixed-values-written-at-the-first-chunk-only", "lipagg/harness.py",
-           "        else:\n            ws.x[...] = ws.x_count[...] = fixed_idx",
-           "        elif t0 == 0:\n            ws.x[...] = ws.x_count[...] = fixed_idx",
+           "        else:\n            ws.x_count[...] = fixed_idx",
+           "        elif t0 == 0:\n            ws.x_count[...] = fixed_idx",
            (f"{_CHUNKS}[7]",),
            "a last, shorter chunk gets a workspace of its own, which must hold the values too"),
+    Mutant("chunk-budget-ignores-the-population-size", "lipagg/harness.py",
+           "_CHUNK_BYTES // (n * _Workspace", "_CHUNK_BYTES // (_Workspace",
+           ("tests/test_harness.py::test_a_chunk_is_the_most_trials_its_byte_budget_holds",),
+           "a trial's workspace holds N user-trials, so the budget divides by N"),
+    Mutant("offsets-added-in-mixed-types", "lipagg/harness.py",
+           "np.copyto(ws.at, values)\n        at = np.add(ws.at, ws.trial_at, out=ws.at)",
+           "at = np.add(values, ws.trial_at, out=ws.at)",
+           ("tests/test_harness.py::test_chunks_of_several_trials_allocate_nothing_per_chunk",),
+           "a ufunc mixing the count type and intp casts through a 64 KiB buffer per call"),
     Mutant("truth-stream-re-keyed-per-chunk", "lipagg/harness.py",
            "sample_rows(truth_cdf, truth_rng,", "sample_rows(truth_cdf, _rng(config.seed, 1),",
            (_CHUNKS,),

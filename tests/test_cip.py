@@ -287,6 +287,7 @@ def test_optimum_on_the_centralized_sandwich_cells(p1, eps, mse, atoms):
     (2, 0.05, 1.0, 3),  # pooled, k1 = k2 = 1: row 1 gives shares to both pools
     (3, 0.05, 3.0, 4),  # pooled, k1 = 1 < k2 = 2
     (20, 0.3, 1.0, 14),  # pooled, with zero columns up to N+1
+    (1, 1e-100, 1.0, 2),  # two outputs, U's column rounded to all zeros
 ])
 def test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms(n, p1, eps, atoms):
     inst = CipInstance(n, p1, eps)

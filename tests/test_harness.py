@@ -623,14 +623,26 @@ def test_the_three_closed_form_paths_agree_bit_for_bit(mode, d):
     assert checked == len(grid) * (18 if d == 2 else 9)
 
 
-def _recorded_run(monkeypatch, cfg, block):
-    """Run ``cfg`` with ``harness._BLOCK = block``, recording every sampled
-    index and unary-encoding count array by the generator it was drawn from
-    (a copy: the harness reuses its buffers from chunk to chunk), and the
-    true values, as indices and in the count type, that each runner's
-    ``estimate`` sees.  A fresh workspace holds the last index as every
-    true value, not ``np.empty``'s contents, so a chunk that fails to write
-    its values reads a known wrong one."""
+def _pin_chunk(monkeypatch, cfg, chunk_trials):
+    """Set ``harness._CHUNK_BYTES`` to the workspace bytes of
+    ``chunk_trials`` trials of ``cfg``, so that its chunks hold that many."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    n, d = cfg.population.priors.shape
+    c = task_form(cfg.task, cfg.population).g.reshape(d, -1).shape[1]
+    monkeypatch.setattr(harness, "_CHUNK_BYTES",
+                        chunk_trials * n * harness._Workspace.user_trial_bytes(d, c))
+
+
+def _recorded_run(monkeypatch, cfg, chunk_trials):
+    """Run ``cfg`` with ``chunk_trials`` trials a chunk, recording every
+    sampled index and unary-encoding count array by the generator it was
+    drawn from (a copy: the harness reuses its buffers from chunk to
+    chunk), and the true values that each runner's ``estimate`` sees.  A
+    fresh workspace holds the last index as every true value, not
+    ``np.empty``'s contents, so a chunk that fails to write its values
+    reads a known wrong one."""
     from lipagg import harness
 
     draws, seen = {}, []
@@ -638,11 +650,11 @@ def _recorded_run(monkeypatch, cfg, block):
 
     def poisoned(agg, m):
         ws = workspace(agg, m)
-        ws.x[...] = ws.x_count[...] = agg.priors.shape[1] - 1
+        ws.x_count[...] = agg.priors.shape[1] - 1
         return ws
 
     def watched(runner, ws, *rest):
-        seen.append((ws.x.copy(), ws.x_count.copy()))
+        seen.append(ws.x_count.copy())
         return estimate(runner, ws, *rest)
 
     def record(fn):
@@ -652,7 +664,7 @@ def _recorded_run(monkeypatch, cfg, block):
             return out
         return wrapper
 
-    monkeypatch.setattr(harness, "_BLOCK", block)
+    _pin_chunk(monkeypatch, cfg, chunk_trials)
     monkeypatch.setattr(harness, "sample_rows", record(harness.sample_rows))
     monkeypatch.setattr(harness, "oue_counts", record(harness.oue_counts))
     monkeypatch.setattr(harness._Aggregation, "workspace", poisoned)
@@ -680,15 +692,20 @@ def test_draws_and_rows_do_not_depend_on_the_chunk_size(monkeypatch, block_trial
         cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
                                trials=40, seed=12, population=pop, fixed_values=values)
         d = pop.domain.size
-        base, base_draws, _ = _recorded_run(monkeypatch, cfg, 1 << 16)
+        base, base_draws, _ = _recorded_run(monkeypatch, cfg, 40)
         assert all(len(x) == 40 * 30 or x.shape == (40, d) for x in base_draws)
-        got, got_draws, seen = _recorded_run(monkeypatch, cfg, block_trials * 30 * d)
+        got, got_draws, seen = _recorded_run(monkeypatch, cfg, block_trials)
         # every runner sees every trial once, and every chunk its own true
-        # values: the fixed ones in each chunk, a shorter last one included
-        assert sum(len(x) for x, _ in seen) == 40 * 2 * len(families)
-        for x, x_count in seen:
-            assert np.array_equal(x, x_count)
+        # values: the truth stream's draws for the chunk, or the fixed ones
+        # in each chunk, a shorter last one included
+        runners = 2 * len(families)
+        assert sum(len(x) for x in seen) == 40 * runners
+        t0 = 0
+        for r, x in enumerate(seen):
+            assert values is not None or np.array_equal(
+                x, base_draws[0].reshape(40, 30)[t0:t0 + len(x)])
             assert values is None or (x == np.arange(30) % 3).all()
+            t0 += len(x) * (r % runners == runners - 1)
         assert len(got_draws) == len(base_draws) == (values is None) + 2 * len(families)
         for a, b in zip(base_draws, got_draws):
             assert np.array_equal(a, b)
@@ -768,12 +785,13 @@ def test_sampled_indices_equal_the_full_cdf_formula(monkeypatch):
     check_runners(sampled, calls, wide, np.tile(np.arange(30) % 5, (trials, 1)))
 
 
-def _traced_run(monkeypatch, cfg):
-    """Run ``cfg`` under tracemalloc with one trial per chunk; return the
-    peak traced memory, the most memory a chunk holds above what was held
-    when it started (over every chunk but the last, which the closed form
-    follows), and the bounds shapes of the ``sample_rows`` calls.  The
-    record stays one size, so it adds nothing that grows per chunk."""
+def _traced_run(monkeypatch, cfg, chunk_trials=1):
+    """Run ``cfg`` under tracemalloc with ``chunk_trials`` trials per chunk;
+    return the peak traced memory, the most memory a chunk holds above what
+    was held when it started (over every chunk but the last, which the
+    closed form follows), and the bounds shapes of the ``sample_rows``
+    calls.  The record stays one size, so it adds nothing that grows per
+    chunk."""
     from lipagg import harness
 
     real, shapes = harness.sample_rows, Counter()
@@ -790,8 +808,7 @@ def _traced_run(monkeypatch, cfg):
             tracemalloc.reset_peak()
         return real(bounds, rng, **kw)
 
-    n, d = cfg.population.priors.shape
-    monkeypatch.setattr(harness, "_BLOCK", n * d)
+    _pin_chunk(monkeypatch, cfg, chunk_trials)
     monkeypatch.setattr(harness, "sample_rows", record)
     tracemalloc.start()
     try:
@@ -841,14 +858,13 @@ def test_symmetric_rr_estimate_equals_the_context_free_estimator():
     form = task_form(task, pop)
     trials, n = 30, pop.n_users
     ws = harness._Workspace(trials, n, 2, 1)
-    ws.x[...] = ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(
-        0, 2, size=(trials, n))
+    ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(0, 2, size=(trials, n))
     agg = harness._Aggregation(form, pop.priors)
-    stat = agg.form.offset + agg.local_sum(ws.x, ws)
+    stat = agg.form.offset + agg.local_sum(ws.x_count, ws)
     for eps in (0.1, 1.0, 5.0):
         runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop.priors, agg)
         est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)), stat)
-        count = context_free_estimate(ws.y.astype(float), eps)
+        count = context_free_estimate(ws.counts.astype(float).reshape(trials, n), eps)
         g = runner.agg.g
         assert np.array_equal(est, n * g[0] + (g[1] - g[0]) * count[:, None])
 
@@ -866,10 +882,9 @@ def test_oue_estimate_encodes_the_histogram_the_chunk_already_counted():
     n = pop.n_users
     agg = harness._Aggregation(task_form(Histogram(), pop), pop.priors)
     ws = agg.workspace(trials)
-    ws.x[...] = ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(
-        0, d, size=(trials, n))
-    stat = agg.form.offset + agg.local_sum(ws.x, ws)
-    assert np.array_equal(stat, [np.bincount(row, minlength=d) for row in ws.x])
+    ws.x_count[...] = np.random.Generator(np.random.Philox(2)).integers(0, d, size=(trials, n))
+    stat = agg.form.offset + agg.local_sum(ws.x_count, ws)
+    assert np.array_equal(stat, [np.bincount(row, minlength=d) for row in ws.x_count])
     for eps in (0.1, 1.0, 5.0):
         runner = harness._FamilyRunner(MechanismFamily.OUE, eps, pop.priors, agg)
         est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)), stat)
@@ -887,6 +902,69 @@ def test_symmetric_rr_chunks_allocate_nothing_per_chunk(monkeypatch):
                            eps_grid=(0.5, 2.0), trials=20, seed=1, population=pop)
     _, held, _ = _traced_run(monkeypatch, cfg)
     assert held < n * 8 // 10
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_chunks_of_several_trials_allocate_nothing_per_chunk(monkeypatch, d):
+    """With 4 trials per chunk no chunk holds a tenth of one (d-1, N)
+    boundary table above its start.  The count-type values are copied into
+    the one intp index array and offset there in place: a mixed uint8 +
+    intp ``np.add(..., out=at)`` casts through a 64 KiB buffer, and
+    ``np.take`` with count-type indices copies them all to intp."""
+    n = 20_000
+    pop = generate_population(n, "local-uniform", seed=3, domain=Domain.of_size(d))
+    task, families = ((Survey(1.0), ("opt-binary-lip", "opt-binary-ldp", "symmetric-rr"))
+                      if d == 2 else (Histogram(), ("opt-mimo-lip", "opt-mimo-ldp", "oue")))
+    cfg = ExperimentConfig(task=task, families=families, eps_grid=(0.5, 2.0),
+                           trials=16, seed=1, population=pop)
+    _, held, _ = _traced_run(monkeypatch, cfg, 4)
+    assert held < n * (d - 1) * 8 // 10
+
+
+def _workspace_bytes(ws):
+    """The bytes of a workspace's user-trial arrays: all but ``trial_at``."""
+    return sum(v.nbytes for k, v in vars(ws).items()
+               if isinstance(v, np.ndarray) and k != "trial_at")
+
+
+@pytest.mark.parametrize("d, c", [(2, 1), (2, 2), (5, 1), (5, 5), (20, 20)])
+def test_user_trial_bytes_are_a_workspace_s_bytes_per_user_trial(d, c):
+    from lipagg import harness
+
+    m, n = 3, 40
+    assert _workspace_bytes(harness._Workspace(m, n, d, c)) == (
+        m * n * harness._Workspace.user_trial_bytes(d, c))
+
+
+@pytest.mark.parametrize("n, d, budget, chunk", [
+    (2000, 5, None, 22),  # several trials, fewer than the run's
+    (5, 2, None, 40),  # every trial in one chunk
+    (30, 3, 1000, 1),  # one trial outgrows the budget
+])
+def test_a_chunk_is_the_most_trials_its_byte_budget_holds(monkeypatch, n, d, budget, chunk):
+    """A run's workspace holds at most ``_CHUNK_BYTES`` unless its chunk is
+    one trial, a chunk never exceeds the trials, and one more trial would
+    not fit; a last, shorter chunk holds the rest."""
+    from lipagg import harness
+
+    if budget is not None:
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+    sizes, workspace = [], harness._Aggregation.workspace
+
+    def record(agg, m):
+        ws = workspace(agg, m)
+        sizes.append((m, _workspace_bytes(ws)))
+        return ws
+
+    monkeypatch.setattr(harness._Aggregation, "workspace", record)
+    pop = generate_population(n, "local-uniform", seed=2, domain=Domain.of_size(d))
+    trials = 40
+    run_experiment(ExperimentConfig(task=Histogram(), families=("opt-mimo-lip", "opt-mimo-ldp"),
+                                    eps_grid=(1.0,), trials=trials, seed=1, population=pop))
+    (m, held), *last = sizes
+    assert m == chunk and [s[0] for s in last] == ([trials % m] if trials % m else [])
+    assert m <= trials and (m == 1 or held <= harness._CHUNK_BYTES)
+    assert m == trials or held // m * (m + 1) > harness._CHUNK_BYTES
 
 
 def _dense_channels(family, pop, eps):
@@ -913,7 +991,7 @@ def _replay_rows(monkeypatch, cases):
         n, d = pop.priors.shape
         cfg = ExperimentConfig(task=task, families=families, eps_grid=grid,
                                trials=trials, seed=3, population=pop)
-        curve, draws, _ = _recorded_run(monkeypatch, cfg, 4 * n * d)
+        curve, draws, _ = _recorded_run(monkeypatch, cfg, 4)
         truth = draws[0].reshape(trials, n)
         values = pop.domain.values
         rows = {(r.family, r.epsilon): r.metric for r in curve.rows if r.trials}
@@ -985,13 +1063,14 @@ def test_context_aware_estimate_equals_the_posterior_table_estimate(d):
         ws = agg.workspace(m)
         scale = abs(agg.form.offset) + np.abs(agg.form.weights).sum() * np.abs(agg.g).max()
         for x in (sampled, fixed):
-            ws.x[...] = ws.x_count[...] = x
-            stat = agg.form.offset + agg.local_sum(ws.x, ws)
+            ws.x_count[...] = x
+            stat = agg.form.offset + agg.local_sum(ws.x_count, ws)
             for eps in (0.0, 0.5, 2.0, 40.0):
                 runner = harness._FamilyRunner(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors, agg)
                 got = runner.estimate(ws, np.random.Generator(np.random.Philox(7)), stat)
                 ch = optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors)
-                want = agg.estimate(agg.tables(*ch.posterior(pop.priors)), ws)
+                want = agg.estimate(agg.tables(*ch.posterior(pop.priors)),
+                                    ws.counts.reshape(m, n), ws)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (task, eps)
 
 
