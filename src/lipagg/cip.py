@@ -118,7 +118,7 @@ class CipSearchResult:
     mechanism: np.ndarray
     mse: float
     estimator_variance: float
-    atoms: int | None = None  # None for a result not built by cip_search
+    atoms: int | None = None  # None for a result built by hand, as perfbench/selftest.py does
 
 
 def posterior_means_in_band(Q, instance: CipInstance) -> bool:

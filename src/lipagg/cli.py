@@ -78,7 +78,7 @@ def parse_eps_grid(spec) -> list[float]:
             raise ValidationError("--eps-grid needs finite bounds and a positive step")
         # decimal steps, so "0.1:1:0.1" gives 0.3 rather than 0.30000000000000004
         lo, hi, inc = (Decimal(p.strip()) for p in parts)
-        count = max(0, math.ceil((hi - lo) / inc + Decimal("0.5")))
+        count = max(0, math.floor((hi - lo) / inc) + 1)
         return [float(lo + i * inc) for i in range(count)]
     return _numbers("--eps-grid", text)
 
@@ -331,9 +331,9 @@ def _cmd_cip(args) -> int:
     return 0
 
 
-def _add_common(sp, fmt_default="csv"):
+def _add_common(sp):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=["csv", "json"], default=fmt_default)
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

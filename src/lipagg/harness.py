@@ -41,6 +41,7 @@ runner tabulates its posterior means per (user, output), folded with the
 weights into one (N d, c) table for c <= 2 components (one gather, one
 BLAS sum) or, for a histogram over d >= 3 outputs, as (N, d) kept and
 redrawn weights summed per (trial, output) cell like the sums of g.
+symmetric-rr debiases the survey's sum of g(y_i), the count #{y_i = target}.
 
 Empirical error is measured against the sampled statistic of each trial,
 not its expectation.  Populations ingested from files keep their real
@@ -67,6 +68,7 @@ from .core import (
     check_real,
     check_reals,
     check_whole,
+    flip_probability,
     task_form,
 )
 from .errors import (
@@ -77,7 +79,7 @@ from .errors import (
     UnreachableOutputError,
     ValidationError,
 )
-from .estimators import context_free_estimate, oue_count_estimate
+from .estimators import oue_count_estimate
 from .mechanisms import (
     ONLY_TASK,
     MechanismFamily,
@@ -298,8 +300,8 @@ class _FamilyRunner:
     counts of boundaries below its draw.  A context-aware family estimates
     from ``keep`` and ``redraw`` alone; a context-free one keeps posterior
     tables from :meth:`_Aggregation.tables`, indexed by (user, observed
-    output).  symmetric-rr keeps none, since it counts ones.  Unary
-    encoding draws only the per-bucket counts of set bits
+    output).  symmetric-rr keeps none: it debiases ``local_sum`` of its
+    outputs.  Unary encoding draws only the per-bucket counts of set bits
     (:func:`mechanisms.oue_counts`) from the true histogram of each trial."""
 
     def __init__(self, family: MechanismFamily, eps: float, priors: np.ndarray,
@@ -326,15 +328,14 @@ class _FamilyRunner:
         ``rng`` in trial-major order, and return the (trials, components)
         estimates; unary encoding reads the true bucket counts in ``stat``."""
         m, n = ws.x_count.shape
-        agg, g = self.agg, self.agg.g
+        agg = self.agg
         if self.family is MechanismFamily.OUE:
             return oue_count_estimate(oue_counts(self.oue, stat, rng), n, self.eps)
         y = sample_rows(self.tail, rng, kept=self.kept, x=ws.x_count,
                         buffers=ws.sample).reshape(m, n)
         if self.family is MechanismFamily.SYMMETRIC_RR:
-            np.copyto(ws.at, y)  # summing the count type casts through a buffer
-            count = context_free_estimate(ws.at, self.eps)
-            return n * g[0] + (g[1] - g[0]) * count[:, None]
+            f = flip_probability(self.eps)
+            return (agg.local_sum(y, ws) - n * f) / (1.0 - 2.0 * f)
         if self.tables is not None:
             return agg.estimate(self.tables, y, ws)
         return agg.form.offset + self.keep * agg.local_sum(y, ws) + self.redraw * agg.prior_term

@@ -45,6 +45,7 @@ _EDGES = f"{_CIP}test_optimum_at_the_edges"
 _MINORANT = f"{_CIP}test_optimum_call_function_is_the_greatest_convex_minorant"
 _SANDWICH_CELLS = f"{_CIP}test_optimum_on_the_centralized_sandwich_cells"
 _WIDTHS = f"{_CIP}test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms"
+_GOLDEN = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -109,6 +110,23 @@ MUTANTS = (
            ("tests/test_harness.py::"
             "test_monte_carlo_rows_agree_with_closed_form_within_five_standard_errors",),
            "the standard error of a mean over trials shrinks as 1/sqrt(trials)"),
+    Mutant("symmetric-rr-subtracts-one-flip", "lipagg/harness.py",
+           "agg.local_sum(y, ws) - n * f)", "agg.local_sum(y, ws) - f)",
+           ("tests/test_harness.py::test_symmetric_rr_estimate_equals_the_context_free_estimator",),
+           "each of the N outputs is flipped with probability f, so the bias is N f"),
+    Mutant("monte-carlo-metric-scaled", "lipagg/harness.py",
+           "metric=math.sqrt(float(np.mean(errs)) / n)",
+           "metric=math.sqrt(float(np.mean(errs)) / n) * (1 + 1e-10)",
+           (_GOLDEN,),
+           "the corpus compares Monte-Carlo rows to 1e-12 relative, so a 1e-10 change shows"),
+    Mutant("closed-form-metric-one-ulp-up", "lipagg/analysis.py",
+           "metric=math.sqrt(total / n)", "metric=math.nextafter(math.sqrt(total / n), math.inf)",
+           (_GOLDEN, "tests/test_harness.py::test_the_three_closed_form_paths_agree_bit_for_bit"),
+           "closed-form rows are compared byte for byte"),
+    Mutant("eps-grid-passes-its-stop", "lipagg/cli.py",
+           "math.floor((hi - lo) / inc) + 1", 'math.ceil((hi - lo) / inc + Decimal("0.5"))',
+           ("tests/test_cli.py::test_eps_grid_parsing",),
+           "rounding the step count up runs 0:1:0.35 at eps = 1.05"),
     Mutant("context-aware-redrawn-term-scaled", "lipagg/harness.py",
            "self.redraw * agg.prior_term", "0.999 * self.redraw * agg.prior_term",
            ("tests/test_harness.py::test_context_aware_estimate_equals_the_posterior_table_estimate",),

@@ -305,6 +305,14 @@ def test_eps_grid_parsing():
     assert cli.parse_eps_grid([1, 2]) == [1.0, 2.0]
     assert cli.parse_eps_grid("0.1:1.0:0.1") == [
         0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    # the grid never passes its stop
+    assert cli.parse_eps_grid("1:5:1") == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert cli.parse_eps_grid("0:1:0.35") == [0.0, 0.35, 0.7]
+    assert cli.parse_eps_grid("0:2:0.75") == [0.0, 0.75, 1.5]
+    assert cli.parse_eps_grid("1:1.06:0.1") == [1.0]
+    assert cli.parse_eps_grid("1:0.5:1") == []
+    assert run_cli("analyze", "curve", "--families", "opt-binary-lip", "--p1", "0.3",
+                   "--eps-grid", "1:0.5:1") == 2
     for bad in ("1,,2", "1,2,", "", "0.5,x", "1:x:1", "1:2"):
         with pytest.raises(ValidationError, match="--eps-grid"):
             cli.parse_eps_grid(bad)

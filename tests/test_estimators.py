@@ -193,7 +193,7 @@ def test_context_free_arithmetic():
 
 
 def test_context_free_integer_observations_match_floats():
-    # integers are counted without a float copy, to the same bits
+    # integer observations give the same bits as floats
     rng = np.random.Generator(np.random.Philox(8))
     obs = (rng.random((6, 300)) < 0.4).astype(np.intp)
     for eps in (0.2, 1.0, 30.0):

@@ -547,7 +547,8 @@ def _compatible_runs():
     binary = generate_population(12, "local-uniform", seed=31)
     ternary = generate_population(12, "local-uniform", seed=31, domain=Domain.of_size(3))
     weights = np.linspace(0.5, 2.0, 12)
-    tasks = (Survey(1.0), Summation(), WeightedSum(weights, np.full(12, 0.25)), Histogram())
+    tasks = (Survey(0.0), Survey(1.0), Summation(), WeightedSum(weights, np.full(12, 0.25)),
+             Histogram())
     for pop in (binary, ternary):
         for task in tasks:
             ok = []
@@ -581,8 +582,8 @@ def test_monte_carlo_rows_agree_with_closed_form_within_five_standard_errors():
             assert gap <= 5.0 * r.mse_stderr, (type(task).__name__, pop.domain.size,
                                                r, cf[(r.family, r.epsilon)])
             checked += 1
-    # binary: 5 + 4 + 4 + 5 families, 3-ary: 2 + 2 + 2 + 3, at two budgets
-    assert checked == 2 * 27
+    # binary: 5 + 5 + 4 + 4 + 5 families, 3-ary: 2 + 2 + 2 + 2 + 3, at two budgets
+    assert checked == 2 * 34
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -596,7 +597,7 @@ def test_the_three_closed_form_paths_agree_bit_for_bit(mode, d):
     n, grid, domain = 7, (0.5, 2.0), Domain.of_size(d)
     p_vector = np.arange(1.0, d + 1) / (d * (d + 1) / 2) if mode == "global" else None
     pop = generate_population(n, mode, seed=9, domain=domain, p_vector=p_vector)
-    tasks = (Survey(domain.values[-1]), Summation(),
+    tasks = (Survey(domain.values[0]), Survey(domain.values[-1]), Summation(),
              WeightedSum(np.linspace(0.5, 2.0, n), np.full(n, 0.25)), Histogram())
     checked = 0
     for task in tasks:
@@ -619,8 +620,8 @@ def test_the_three_closed_form_paths_agree_bit_for_bit(mode, d):
             total = closed_form_total_mse(fam, pop, task, row.epsilon)
             assert row.metric == math.sqrt(total / n)
             checked += 1
-    # binary: 5 + 4 + 4 + 5 families, d-ary: 2 + 2 + 2 + 3
-    assert checked == len(grid) * (18 if d == 2 else 9)
+    # binary: 5 + 5 + 4 + 4 + 5 families, d-ary: 2 + 2 + 2 + 2 + 3
+    assert checked == len(grid) * (23 if d == 2 else 11)
 
 
 def _pin_chunk(monkeypatch, cfg, chunk_trials):
@@ -846,15 +847,16 @@ def test_the_chunk_loop_allocates_per_run_not_per_chunk(monkeypatch, d):
     assert runs[40][1] < n * (d - 1) * 8 // 10
 
 
-def test_symmetric_rr_estimate_equals_the_context_free_estimator():
-    """The harness hands ``context_free_estimate`` its integer output
-    indices, which it counts as integers; the estimates are bit-identical
-    to those from the outputs as floats."""
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_symmetric_rr_estimate_equals_the_context_free_estimator(target):
+    """The runner debiases the survey's weighted sum of its outputs, the
+    count #{y_i = target}; the estimates are bit-identical to
+    ``context_free_estimate`` of the indicator [y_i = target]."""
     from lipagg import harness
     from lipagg.core import task_form
 
     pop = generate_population(500, "local-uniform", seed=6)
-    task = Survey(1.0)
+    task = Survey(target)
     form = task_form(task, pop)
     trials, n = 30, pop.n_users
     ws = harness._Workspace(trials, n, 2, 1)
@@ -864,9 +866,8 @@ def test_symmetric_rr_estimate_equals_the_context_free_estimator():
     for eps in (0.1, 1.0, 5.0):
         runner = harness._FamilyRunner(MechanismFamily.SYMMETRIC_RR, eps, pop.priors, agg)
         est = runner.estimate(ws, np.random.Generator(np.random.Philox(9)), stat)
-        count = context_free_estimate(ws.counts.astype(float).reshape(trials, n), eps)
-        g = runner.agg.g
-        assert np.array_equal(est, n * g[0] + (g[1] - g[0]) * count[:, None])
+        hits = pop.domain.values[ws.counts].reshape(trials, n) == target
+        assert np.array_equal(est, context_free_estimate(hits, eps)[:, None])
 
 
 def test_oue_estimate_encodes_the_histogram_the_chunk_already_counted():
