@@ -32,7 +32,6 @@ from .core import (
     check_distinct,
     check_real,
     check_reals,
-    validate_channel,
 )
 from .errors import InfeasibleError, ValidationError
 from .harness import (
@@ -170,7 +169,6 @@ def _cmd_audit(args) -> int:
         if matrix.size == 0:
             raise ValidationError(f"channel file {args.channel_file} holds no rows")
         ch = Channel(matrix)
-        validate_channel(ch)
     report = audit_channel(ch, prior)
     _emit({"ldp_eps": report.ldp_eps, "lip_eps": report.lip_eps,
            "mip_nats": report.mip_nats}, args)

@@ -97,6 +97,8 @@ class Prior:
 
     @staticmethod
     def binary(p1: float) -> "Prior":
+        """[1 - p1, p1]; a p1 that is not a real raises ``ValidationError``."""
+        p1 = check_real("p1", p1)
         return Prior([1.0 - p1, p1])
 
 
@@ -104,8 +106,8 @@ class Prior:
 class Channel:
     """Row-stochastic perturbation matrix q[m][k] = Pr(Y = a_k | X = a_m).
 
-    Construction does not validate; call :func:`validate_channel` (every
-    mechanism in this package does so before returning a channel).
+    A channel that constructs is valid: construction runs the check below,
+    which raises on the first row with an entry outside [0, 1] or a sum off 1.
     """
 
     matrix: np.ndarray
@@ -128,6 +130,7 @@ class Channel:
         if self.output_domain.size != m.shape[1]:
             raise DimensionMismatchError(
                 f"output domain size {self.output_domain.size} != {m.shape[1]} columns")
+        validate_channel(self)
 
     @property
     def d_in(self) -> int:
@@ -139,7 +142,8 @@ class Channel:
 
 
 def validate_channel(q: Channel) -> None:
-    """Check the channel invariants, reporting the first violated row.
+    """Check the channel invariants, reporting the first violated row; every
+    :class:`Channel` runs it when it is built.
 
     Raises ``NegativeEntryError`` for an entry that is not within [0, 1],
     NaN included (before its row's sum), and ``RowSumMismatchError`` for a

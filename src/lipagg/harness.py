@@ -13,13 +13,14 @@ this, unary-encoding binomials included.  It can move the last digits of a
 row: a context-free histogram over d >= 3 outputs sums a chunk's redrawn
 weights against mu as one (trials, N) @ (N, d) product, in an order that
 depends on the chunk.  A config always gets the same chunk, so its bytes
-are reproducible.  Within a trial the true values are drawn once and shared
-by every family under comparison (common random numbers), then each
-family perturbs them on its own stream.
-``STREAM_LAYOUT`` numbers this layout and is recorded in the curve
-metadata.  Synthetic populations are inputs, not part of the layout: they
-keep their own Philox stream, so a seed names the same users under every
-layout.
+are reproducible, but only at a fixed BLAS thread count: the sums over
+users are BLAS products, whose additions OpenBLAS orders by thread.  Within
+a trial the true values are drawn once and shared by every family under
+comparison (common random numbers), then each family perturbs them on its
+own stream.  ``STREAM_LAYOUT`` numbers this layout and is recorded in the
+curve metadata.  Synthetic populations are inputs, not part of the layout:
+they keep their own Philox stream, so a seed names the same users under
+every layout.
 
 Inverse-CDF sampling (:func:`mechanisms.sample_rows`) counts the d-1
 interior CDF boundaries below each draw in one boundary-major table,
@@ -117,7 +118,7 @@ def generate_population(n: int, prior_mode: str, seed: int = 0, *,
     if prior_mode == "global":
         if (p1 is None) == (p_vector is None):
             raise ValueError("global mode needs exactly one of p1 and p_vector")
-        pv = Prior([1.0 - p1, p1] if p_vector is None else p_vector)
+        pv = Prior.binary(p1) if p_vector is None else Prior(p_vector)
         return Population(domain or Domain.of_size(pv.size), np.tile(pv.p, (n, 1)))
     if prior_mode == "local-uniform":
         if p1 is not None or p_vector is not None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Channel, Domain, Histogram, Prior, Survey, check_epsilon,
-                   check_whole, flip_probability, validate_channel)
+                   check_whole, flip_probability)
 from .errors import ValueNotInDomainError, ZeroEpsilonError
 
 
@@ -116,8 +116,8 @@ class KeepResample:
     def matrix(self) -> np.ndarray:
         """The dense channel: redraw r[k] off the diagonal and
         keep + redraw r[m] on it, a sum of nonnegative terms, rows
-        renormalized to absorb rounding so that it passes
-        ``validate_channel``; (d, d) for a shared ``resample``, (N, d, d) for
+        renormalized to absorb rounding so that it constructs a
+        :class:`Channel`; (d, d) for a shared ``resample``, (N, d, d) for
         per-user ones.  A zero r[k] leaves column k empty off the diagonal,
         and row k (which never fires) stays stochastic."""
         r = self.resample
@@ -159,14 +159,8 @@ class OUEChannel:
 
     def bit_channel(self) -> Channel:
         """Each bit's 2x2 channel: rows are a 0 bit and a 1 bit."""
-        return _validated(np.array([[1.0 - self.flip_up_prob, self.flip_up_prob],
-                                    [1.0 - self.keep_prob, self.keep_prob]]))
-
-
-def _validated(matrix: np.ndarray, domain: Domain | None = None) -> Channel:
-    ch = Channel(matrix, domain, domain)
-    validate_channel(ch)
-    return ch
+        return Channel([[1.0 - self.flip_up_prob, self.flip_up_prob],
+                        [1.0 - self.keep_prob, self.keep_prob]])
 
 
 def budget_feasible_prior_floor(eps: float) -> float:
@@ -207,13 +201,13 @@ def opt_binary_lip(p1: float, eps: float) -> Channel:
     min(p1, 1-p1) >= 1/(e^eps + 1), and degenerate priors still yield a
     valid channel."""
     prior = Prior.binary(p1).p
-    return _validated(optimal_channel(MechanismFamily.OPT_BINARY_LIP, eps, prior).matrix())
+    return Channel(optimal_channel(MechanismFamily.OPT_BINARY_LIP, eps, prior).matrix())
 
 
 def opt_binary_ldp(eps: float) -> Channel:
     """Symmetric binary channel with flip probability 1/(e^eps + 1)."""
     uniform = np.full(2, 0.5)
-    return _validated(optimal_channel(MechanismFamily.OPT_BINARY_LDP, eps, uniform).matrix())
+    return Channel(optimal_channel(MechanismFamily.OPT_BINARY_LDP, eps, uniform).matrix())
 
 
 def opt_mimo_lip(p: Prior, eps: float, domain: Domain | None = None) -> Channel:
@@ -222,14 +216,15 @@ def opt_mimo_lip(p: Prior, eps: float, domain: Domain | None = None) -> Channel:
     never emitted.  The measured context-aware level equals eps only when
     every supported prior entry is at least 1/(e^eps + 1); more skewed
     priors overshoot (see :func:`closed_form_lip_level`)."""
-    return _validated(optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, p.p).matrix(), domain)
+    return Channel(optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, p.p).matrix(), domain, domain)
 
 
 def opt_mimo_ldp(d: int, eps: float, domain: Domain | None = None) -> Channel:
     """d-ary context-free optimum: keep with probability e^eps/(e^eps+d-1)."""
     check_whole("domain size", d, 2)
     uniform = np.full(d, 1.0 / d)
-    return _validated(optimal_channel(MechanismFamily.OPT_MIMO_LDP, eps, uniform).matrix(), domain)
+    return Channel(optimal_channel(MechanismFamily.OPT_MIMO_LDP, eps, uniform).matrix(),
+                   domain, domain)
 
 
 def oue_channel(d: int, eps: float) -> OUEChannel:

@@ -48,7 +48,8 @@ def _split_optimum(p: Prior, eps: float, g) -> tuple[float, np.ndarray]:
 
     Under sum_k w_k a_k = p the objective is a constant plus s^2 times
     sum_k w_k |g^T a_k|^2.  HiGHS meets constraints only to 1e-7, so the
-    weights are re-solved by NNLS for Q's row sums on the LP's optimal face.
+    weights are re-solved by NNLS for Q's row sums on the LP's optimal face,
+    and Q is clipped into [0, 1], which they can overshoot by an ulp or two.
     Zero-prior rows (which never fire) get the output marginal.  Outputs are
     ordered by ascending posterior mean.
     """
@@ -74,7 +75,7 @@ def _split_optimum(p: Prior, eps: float, g) -> tuple[float, np.ndarray]:
     Q = np.zeros((d, max(d, keep.shape[0])))
     Q[:, :keep.shape[0]] = w[keep]
     Q[sup, :keep.shape[0]] = (w[keep, None] * ratio[keep]).T
-    return posterior_mean_mse(Channel(Q), pv, g), Q
+    return posterior_mean_mse(Channel(np.clip(Q, 0.0, 1.0, out=Q)), pv, g), Q
 
 
 def _values(p: Prior, values) -> np.ndarray:

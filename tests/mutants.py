@@ -46,6 +46,7 @@ _MINORANT = f"{_CIP}test_optimum_call_function_is_the_greatest_convex_minorant"
 _SANDWICH_CELLS = f"{_CIP}test_optimum_on_the_centralized_sandwich_cells"
 _WIDTHS = f"{_CIP}test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms"
 _GOLDEN = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
+_BAD_CHANNEL = "tests/test_core.py::test_a_matrix_whose_rows_do_not_sum_to_one_is_not_a_channel"
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -164,6 +165,17 @@ MUTANTS = (
            "q[k2 + 1:, top] = 1.0", "q[k2 + 1:, width - 1] = 1.0",
            (_WIDTHS,),
            "U's column follows the counts it pools above; the columns after it stay zero"),
+    Mutant("channel-constructs-unchecked", "lipagg/core.py",
+           "        validate_channel(self)\n", "",
+           (_BAD_CHANNEL, "tests/test_core.py::test_validate_reports_the_first_bad_row",
+            "tests/test_core.py::test_validate_rejects_an_entry_that_is_not_a_number_in_range",
+            "tests/test_cli.py::test_audit_bad_channel_file_exit_2",
+            "tests/test_cli.py::test_nan_channel_file_exit_2"),
+           "a matrix whose rows are not distributions has no LIP level to audit or estimate with"),
+    Mutant("oracle-split-unclipped", "lipagg/oracles.py",
+           "Channel(np.clip(Q, 0.0, 1.0, out=Q))", "Channel(Q)",
+           ("tests/test_oracles.py::test_every_split_optimum_constructs_a_channel",),
+           "the NNLS re-solve can leave an entry of Q an ulp above 1, which is no channel"),
 )
 
 

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipagg import Channel, Domain, Population, Prior, output_distribution, validate_channel
+from lipagg import (Channel, Domain, Population, Prior, generate_population,
+                    mse_binary_lip_opt, opt_binary_lip, output_distribution, validate_channel)
 from lipagg.core import (Histogram, Summation, Survey, WeightedSum, check_epsilon,
                          flip_probability, task_form)
 from lipagg.errors import (
     DimensionMismatchError,
     NegativeEntryError,
     RowSumMismatchError,
+    ValidationError,
 )
 
 from conftest import random_channel, random_prior
@@ -22,35 +24,56 @@ def test_validate_identity_ok():
 
 
 def test_validate_row_sum_mismatch_reports_row():
-    ch = Channel(np.array([[0.5, 0.5], [0.3, 0.6]]))
     with pytest.raises(RowSumMismatchError) as err:
-        validate_channel(ch)
+        Channel(np.array([[0.5, 0.5], [0.3, 0.6]]))
     assert err.value.row == 1
 
 
 def test_validate_negative_entry_reports_row():
-    ch = Channel(np.array([[1.1, -0.1], [0.0, 1.0]]))
     with pytest.raises(NegativeEntryError) as err:
-        validate_channel(ch)
+        Channel(np.array([[1.1, -0.1], [0.0, 1.0]]))
     assert err.value.row == 0
 
 
 def test_validate_reports_the_first_bad_row():
     # a bad sum in row 1 comes before an entry outside [0, 1] in row 2
-    ch = Channel(np.array([[0.5, 0.5], [0.3, 0.6], [1.5, -0.5]]))
     with pytest.raises(RowSumMismatchError) as err:
-        validate_channel(ch)
+        Channel(np.array([[0.5, 0.5], [0.3, 0.6], [1.5, -0.5]]))
     assert (err.value.row, err.value.row_sum) == (1, pytest.approx(0.9))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validate_rejects_an_entry_that_is_not_a_number_in_range(bad):
     # NaN < 0 and NaN > 1 are both False: only "not within [0, 1]" catches it
-    ch = Channel(np.array([[0.5, 0.5], [bad, 0.5]]))
     with pytest.raises(NegativeEntryError) as err:
-        validate_channel(ch)
+        Channel(np.array([[0.5, 0.5], [bad, 0.5]]))
     assert (err.value.row, err.value.col) == (1, 0)
     assert math.isnan(err.value.value) if math.isnan(bad) else err.value.value == bad
+
+
+def test_a_matrix_whose_rows_do_not_sum_to_one_is_not_a_channel():
+    # it has no LIP level, so no audit or estimate may read one
+    with pytest.raises(RowSumMismatchError) as err:
+        Channel([[0.5, 0.6], [0.5, 0.5]])
+    assert (err.value.row, err.value.row_sum) == (0, pytest.approx(1.1))
+
+
+_P1_READERS = {
+    "prior": Prior.binary,
+    "opt-binary-lip": lambda p1: opt_binary_lip(p1, 1.0),
+    "mse-binary-lip-opt": lambda p1: mse_binary_lip_opt(p1, 1.0),
+    "population": lambda p1: generate_population(3, "global", p1=p1),
+}
+
+
+@pytest.mark.parametrize("reader, p1", [
+    (reader, p1) for reader in _P1_READERS for p1 in (True, "0.3", None)
+    # generate_population reads a None p1 as absent and asks for p_vector
+    if not (reader == "population" and p1 is None)])
+def test_a_binary_prior_reads_p1_as_a_real(reader, p1):
+    # True is not read as 1.0, nor "0.3" as 0.3
+    with pytest.raises(ValidationError, match="p1 must be a number"):
+        _P1_READERS[reader](p1)
 
 
 def test_output_distribution_identity():
