@@ -42,7 +42,7 @@ def _check_prior_rows(pm: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Finite ordered domain of real values (category labels or numeric data)."""
+    """Finite ordered domain of finite real values (category labels or numeric data)."""
 
     values: np.ndarray
 
@@ -50,6 +50,8 @@ class Domain:
         object.__setattr__(self, "values", _as_readonly(values))
         if self.values.ndim != 1 or self.size < 2:
             raise ValueError("domain needs at least 2 values")
+        if not np.isfinite(self.values).all():
+            raise ValueError("domain values must be finite")
         if len(np.unique(self.values)) != self.size:
             raise ValueError("domain values must be distinct")
 
@@ -252,7 +254,7 @@ class Summation:
 
 @dataclass(frozen=True, eq=False)
 class WeightedSum:
-    """sum_i (a_i * X_i + b_i) with per-user coefficients and offsets."""
+    """sum_i (a_i * X_i + b_i) with finite per-user coefficients and offsets."""
 
     coefficients: np.ndarray
     offsets: np.ndarray
@@ -262,6 +264,8 @@ class WeightedSum:
         b = _as_readonly(offsets)
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("coefficients and offsets must be equal-length vectors")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("coefficients and offsets must be finite")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "offsets", b)
 

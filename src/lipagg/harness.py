@@ -40,8 +40,9 @@ can occur is (keep, redraw), and it estimates with no table:
 offset + keep sum_i w_i g(y_i) + redraw sum_i w_i mu_i.  A context-free
 runner tabulates its posterior means per (user, output), folded with the
 weights into one (N d, c) table for c <= 2 components (one gather, one
-BLAS sum) or, for a histogram over d >= 3 outputs, as (N, d) kept and
-redrawn weights summed per (trial, output) cell like the sums of g.
+BLAS sum).  A wider statistic is a histogram over d >= 3 outputs, so it
+counts the values per (trial, value) cell, and a context-free runner sums
+its (N, d) kept weights per cell and its redrawn weights against mu.
 symmetric-rr debiases the survey's sum of g(y_i), the count #{y_i = target}.
 
 Empirical error is measured against the sampled statistic of each trial,
@@ -94,6 +95,7 @@ from .mechanisms import (
 STREAM_LAYOUT = 3
 _CHUNK_BYTES = 1 << 21  # workspace bytes per chunk of trials
 _FOLD_WIDTH = 2  # widest statistic whose posterior means are tabulated per (user, output)
+# a wider one is a histogram over d >= 3 outputs (core.task_form): weights 1, offset 0, g = I
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -210,7 +212,6 @@ class _Workspace:
         if c <= _FOLD_WIDTH:
             self.gathered = np.empty((m, n, c))  # g[x] or g[y], or posterior means
         else:
-            self.weights = np.empty((m, n))  # the form's weights, per trial
             self.kept = np.empty((m, n))  # gathered kept and redrawn weights
             self.redrawn = np.empty((m, n))
         self.sample = (self.u, self.less, self.counts, self.spare)
@@ -235,9 +236,9 @@ class _Aggregation(_ClosedForm):
     redraw ``prior_term``.  Otherwise, for c <= ``_FOLD_WIDTH`` columns of g a
     runner's table is post[i d + k] = w_i (kept_ik g_k + redrawn_ik mu_i),
     (N d, c), and a chunk's estimate is offset + ones @ post[rows + y].
-    Wider g (a histogram over d >= 3 outputs) keeps the weighted kept and
-    redrawn tables, (N, d): the gathered kept weights are summed per
-    (trial, output) cell to meet g, and the redrawn weights meet mu."""
+    Wider g, a histogram, is counted: its tables are the (N, d) kept and
+    redrawn weights themselves, the gathered kept weights are summed per
+    (trial, output) cell, and the redrawn weights meet mu."""
 
     def __init__(self, form: TaskForm, priors: np.ndarray):
         super().__init__(form, priors)
@@ -248,33 +249,29 @@ class _Aggregation(_ClosedForm):
         self.prior_term = form.weights @ self.mu  # sum_i w_i mu_i, (c,)
 
     def workspace(self, m: int) -> _Workspace:
-        """A workspace for chunks of m trials, its weights filled once."""
-        ws = _Workspace(m, *self.priors.shape, self.g.shape[1])
-        if not self.folded:
-            ws.weights[...] = self.form.weights
-        return ws
+        """A workspace for chunks of m trials."""
+        return _Workspace(m, *self.priors.shape, self.g.shape[1])
 
     def tables(self, kept: np.ndarray, redrawn: np.ndarray) -> tuple:
         """A runner's posterior tables from its (N, d) posterior weights."""
-        w = self.form.weights[:, None]
         if not self.folded:
-            return w * kept, w * redrawn
+            return kept, redrawn
         post = kept[..., None] * self.g
         post += redrawn[..., None] * self.mu[:, None, :]
-        post *= w[..., None]
+        post *= self.form.weights[:, None, None]
         return (post.reshape(-1, self.g.shape[1]),)
 
-    def _cells(self, values: np.ndarray, weights: np.ndarray, ws: _Workspace) -> np.ndarray:
-        """(trials, c): the weights summed per (trial, value) cell, times g."""
+    def _cells(self, values: np.ndarray, ws: _Workspace, weights=None) -> np.ndarray:
+        """(trials, d): the values counted, or ``weights`` summed, per cell."""
         m, d = values.shape[0], self.g.shape[0]
         np.copyto(ws.at, values)
         at = np.add(ws.at, ws.trial_at, out=ws.at)
-        return np.bincount(at.ravel(), weights.ravel(), m * d).reshape(m, d) @ self.g
+        return np.bincount(at.ravel(), weights, m * d).reshape(m, d)
 
     def local_sum(self, values: np.ndarray, ws: _Workspace) -> np.ndarray:
         """(trials, c): sum_i w_i g(values_i) for (trials, N) count-type indices."""
         if not self.folded:
-            return self._cells(values, ws.weights, ws)
+            return self._cells(values, ws)
         np.copyto(ws.at, values)  # np.take would copy count-type indices to intp
         return self.form.weights @ np.take(self.g, ws.at, axis=0, out=ws.gathered, mode="clip")
 
@@ -288,7 +285,7 @@ class _Aggregation(_ClosedForm):
                 tables[0], at, axis=0, out=ws.gathered, mode="clip")
         np.take(tables[0], at, out=ws.kept, mode="clip")
         np.take(tables[1], at, out=ws.redrawn, mode="clip")
-        return self.form.offset + self._cells(y, ws.kept, ws) + ws.redrawn @ self.mu
+        return self._cells(y, ws, ws.kept.ravel()) + ws.redrawn @ self.mu
 
 
 class _FamilyRunner:

@@ -47,6 +47,7 @@ _SANDWICH_CELLS = f"{_CIP}test_optimum_on_the_centralized_sandwich_cells"
 _WIDTHS = f"{_CIP}test_search_pads_to_the_output_size_and_rejects_fewer_than_the_atoms"
 _GOLDEN = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
 _BAD_CHANNEL = "tests/test_core.py::test_a_matrix_whose_rows_do_not_sum_to_one_is_not_a_channel"
+_NON_FINITE = "tests/test_cli.py::test_a_non_finite_domain_value_or_weight_is_rejected"
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -176,6 +177,19 @@ MUTANTS = (
            "Channel(np.clip(Q, 0.0, 1.0, out=Q))", "Channel(Q)",
            ("tests/test_oracles.py::test_every_split_optimum_constructs_a_channel",),
            "the NNLS re-solve can leave an entry of Q an ulp above 1, which is no channel"),
+    Mutant("counted-sum-weighs-the-values", "lipagg/harness.py",
+           "return self._cells(values, ws)", "return self._cells(values, ws, ws.kept.ravel())",
+           ("tests/test_harness.py::"
+            "test_oue_estimate_encodes_the_histogram_the_chunk_already_counted",
+            "tests/test_harness.py::test_chunked_rows_match_a_per_trial_reference_loop"),
+           "a histogram's statistic counts the values; no weight but 1 reaches the counted form"),
+    Mutant("domain-takes-non-finite-values", "lipagg/core.py",
+           '        if not np.isfinite(self.values).all():\n'
+           '            raise ValueError("domain values must be finite")\n', "",
+           (f"{_NON_FINITE}[inf-domain-value]", f"{_NON_FINITE}[inf-in-population-file]",
+            f"{_NON_FINITE}[inf-in-population-file-curve]", f"{_NON_FINITE}[domain-inf]",
+            f"{_NON_FINITE}[domain-nan]"),
+           "an infinite or NaN domain value turns every sum over the users into inf or nan"),
 )
 
 

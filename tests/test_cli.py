@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipagg.cli as cli
+from lipagg.core import Domain, WeightedSum
 from lipagg.errors import UnreachableOutputError, ValidationError
 
 
@@ -356,6 +357,47 @@ def test_nan_prior_exit_2(tmp_path, capsys):
                     "--prior", "0.5,,0.5", "--out", out)
     assert_rejected(capsys, "--prior", "analyze", "curve", "--families", "opt-mimo-lip",
                     "--eps-grid", "1", "--prior", "0.5,x", "--out", out)
+
+
+_NON_FINITE_POPULATION = json.dumps({"domain": [0.0, math.inf], "labels": [], "users": [
+    {"id": f"u{i}", "value": 0.0, "prior": [0.5, 0.5]} for i in range(4)]})
+
+
+@pytest.mark.parametrize("case", [
+    {"task": {"kind": "weighted-sum", "coefficients": [math.nan, 1, 1]}},
+    {"population": {"n": 3, "prior_mode": "local-uniform", "values": [0, math.inf]}},
+    {"population": {"file": "pop.json"}},
+    ["analyze", "curve", "--families", "opt-binary-lip", "--task", "summation",
+     "--eps-grid", "1", "--population", "pop.json"],
+    lambda: Domain([0.0, math.inf]),
+    lambda: Domain([0.0, math.nan]),
+    lambda: WeightedSum([math.nan], [0.0]),
+    lambda: WeightedSum([1.0], [math.inf]),
+], ids=["nan-coefficient", "inf-domain-value", "inf-in-population-file",
+        "inf-in-population-file-curve", "domain-inf", "domain-nan", "weighted-sum-nan",
+        "weighted-sum-inf-offset"])
+def test_a_non_finite_domain_value_or_weight_is_rejected(tmp_path, monkeypatch, capsys, case):
+    """JSON reads NaN and Infinity, and no sum over the users would reject
+    them: a domain value, coefficient or offset that is not finite raises
+    ``ValueError``, and the CLI exits 2 with one error line and no rows."""
+    if callable(case):
+        with pytest.raises(ValueError, match="must be finite"):
+            case()
+        return
+    (tmp_path / "pop.json").write_text(_NON_FINITE_POPULATION)
+    monkeypatch.chdir(tmp_path)
+    argv = case
+    if isinstance(case, dict):
+        cfg = {"task": {"kind": "summation"}, "families": ["opt-mimo-lip"], "eps_grid": [1.0],
+               "trials": 3, "seed": 1, "population": {"n": 3, "prior_mode": "local-uniform"}}
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **case}))
+        argv = ["simulate", "--config", "cfg.json"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "must be finite" in captured.err
 
 
 def test_curve_family_task_mismatch_exit_2(capsys):

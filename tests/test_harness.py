@@ -938,7 +938,7 @@ def test_user_trial_bytes_are_a_workspace_s_bytes_per_user_trial(d, c):
 
 
 @pytest.mark.parametrize("n, d, budget, chunk", [
-    (2000, 5, None, 22),  # several trials, fewer than the run's
+    (2000, 5, None, 26),  # several trials, fewer than the run's
     (5, 2, None, 40),  # every trial in one chunk
     (30, 3, 1000, 1),  # one trial outgrows the budget
 ])
@@ -1075,17 +1075,20 @@ def test_context_aware_estimate_equals_the_posterior_table_estimate(d):
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (task, eps)
 
 
-@pytest.mark.parametrize("d, task", [(2, Survey(1.0)), (2, Histogram()), (5, Histogram())])
+@pytest.mark.parametrize("d, task", [(2, Survey(1.0)), (2, Histogram()), (3, Histogram()),
+                                     (5, Histogram())])
 def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     """A context-aware runner, which redraws from each user's own prior,
     holds no posterior table at all.  For a context-free one a statistic of
     c <= 2 components leaves one (N d, c) posterior-mean table and no other
-    posterior table; a histogram over d >= 3 outputs keeps (N, d) kept and
-    redrawn tables, and neither its runners nor any workspace piece hold
-    m N d or N d d values.  No float workspace piece holds more than one
-    value per user-trial and statistic component: the sampler reads the
-    runner's two (d-1, N) or (d-1, 1) boundary tables, not a (d-1, m, N)
-    block."""
+    posterior table; a histogram over d >= 3 outputs keeps its (N, d) kept
+    and redrawn weights, bit for bit those of ``KeepResample.posterior``,
+    and neither its runners nor any workspace piece hold m N d or N d d
+    values.  No float workspace piece holds more than one value per
+    user-trial and statistic component: the sampler reads the runner's two
+    (d-1, N) or (d-1, 1) boundary tables, not a (d-1, m, N) block.  Besides
+    the uniform draws ``u``, a histogram's workspace holds only the gathered
+    kept and redrawn weights as floats: it is counted, not weighted."""
     from lipagg import harness
     from lipagg.core import task_form
 
@@ -1098,6 +1101,8 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
     floats = [v.size for v in vars(ws).values()
               if isinstance(v, np.ndarray) and v.dtype == np.float64]
     assert max(floats) == m * n * (c if c <= 2 else 1)
+    named = {k for k, v in vars(ws).items() if isinstance(v, np.ndarray) and v.dtype == float}
+    assert named == ({"u", "gathered"} if c <= 2 else {"u", "kept", "redrawn"})
     for fam in (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP):
         runner = harness._FamilyRunner(fam, 1.0, pop.priors, agg)
         own = {k for k, v in vars(runner).items() if isinstance(v, np.ndarray)}
@@ -1109,9 +1114,32 @@ def test_runner_tables_are_per_pair_or_per_user_never_per_cell(d, task):
             continue
         tables = [t.shape for t in runner.tables]
         assert tables == ([(n * d, c)] if c <= 2 else [(n, d), (n, d)])
+        if c > 2:
+            posterior = optimal_channel(fam, 1.0, pop.priors).posterior(pop.priors)
+            assert all(np.array_equal(t, want) for t, want in zip(runner.tables, posterior))
         sizes += [t.size for t in runner.tables]
     if c > 2:  # the largest pieces are the (d-1, m N) comparison mask and the tables
         assert max(sizes) < min(m * n * d, n * d * d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_only_a_histogram_over_three_or_more_outputs_is_counted(d):
+    """The counted form of ``_Aggregation`` reads no weights, offset or g:
+    every statistic wider than ``_FOLD_WIDTH`` must be a histogram over
+    d >= 3 outputs, whose weights are all 1, offset 0 and g the identity."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    n = 7
+    pop = generate_population(n, "local-uniform", seed=d, domain=Domain(np.linspace(-1, 2, d)))
+    gen = np.random.default_rng(d)
+    for task in (Survey(pop.domain.values[0]), Survey(pop.domain.values[-1]), Summation(),
+                 WeightedSum(gen.normal(size=n), gen.normal(size=n)), Histogram()):
+        agg = harness._Aggregation(task_form(task, pop), pop.priors)
+        assert agg.folded is not (isinstance(task, Histogram) and d >= 3), task
+        if not agg.folded:
+            assert np.array_equal(agg.form.weights, np.ones(n)) and agg.form.offset == 0.0
+            assert np.array_equal(agg.g, np.eye(d))
 
 
 @pytest.mark.parametrize("fields", [
