@@ -20,6 +20,7 @@ from .errors import (
 )
 
 PROB_TOL = 1e-12
+TINY = float.fromhex("0x1p-1022")  # the smallest normal double, 2.2e-308
 
 
 def _as_readonly(a) -> np.ndarray:
@@ -172,22 +173,22 @@ def posterior_ratio(q: np.ndarray, p: np.ndarray, *,
     """The Bayes step for channels q (..., d, f) and priors p (..., d): the
     output marginal lam = p @ q, the posterior-to-prior ratio q[m][k] / lam[k]
     and, unless ``posterior`` is false, the posterior p[m] q[m][k] / lam[k],
-    both 0 where lam is 0.  The posterior is divided out of the joint, not
-    taken as p * ratio: for a prior entry below 1/DBL_MAX the ratio
-    overflows to inf.  Raises ``DimensionMismatchError`` when p and q
-    disagree on d."""
+    both 0 where lam is 0.  Only a lam entry below the smallest normal
+    double, ``TINY``, costs a masked divide with overflow warnings off.  The
+    posterior is divided out of the joint, not taken as p * ratio: for a
+    prior entry below 1/DBL_MAX the ratio overflows to inf.  Raises
+    ``DimensionMismatchError`` when p and q disagree on d."""
     if p.shape[-1] != q.shape[-2]:
         raise DimensionMismatchError(
             f"prior size {p.shape[-1]} != channel input size {q.shape[-2]}")
     lam = (p[..., None, :] @ q)[..., 0, :]
     col = lam[..., None, :]
-    reached = col > 0.0
     tables = (q, p[..., None] * q) if posterior else (q,)
+    if lam.min(initial=math.inf) >= TINY:  # q <= 1 and p q <= 1: no ratio overflows
+        return lam, *[t / col for t in tables]
     with np.errstate(over="ignore"):
-        if reached.all():  # no zero column, so no masked divide
-            return lam, *[t / col for t in tables]
         return lam, *[np.divide(t, col, out=np.zeros(np.broadcast(t, col).shape),
-                                where=reached) for t in tables]
+                                where=col > 0.0) for t in tables]
 
 
 def output_distribution(q: Channel, p: Prior) -> np.ndarray:

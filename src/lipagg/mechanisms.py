@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Channel, Domain, Histogram, Prior, Survey, check_epsilon,
-                   check_whole, flip_probability)
+                   check_real, check_whole, flip_probability)
 from .errors import ValueNotInDomainError, ZeroEpsilonError
 
 
@@ -179,9 +179,10 @@ def closed_form_lip_level(p_min: float, eps: float) -> float:
     smallest prior entry is ``p_min``: max(eps, ln((e^eps-1+p_min)/(e^eps p_min))),
     evaluated as max(eps, ln((1-u)/p_min + u)) with u = e^-eps, or as
     ln(1 - u + u p_min) - ln(p_min) where (1-u)/p_min overflows (p_min
-    below about 1/DBL_MAX).  A ``p_min`` outside [0, 1] (or NaN) raises
-    ``ValueError``."""
-    eps = check_epsilon(eps)
+    below about 1/DBL_MAX).  A ``p_min`` that is no real number (a bool,
+    string or None) raises ``ValidationError``; one outside [0, 1] (or NaN)
+    raises ``ValueError``."""
+    eps, p_min = check_epsilon(eps), check_real("p_min", p_min)
     if not 0.0 <= p_min <= 1.0:
         raise ValueError(f"p_min must lie in [0, 1], got {p_min}")
     if p_min <= 0.0:

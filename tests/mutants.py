@@ -48,6 +48,7 @@ _WIDTHS = f"{_CIP}test_search_pads_to_the_output_size_and_rejects_fewer_than_the
 _GOLDEN = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
 _BAD_CHANNEL = "tests/test_core.py::test_a_matrix_whose_rows_do_not_sum_to_one_is_not_a_channel"
 _NON_FINITE = "tests/test_cli.py::test_a_non_finite_domain_value_or_weight_is_rejected"
+_THIN = "tests/test_notions.py::test_audit_equals_the_three_measures_where_support_is_thin"
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -190,6 +191,17 @@ MUTANTS = (
             f"{_NON_FINITE}[inf-in-population-file-curve]", f"{_NON_FINITE}[domain-inf]",
             f"{_NON_FINITE}[domain-nan]"),
            "an infinite or NaN domain value turns every sum over the users into inf or nan"),
+    Mutant("audit-full-support-takes-a-zero-joint", "lipagg/notions.py",
+           "p.p.min() * floor > 0.0", "p.p.min() * floor >= 0.0",
+           ("tests/test_notions.py::test_measures_and_posterior_match_definitional_loops",
+            "tests/test_notions.py::test_audit_equals_the_three_measures_for_every_family",
+            "tests/test_notions.py::test_audit_ldp_optimum_implies_same_level_lip",
+            f"{_THIN}[underflowing-joint]"),
+           "a zero-prior row is no reachable pair for lip, and a zero joint term is left out of I"),
+    Mutant("audit-full-support-takes-a-subnormal-entry", "lipagg/notions.py",
+           "floor >= TINY and", "floor >= 0.0 and",
+           (f"{_THIN}[subnormal-entry]",),
+           "hi / lo overflows through a subnormal entry, where ldp is ln hi - ln lo"),
 )
 
 

@@ -27,6 +27,7 @@ from lipagg import (
     output_distribution,
     posterior_mean_mse,
 )
+from lipagg.errors import ValidationError
 
 
 def test_floor_formula():
@@ -60,6 +61,13 @@ def test_exceeded_level_matches_prediction(p_min, eps):
 def test_predicted_level_rejects_a_probability_outside_the_unit_interval(p_min):
     # a NaN p_min once read as level eps
     with pytest.raises(ValueError, match=r"p_min must lie in \[0, 1\]"):
+        closed_form_lip_level(p_min, 1.0)
+
+
+@pytest.mark.parametrize("p_min", [True, False, "0.5", None], ids=repr)
+def test_predicted_level_rejects_a_p_min_that_is_no_real_number(p_min):
+    # True once read as p_min = 1 and returned eps; a string or None raised a bare TypeError
+    with pytest.raises(ValidationError, match="p_min must be a number"):
         closed_form_lip_level(p_min, 1.0)
 
 

@@ -16,10 +16,12 @@ from lipagg import (
     measure_mip,
     opt_binary_ldp,
     opt_binary_lip,
+    opt_mimo_ldp,
     opt_mimo_lip,
+    output_distribution,
     posterior,
 )
-from lipagg.errors import UnreachableOutputError
+from lipagg.errors import DimensionMismatchError, UnreachableOutputError
 from lipagg.notions import PrivacyAudit
 
 from conftest import (
@@ -160,6 +162,10 @@ def _channel_and_prior(draw):
     return m / m.sum(axis=1, keepdims=True), p / p.sum()
 
 
+def _measured(ch, p):
+    return PrivacyAudit(measure_ldp(ch), measure_lip(ch, p), measure_mip(ch, p))
+
+
 def _same(got, want, abs_tol=0.0):
     # relative 1e-12; inf and 0.0 must match exactly
     if math.isinf(want) or want == 0.0 or got == 0.0:
@@ -178,6 +184,7 @@ def test_measures_and_posterior_match_definitional_loops(case):
     # ~1e-16 whatever its size (at most 2.4e-16 over 5000 of these inputs),
     # so nearly independent rows (I ~ 1e-8) get an absolute floor
     _same(measure_mip(ch, p), enum_mutual_information(m, pv), abs_tol=1e-15)
+    assert audit(ch, p) == _measured(ch, p)
     for y in range(ch.d_out):
         want = enum_posterior(m, pv, y)
         if want is None:
@@ -227,3 +234,39 @@ def test_audit_equals_the_three_measures_for_every_family():
                 overflowed += got.lip_eps > math.log(np.finfo(float).max)
     assert checked == 4 * 4 + 7 * 4 + 7 * 4 + 3 * 4 * 4
     assert overflowed > 0  # the ln q - ln lam branch ran
+
+
+def test_audit_equals_the_three_measures_on_wide_dirichlet_priors():
+    # the shape of a per-user derive-and-audit loop: d=20, flat-Dirichlet
+    # priors, where audit reads every level in one pass with no mask
+    rng = np.random.default_rng(20)
+    for pv in rng.dirichlet(np.ones(20), size=25):
+        p = Prior(pv)
+        for eps in (1.0, 2.0):
+            for ch in (opt_mimo_lip(p, eps), opt_mimo_ldp(20, eps)):
+                assert audit(ch, p) == _measured(ch, p), (pv, eps)
+
+
+@pytest.mark.parametrize("rows, pv", [
+    # hi / lo overflows for the subnormal entry: ldp reads ln hi - ln lo
+    ([[1.0, 1e-320], [0.5, 0.5]], [0.5, 0.5]),
+    # every entry positive, but lam[1] is subnormal and q[1][1] / lam[1] overflows
+    ([[1.0, 1e-320], [0.5, 0.5]], [1.0, 1e-310]),
+    # every entry a normal double, but p[0] q[0][y] underflows to 0 for y > 0;
+    # summing those two zeros too would move the last bit of I(X;Y)
+    ([[1.0 - 2e-20, 1e-20, 1e-20], [0.1, 0.1, 0.8], [0.2, 0.3, 0.5]], [1e-305, 0.5, 0.5]),
+], ids=["subnormal-entry", "subnormal-marginal", "underflowing-joint"])
+def test_audit_equals_the_three_measures_where_support_is_thin(rows, pv):
+    ch, p = Channel(np.array(rows)), Prior(pv)
+    got = audit(ch, p)
+    assert got == _measured(ch, p)
+    assert all(math.isfinite(level) for level in (got.ldp_eps, got.lip_eps, got.mip_nats))
+
+
+@pytest.mark.parametrize("call", [audit, measure_lip, measure_mip, output_distribution],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("size", [2, 4])
+def test_a_prior_of_another_size_raises_dimension_mismatch(call, size):
+    ch = opt_mimo_ldp(3, 1.0)
+    with pytest.raises(DimensionMismatchError, match=f"prior size {size} != channel input size 3"):
+        call(ch, Prior(np.full(size, 1.0 / size)))
