@@ -21,6 +21,7 @@ from .core import (
     TaskForm,
     check_distinct,
     check_epsilon,
+    check_whole,
     posterior_ratio,
     task_form,
 )
@@ -65,7 +66,10 @@ def mse_binary_ldp_opt(p1: float, eps: float) -> float:
 
 
 def mse_survey(q: Channel, p: Prior, target_index: int) -> float:
-    """Per-user MSE of estimating the indicator of one domain value."""
+    """Per-user MSE of estimating the indicator of the value at a whole ``target_index`` < d."""
+    check_whole("target index", target_index, 0)
+    if target_index >= p.size:
+        raise ValueError(f"target index {target_index} is not below the domain size {p.size}")
     return posterior_mean_mse(q, p.p, np.arange(p.size) == target_index)
 
 
@@ -142,14 +146,17 @@ class _ClosedForm:
         (``KeepResample.posterior``) and its MSE is
         sum_k p_k (w + a redrawn_k) |g_k - mu|^2, a sum of nonnegative terms
         that keeps full precision at large budgets; the spread |g_k - mu|^2
-        is accumulated over the columns of g once for the whole grid, so
-        memory stays O(N d).  The prior-unaware estimators (symmetric-rr,
-        unary encoding) have a constant per-user MSE.  Unary encoding keeps
-        the user's own bit with probability 1/2, so that bit has variance
-        1/4 rather than f(1-f).
+        is summed value-major, (d, N), over the columns of g once for the
+        grid, and each pair's terms are multiplied in place into its redrawn
+        weights, so memory stays O(N d).  The prior-unaware estimators
+        (symmetric-rr, unary encoding) have a constant per-user MSE.  Unary
+        encoding keeps the user's own bit with probability 1/2, so that bit
+        has variance 1/4 rather than f(1-f).
         """
         p, g, mu = self.priors, self.g, self.mu
-        spread = sum((g[:, j] - mu[:, j, None]) ** 2 for j in range(g.shape[1]))
+        spread, gap = np.zeros((2, g.shape[0], p.shape[0]))  # (d, N): passes over the users
+        for j in range(g.shape[1]):
+            spread += np.square(np.subtract(g[:, j, None], mu[:, j], out=gap), out=gap)
         totals = {}
         for family in families:
             for eps in eps_grid:
@@ -162,8 +169,11 @@ class _ClosedForm:
                         per_user = 4.0 * p.shape[1] * per_user + 1.0
                 else:
                     ch = optimal_channel(family, eps, p)
-                    _, redrawn = ch.posterior(p)
-                    per_user = np.sum(p * (ch.redraw + ch.keep * redrawn) * spread, axis=1)
+                    terms = ch.posterior(p)[1]  # redrawn, made each user's terms in place
+                    terms *= ch.keep
+                    terms += ch.redraw
+                    terms *= p
+                    per_user = np.multiply(terms, spread.T, out=terms).sum(axis=1)
                 totals[family, eps] = float(np.sum(self.form.weights ** 2 * per_user))
         return totals
 

@@ -25,25 +25,27 @@ every layout.
 Inverse-CDF sampling (:func:`mechanisms.sample_rows`) counts the d-1
 interior CDF boundaries below each draw in one boundary-major table,
 (d-1, N) per user or (d-1, 1) shared, that every trial of a chunk reads,
-so the count sums d-1 contiguous rows of a comparison mask.  The true
-values read the prior's (d-1, N) boundaries, built once per run; a
-keep-or-resample runner keeps two tables, its tails and keep + tails, and
-clamps each true value between their counts (:class:`_FamilyRunner`).  A run
-allocates one :class:`_Workspace` for a chunk, which every chunk rewrites
-in place, so the chunk loop allocates nothing that grows with N or the
-chunk; a last, shorter chunk gets a workspace of its own.
+so the count sums d-1 contiguous rows of a comparison mask.  One prior CDF
+per run, (d-1, N), feeds the true values and, times redraw, the
+context-aware tails; a keep-or-resample runner keeps its tails and
+keep + tails and clamps each true value between their counts
+(:class:`_FamilyRunner`).  A run allocates one :class:`_Workspace` for a
+chunk, which every chunk rewrites in place, so the chunk loop allocates
+nothing that grows with N or the chunk; a last, shorter one gets its own.
 
 Aggregation (:class:`_Aggregation`): the estimate of a task with local
 function g is offset + sum_i w_i E[g(X_i) | Y_i].  A context-aware channel
 redraws from the user's own prior, so its posterior after any output that
 can occur is (keep, redraw), and it estimates with no table:
-offset + keep sum_i w_i g(y_i) + redraw sum_i w_i mu_i.  A context-free
-runner tabulates its posterior means per (user, output), folded with the
-weights into one (N d, c) table for c <= 2 components (one gather, one
-BLAS sum).  A wider statistic is a histogram over d >= 3 outputs, so it
-counts the values per (trial, value) cell, and a context-free runner sums
-its (N, d) kept weights per cell and its redrawn weights against mu.
-symmetric-rr debiases the survey's sum of g(y_i), the count #{y_i = target}.
+offset + keep sum_i w_i g(y_i) + redraw sum_i w_i mu_i.  An indicator g
+(a survey, or a sum over {0, 1}) is read by comparison, not gathered.  A
+context-free runner tabulates its posterior means per (user, output),
+divided in place where every output can occur and folded with the weights
+into one (N d, c) table for c <= 2 components (one gather, one BLAS sum).
+A wider statistic is a histogram over d >= 3 outputs, so it counts the
+values per (trial, value) cell, and a context-free runner sums its (N, d)
+kept weights per cell and its redrawn weights against mu.  symmetric-rr
+debiases the survey's sum of g(y_i), the count #{y_i = target}.
 
 Empirical error is measured against the sampled statistic of each trial,
 not its expectation.  Populations ingested from files keep their real
@@ -227,7 +229,8 @@ class _Workspace:
 class _Aggregation(_ClosedForm):
     """The task's linear form offset + sum_i w_i g(X_i) over one run's
     population, applied to a chunk of trials; built once per run on the
-    run's closed form, whose g and mu it reads, and shared by every runner.
+    run's closed form, whose g and mu it reads, with the prior's (d-1, N)
+    ``cdf``, and shared by every runner.  An indicator g reads g[y] as y == ``hot``.
 
     After output a_k from a keep-or-resample channel, user i's posterior
     mean of g is kept_ik g_k + redrawn_ik mu_i, with mu_i = priors[i] @ g
@@ -244,6 +247,9 @@ class _Aggregation(_ClosedForm):
         super().__init__(form, priors)
         n, d = priors.shape
         self.folded = self.g.shape[1] <= _FOLD_WIDTH
+        self.cdf = np.cumsum(priors.T[:-1], axis=0, out=np.empty((d - 1, n)))  # boundary-major
+        nonzero = np.flatnonzero(self.g)  # g the indicator of one value: compared, not gathered
+        self.hot = int(nonzero[0]) if self.g.shape[1] == nonzero.size == self.g.sum() == 1 else None
         self.rows = np.arange(n) * d  # flat offset of each user's table row
         self.ones = np.ones(n)
         self.prior_term = form.weights @ self.mu  # sum_i w_i mu_i, (c,)
@@ -272,6 +278,9 @@ class _Aggregation(_ClosedForm):
         """(trials, c): sum_i w_i g(values_i) for (trials, N) count-type indices."""
         if not self.folded:
             return self._cells(values, ws)
+        if self.hot is not None:  # g[values] is values == hot: write its 0.0s and 1.0s
+            return self.form.weights @ np.equal(values[..., None], self.hot, out=ws.gathered,
+                                                casting="unsafe")
         np.copyto(ws.at, values)  # np.take would copy count-type indices to intp
         return self.form.weights @ np.take(self.g, ws.at, axis=0, out=ws.gathered, mode="clip")
 
@@ -292,34 +301,30 @@ class _FamilyRunner:
     """Per-(family, eps) sampler and estimator for a chunk of trials.
 
     A keep-or-resample family samples from the boundaries keep [k >= x] +
-    tail_k without building them: it keeps ``tail`` and ``kept`` =
-    keep + tail, (d-1, N) per user or (d-1, 1) shared, and
-    :func:`mechanisms.sample_rows` clamps each true value between the two
-    counts of boundaries below its draw.  A context-aware family estimates
-    from ``keep`` and ``redraw`` alone; a context-free one keeps posterior
-    tables from :meth:`_Aggregation.tables`, indexed by (user, observed
-    output).  symmetric-rr keeps none: it debiases ``local_sum`` of its
-    outputs.  Unary encoding draws only the per-bucket counts of set bits
-    (:func:`mechanisms.oue_counts`) from the true histogram of each trial."""
+    tail_k without building them: it keeps ``tail`` and ``kept`` = keep +
+    tail, (d-1, N) per user or (d-1, 1) shared, and :func:`mechanisms.sample_rows`
+    clamps each true value between the two counts of boundaries below its
+    draw.  A context-aware family's tail is redraw ``agg.cdf``, and it
+    estimates from ``keep`` and ``redraw`` alone; a context-free one keeps
+    posterior tables from :meth:`_Aggregation.tables`, indexed by (user,
+    observed output).  symmetric-rr keeps none: it debiases ``local_sum`` of
+    its outputs.  Unary encoding draws only the per-bucket counts of set
+    bits (:func:`mechanisms.oue_counts`) from the true histogram of each trial."""
 
     def __init__(self, family: MechanismFamily, eps: float, priors: np.ndarray,
                  agg: _Aggregation):
-        self.family = family
-        self.eps = eps
-        self.agg = agg
-        d = priors.shape[1]
+        self.family, self.eps, self.agg = family, eps, agg
         if family is MechanismFamily.OUE:
-            self.oue = oue_channel(d, eps)
+            self.oue = oue_channel(priors.shape[1], eps)
             return
         ch = optimal_channel(family, eps, priors)
-        tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
-        self.tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)
+        aware = ch.resample is priors  # a redraw from the user's own prior, whose CDF agg holds
+        self.tail = ch.redraw * (agg.cdf if aware else np.cumsum(ch.resample[:-1])[:, None])
         self.kept = ch.keep + self.tail
         if family is MechanismFamily.SYMMETRIC_RR:
             return  # the count estimator reads no posterior
         self.keep, self.redraw = ch.keep, ch.redraw
-        # a redraw from the user's own prior leaves no per-user posterior to tabulate
-        self.tables = None if ch.resample is priors else agg.tables(*ch.posterior(priors))
+        self.tables = None if aware else agg.tables(*ch.posterior(priors))
 
     def estimate(self, ws: _Workspace, rng: np.random.Generator, stat: np.ndarray) -> np.ndarray:
         """Perturb the (trials, N) true values in ``ws.x_count``, reading
@@ -363,8 +368,6 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
 
     chunk = min(trials, max(1, _CHUNK_BYTES // (n * _Workspace.user_trial_bytes(*agg.g.shape))))
     ws = agg.workspace(chunk)
-    if fixed_idx is None:  # the prior's boundaries, per user, for every chunk
-        truth_cdf = np.ascontiguousarray(np.cumsum(pop.priors[:, :-1], axis=1).T)
     # squared error of every trial, summed over the statistic's components
     sq_err = np.zeros((len(runners), trials))
     for t0 in range(0, trials, chunk):
@@ -372,7 +375,7 @@ def run_experiment(config: ExperimentConfig) -> TradeoffCurve:
         if m < chunk:  # only the last chunk can be shorter
             ws = agg.workspace(m)
         if fixed_idx is None:
-            sample_rows(truth_cdf, truth_rng, buffers=ws.truth)  # into ws.x_count
+            sample_rows(agg.cdf, truth_rng, buffers=ws.truth)  # into ws.x_count
         else:
             ws.x_count[...] = fixed_idx
         stat = agg.form.offset + agg.local_sum(ws.x_count, ws)

@@ -106,10 +106,12 @@ class KeepResample:
         """Posterior weights (kept, redrawn), each (N, d), for users with the
         given priors: Pr(X = a_m | Y = a_k) = kept[k] [m = k] + redrawn[k] p[m],
         with kept = keep p / lambda, redrawn = redraw r / lambda and lambda
-        the output marginal.  Both are 0 at outputs that cannot occur; where
-        r is the prior, lambda = p and they are (keep, redraw) to a few ulp."""
+        the output marginal, divided in place when no lambda is 0, else 0 where
+        it is; where r is the prior, lambda = p and they are (keep, redraw) to a few ulp."""
         kept, redrawn = self.keep * priors, self.redraw * self.resample
         lam = kept + redrawn
+        if lam.min() > 0.0:  # every output can occur: divide in place, into lam last
+            return np.divide(kept, lam, out=kept), np.divide(redrawn, lam, out=lam)
         return tuple(np.divide(w, lam, out=np.zeros(lam.shape), where=lam > 0.0)
                      for w in (kept, redrawn))
 

@@ -49,6 +49,10 @@ _GOLDEN = "tests/test_golden.py::test_cli_outputs_match_the_golden_corpus"
 _BAD_CHANNEL = "tests/test_core.py::test_a_matrix_whose_rows_do_not_sum_to_one_is_not_a_channel"
 _NON_FINITE = "tests/test_cli.py::test_a_non_finite_domain_value_or_weight_is_rejected"
 _THIN = "tests/test_notions.py::test_audit_equals_the_three_measures_where_support_is_thin"
+_INDICATOR = ("tests/test_harness.py::"
+              "test_an_indicator_local_sum_equals_the_gathered_sum_bit_for_bit")
+_ZERO_MARGINAL = ("tests/test_mechanisms.py::"
+                  "test_a_posterior_where_some_output_cannot_occur_is_0_there")
 
 MUTANTS = (
     Mutant("oue-reads-the-histogram-reversed", "lipagg/harness.py",
@@ -99,7 +103,7 @@ MUTANTS = (
            ("tests/test_harness.py::test_chunks_of_several_trials_allocate_nothing_per_chunk",),
            "a ufunc mixing the count type and intp casts through a 64 KiB buffer per call"),
     Mutant("truth-stream-re-keyed-per-chunk", "lipagg/harness.py",
-           "sample_rows(truth_cdf, truth_rng,", "sample_rows(truth_cdf, _rng(config.seed, 1),",
+           "sample_rows(agg.cdf, truth_rng,", "sample_rows(agg.cdf, _rng(config.seed, 1),",
            (_CHUNKS,),
            "every chunk must read on from one truth stream, not restart it"),
     Mutant("oue-probabilities-swapped", "lipagg/mechanisms.py",
@@ -202,6 +206,25 @@ MUTANTS = (
            "floor >= TINY and", "floor >= 0.0 and",
            (f"{_THIN}[subnormal-entry]",),
            "hi / lo overflows through a subnormal entry, where ldp is ln hi - ln lo"),
+    Mutant("indicator-compared-by-not-equal", "lipagg/harness.py",
+           "np.equal(values[..., None], self.hot", "np.not_equal(values[..., None], self.hot",
+           (_INDICATOR, _GOLDEN),
+           "g of the surveyed value is 1 where the value equals it, not where it differs"),
+    Mutant("indicator-admits-a-sum-over-minus-one-and-one", "lipagg/harness.py",
+           "int(nonzero[0]) if self.g.shape[1] == nonzero.size == self.g.sum() == 1",
+           "int(nonzero[-1]) if self.g.shape[1] == self.g.max() == 1",
+           ("tests/test_harness.py::test_no_other_g_takes_the_indicator_branch",),
+           "g = (-1, 1) has largest entry 1 but is no indicator: its sum adds each -1 as -1"),
+    Mutant("posterior-divides-in-place-at-a-zero-marginal", "lipagg/mechanisms.py",
+           "if lam.min() > 0.0:", "if lam.min() >= 0.0:",
+           (_ZERO_MARGINAL, "tests/test_mechanisms.py::"
+            "test_context_aware_posterior_is_keep_and_redraw_at_every_reachable_output"),
+           "an output that cannot occur has lambda 0: dividing there gives 0/0, not the weight 0"),
+    Mutant("context-aware-tails-scale-the-cdf-by-keep", "lipagg/harness.py",
+           "(agg.cdf if aware", "(ch.keep * agg.cdf if aware",
+           ("tests/test_harness.py::"
+            "test_one_prior_cdf_per_run_feeds_the_truth_and_the_context_aware_tails", _FULL_CDF),
+           "a context-aware channel redraws from the prior with weight redraw: tails = redraw cdf"),
 )
 
 

@@ -304,3 +304,67 @@ def test_closed_forms_read_a_family_tag_as_its_member(family):
             call()
     with pytest.raises(ValueError, match="not a MechanismFamily member"):
         optimal_channel(family.value, 1.0, pop.priors)
+
+
+def _generator_sum_totals(closed, families, eps_grid):
+    """The closed-form totals as one expression: the spread summed over the
+    columns of g by a generator, user-major (N, d), then per pair the terms
+    p (w + a redrawn) spread summed per user."""
+    p, g, mu = closed.priors, closed.g, closed.mu
+    spread = sum((g[:, j] - mu[:, j, None]) ** 2 for j in range(g.shape[1]))
+    totals = {}
+    for family in families:
+        for eps in eps_grid:
+            ch = optimal_channel(family, eps, p)
+            _, redrawn = ch.posterior(p)
+            per_user = np.sum(p * (ch.redraw + ch.keep * redrawn) * spread, axis=1)
+            totals[family, eps] = float(np.sum(closed.form.weights ** 2 * per_user))
+    return totals
+
+
+@pytest.mark.parametrize("d", [2, 3, 20])
+def test_closed_form_totals_equal_the_generator_sum_bit_for_bit(d):
+    """The value-major spread and the in-place per-user terms of
+    ``_ClosedForm.totals`` keep the bits of the generator-sum expression,
+    for every task and keep-or-resample family, on Dirichlet priors and on
+    a global prior with a zero entry (a masked posterior)."""
+    from lipagg.analysis import _ClosedForm
+    from lipagg.core import task_form
+
+    n = 300
+    gen = np.random.default_rng(d)
+    values = np.linspace(-1.5, 3.25, d) if d > 2 else np.array([0.0, 1.0])
+    zero = gen.dirichlet(np.ones(d))
+    zero[d // 2] = 0.0
+    families = (MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP) + (
+        (MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP) if d == 2 else ())
+    eps_grid = (0.0, 0.5, 2.0, 800.0)
+    for priors in (gen.dirichlet(np.ones(d), size=n), np.tile(zero / zero.sum(), (n, 1))):
+        pop = Population(Domain(values), priors)
+        for task in (Survey(float(values[0])), Survey(float(values[-1])), Summation(),
+                     WeightedSum(gen.normal(size=n), gen.normal(size=n)), Histogram()):
+            closed = _ClosedForm(task_form(task, pop), pop.priors)
+            got = closed.totals(families, eps_grid)
+            want = _generator_sum_totals(closed, families, eps_grid)
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()}, task
+
+
+@pytest.mark.parametrize("target_index", [5, 2, -1, 1.5, True, "1", None])
+def test_mse_survey_rejects_a_target_index_outside_the_domain(target_index):
+    """A target index is a whole number (not a bool) below the domain size;
+    anything else raises ``ValueError`` instead of reading as some value or
+    returning 0.0."""
+    with pytest.raises(ValueError, match="target index"):
+        mse_survey(opt_binary_lip(0.3, 1.0), Prior.binary(0.3), target_index)
+
+
+def test_mse_survey_reads_every_index_of_the_domain():
+    """Each index in [0, d), as an int or a numpy integer, gives the indicator
+    MSE of that value: the histogram MSE is their sum."""
+    p = Prior([0.2, 0.3, 0.5])
+    ch = opt_mimo_lip(p, 1.0)
+    parts = [mse_survey(ch, p, k) for k in range(3)]
+    assert [mse_survey(ch, p, np.int64(k)) for k in range(3)] == parts
+    assert all(v > 0.0 for v in parts)
+    assert sum(parts) == pytest.approx(mse_histogram(ch, p), rel=1e-12)

@@ -1142,6 +1142,115 @@ def test_only_a_histogram_over_three_or_more_outputs_is_counted(d):
             assert np.array_equal(agg.g, np.eye(d))
 
 
+def _indicator_tasks():
+    """(id, d, task maker, index of the value whose indicator g is)."""
+    for d in (2, 3, 5):
+        for k in range(d):
+            yield f"survey-d{d}-{k}", d, lambda vals, n, k=k: Survey(float(vals[k])), k
+    yield "summation-01", 2, lambda vals, n: Summation(), 1
+    yield "weighted-sum-01", 2, lambda vals, n: WeightedSum(np.linspace(-2.5, 3.0, n),
+                                                             np.ones(n)), 1
+
+
+def _local_sum_and_gather(agg, ws, values):
+    """``local_sum`` of ``values`` and the gather reference weights @ g[values]."""
+    ws.x_count[...] = values
+    return agg.local_sum(ws.x_count, ws), agg.form.weights @ agg.g[values]
+
+
+@pytest.mark.parametrize("n", [5, 300, 20000])
+@pytest.mark.parametrize("case, d, make, hot", list(_indicator_tasks()),
+                         ids=[c[0] for c in _indicator_tasks()])
+def test_an_indicator_local_sum_equals_the_gathered_sum_bit_for_bit(case, d, make, hot, n):
+    """Where g is the indicator of one value (every survey, a sum or a
+    non-unit weighted sum over {0, 1}) ``local_sum`` compares the values
+    with that value instead of gathering g, and its sums keep the bits of
+    form.weights @ g[values], for sampled and for fixed values."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    m = 3
+    dom = Domain.binary() if d == 2 else Domain(np.linspace(-1.0, 2.0, d))
+    pop = generate_population(n, "local-uniform", seed=d, domain=dom)
+    agg = harness._Aggregation(task_form(make(dom.values, n), pop), pop.priors)
+    assert agg.hot == hot and agg.g.shape == (d, 1)
+    ws = agg.workspace(m)
+    sampled = harness.sample_rows(agg.cdf, np.random.default_rng(n), buffers=ws.truth).copy()
+    for values in (sampled.reshape(m, n), np.tile(np.arange(n) % d, (m, 1)).astype(sampled.dtype)):
+        got, want = _local_sum_and_gather(agg, ws, values)
+        assert got.shape == want.shape == (m, 1) and got.tobytes() == want.tobytes(), case
+
+
+def test_no_other_g_takes_the_indicator_branch():
+    """A sum over {-1, 1}, a weighted sum over {0, 2}, a sum over three
+    values and every histogram gather g or count: ``hot`` is None, and a
+    gathered sum keeps the bits of form.weights @ g[values]."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    n, m = 300, 4
+    gen = np.random.default_rng(5)
+    weighted = WeightedSum(gen.normal(size=n) * 2.0, gen.normal(size=n))
+    for values, task in (([-1.0, 1.0], Summation()), ([-1.0, 1.0], weighted),
+                         ([0.0, 2.0], weighted), ([0.0, 2.0], Summation()),
+                         ([0.0, 1.0, 2.0], Summation()), ([0.0, 1.0], Histogram()),
+                         ([0.0, 1.0, 2.0], Histogram()), ([0.0, 1.0, 2.0, 3.0, 4.0], Histogram())):
+        dom = Domain(values)
+        pop = generate_population(n, "local-uniform", seed=3, domain=dom)
+        agg = harness._Aggregation(task_form(task, pop), pop.priors)
+        assert agg.hot is None, (values, task)
+        if agg.folded:
+            ws = agg.workspace(m)
+            x = gen.integers(0, dom.size, (m, n)).astype(ws.x_count.dtype)
+            got, want = _local_sum_and_gather(agg, ws, x)
+            assert got.tobytes() == want.tobytes(), (values, task)
+
+
+@pytest.mark.parametrize("d", [2, 3, 20])
+def test_one_prior_cdf_per_run_feeds_the_truth_and_the_context_aware_tails(monkeypatch, d):
+    """``_Aggregation.cdf`` is the prior's boundary-major (d-1, N) CDF, bit
+    for bit the transposed cumsum; the truth sampler reads that array
+    itself, and every context-aware runner's tails are redraw times it, as
+    the runner once built them from its own cumsum.  A context-free runner
+    keeps its shared (d-1, 1) tails."""
+    from lipagg import harness
+    from lipagg.core import task_form
+
+    n = 40
+    pop = generate_population(n, "local-uniform", seed=d, domain=Domain.of_size(d))
+    task = Survey(1.0) if d == 2 else Histogram()
+    agg = harness._Aggregation(task_form(task, pop), pop.priors)
+    want = np.ascontiguousarray(np.cumsum(pop.priors[:, :-1], axis=1).T)
+    assert agg.cdf.flags.c_contiguous and agg.cdf.tobytes() == want.tobytes()
+    families = [MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP]
+    if d == 2:
+        families += [MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP,
+                     MechanismFamily.SYMMETRIC_RR]
+    for fam in families:
+        for eps in (0.0, 0.5, 2.0) if fam is not MechanismFamily.SYMMETRIC_RR else (0.5, 2.0):
+            runner = harness._FamilyRunner(fam, eps, pop.priors, agg)
+            ch = optimal_channel(fam, eps, pop.priors)
+            tail = ch.redraw * np.cumsum(ch.resample[..., :-1], axis=-1)
+            tail = np.ascontiguousarray(tail.reshape(-1, d - 1).T)
+            assert runner.tail.shape == tail.shape and runner.tail.tobytes() == tail.tobytes()
+            assert runner.kept.tobytes() == (ch.keep + tail).tobytes(), (fam, eps)
+
+    real, bounds = harness.sample_rows, []
+
+    def record(table, rng, **kw):
+        bounds.append(table)
+        return real(table, rng, **kw)
+
+    monkeypatch.setattr(harness, "sample_rows", record)
+    eps = 0.5
+    run_experiment(ExperimentConfig(task=task, families=("opt-mimo-lip",), eps_grid=(eps,),
+                                    trials=3, seed=1, population=pop))
+    truth, tail = bounds
+    assert truth.tobytes() == want.tobytes()
+    redraw = optimal_channel(MechanismFamily.OPT_MIMO_LIP, eps, pop.priors).redraw
+    assert tail.tobytes() == (redraw * truth).tobytes()
+
+
 @pytest.mark.parametrize("fields", [
     dict(mode="bogus"),
     dict(mode="categorical", column="c", prior_source="bogus"),

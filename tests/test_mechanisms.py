@@ -144,6 +144,57 @@ def test_context_aware_posterior_is_keep_and_redraw_at_every_reachable_output():
                     assert np.all(got[~on] == 0.0)
 
 
+def _masked_posterior(ch, priors):
+    """The posterior weights by the masked divide, 0 wherever lambda is 0."""
+    kept, redrawn = ch.keep * priors, ch.redraw * ch.resample
+    lam = kept + redrawn
+    return tuple(np.divide(w, lam, out=np.zeros(lam.shape), where=lam > 0.0)
+                 for w in (kept, redrawn))
+
+
+@pytest.mark.parametrize("d", [2, 3, 20])
+def test_a_full_support_posterior_equals_the_masked_divide_bit_for_bit(d):
+    """Where no output marginal is 0, ``KeepResample.posterior`` divides in
+    place with no mask: its weights equal the masked divide's bit for bit,
+    for every keep-or-resample family, including opt-mimo-ldp at eps = 800,
+    where redraw is 0 and the redrawn weights are exactly 0."""
+    rng = np.random.default_rng(40 + d)
+    priors = rng.dirichlet(np.full(d, 0.5), size=60)
+    priors[0] = np.full(d, 1.0 / d)
+    families = [MechanismFamily.OPT_MIMO_LIP, MechanismFamily.OPT_MIMO_LDP]
+    if d == 2:
+        families += [MechanismFamily.OPT_BINARY_LIP, MechanismFamily.OPT_BINARY_LDP]
+    for fam in families:
+        for eps in (0.0, 1e-6, 0.5, 2.0, 50.0, 800.0):
+            ch = optimal_channel(fam, eps, priors)
+            got, want = ch.posterior(priors), _masked_posterior(ch, priors)
+            assert all(g.shape == (60, d) and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want)), (fam, eps)
+    ch = optimal_channel(MechanismFamily.OPT_MIMO_LDP, 800.0, priors)
+    assert ch.redraw == 0.0 and not ch.posterior(priors)[1].any()
+
+
+@pytest.mark.parametrize("fam, eps", [(MechanismFamily.OPT_MIMO_LIP, 0.5),
+                                      (MechanismFamily.OPT_MIMO_LIP, 0.0),
+                                      (MechanismFamily.OPT_MIMO_LDP, 800.0)])
+def test_a_posterior_where_some_output_cannot_occur_is_0_there(fam, eps):
+    """A zero prior entry under opt-mimo-lip, and under opt-mimo-ldp at
+    eps = 800 (redraw 0, so lambda = keep p), leaves an output marginal of
+    0: the masked divide gives both weights 0 there, with no warning, and
+    equals the reference bit for bit elsewhere."""
+    rng = np.random.default_rng(9)
+    priors = rng.dirichlet(np.ones(4), size=30)
+    priors[::3, 1] = 0.0
+    priors /= priors.sum(axis=1, keepdims=True)
+    ch = optimal_channel(fam, eps, priors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ch.posterior(priors)
+    for g, w in zip(got, _masked_posterior(ch, priors)):
+        assert g.tobytes() == w.tobytes()
+        assert np.all(g[::3, 1] == 0.0) and np.isfinite(g).all()
+
+
 def test_mimo_lip_worked_example():
     # d = 3, priors (0.1, 0.2, 0.7)
     for eps in (1.0, 2.0):
